@@ -15,15 +15,10 @@ __version__ = "0.1.0"
 from .ring import FamilyRegistry, Poly, divided_diff, parse_poly
 from .grassmann import (
     Element,
-    SubstitutionKernel,
-    apply_kernel,
     bordered_det,
     bot_contract,
-    compose_kernels,
     dual_full_product,
     grassmann_exp,
-    odd_row_det,
-    primal_full_product,
     render_element,
     top_contract,
     transgression_det,
@@ -61,7 +56,6 @@ from .dual_element import (
     FunctionalElement,
     HypothesisError,
     ProductFunctional,
-    adjoint_mult,
     dual_element,
     functional_eval,
     pair_transgression,
@@ -78,15 +72,10 @@ __all__ = [
     "divided_diff",
     "parse_poly",
     "Element",
-    "SubstitutionKernel",
-    "apply_kernel",
     "bordered_det",
     "bot_contract",
-    "compose_kernels",
     "dual_full_product",
     "grassmann_exp",
-    "odd_row_det",
-    "primal_full_product",
     "render_element",
     "top_contract",
     "transgression_det",
@@ -118,7 +107,6 @@ __all__ = [
     "FunctionalElement",
     "HypothesisError",
     "ProductFunctional",
-    "adjoint_mult",
     "dual_element",
     "functional_eval",
     "pair_transgression",

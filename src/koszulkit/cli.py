@@ -3,7 +3,8 @@
 Parses polynomial-system files, runs the verification suites on pinned plus
 randomized instances, computes dual elements with their certificates, and
 emits deterministic JSON reports.  Exit codes: 0 all identities verified,
-1 identity failure, 2 usage or input error, 3 hypothesis violated.
+1 identity failure, 2 usage or input error, 3 not zero-dimensional,
+4 internal error (an unexpected exception, never an identity failure).
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ import os
 import random
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
 from .ring import FamilyRegistry, Poly, parse_poly
-from .grassmann import render_element
 from .koszul import (
-    IdentityReport,
     NotCocycleError,
+    lift,
     verify_lemma1,
     verify_lemma2,
     verify_lemma3,
@@ -34,7 +35,6 @@ from .quotient import NotZeroDimensional, groebner, quotient_basis
 from .dual_element import (
     HypothesisError,
     dual_element,
-    pair_transgression,
     theorem3_compare,
     verify_theorem4,
 )
@@ -508,24 +508,16 @@ def cmd_dual_element(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
     system = parse_system_file(text)
-    e, cert = dual_element(system.f)
-    verdict = pair_transgression(system.f, e, bound=system.degree_bound)
-    verdict.instance = "file"
-    cocycle = IdentityReport(
-        "theorem4.cocycle",
-        "file",
-        "equal" if e.cocycle else "failed",
-        detail=None if e.cocycle else "boundary of e does not vanish",
-    )
+    reports, e, cert = verify_theorem4(system.f, bound=system.degree_bound, instance="file")
     data = assemble_report(
         "dual-element",
         _digest(text.encode()),
         system.seed,
-        [cocycle, verdict],
+        reports,
         certificates=[_render_certificate("file", e, cert)],
     )
     _emit(data, args.out)
-    return 0 if cocycle.ok and verdict.ok else 1
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def cmd_pair(args) -> int:
@@ -533,11 +525,8 @@ def cmd_pair(args) -> int:
         text = fh.read()
     system = parse_system_file(text)
     p = parse_poly(system.reg, args.poly)
-    e, cert = dual_element(system.f)
-    from .koszul import _family_gmap, transport
-
-    gmap = _family_gmap(system.reg, e.reg, "x")
-    pX = transport(p, e.reg, gmap)
+    e, _ = dual_element(system.f)
+    pX = lift([p], e.reg, "x")[0]
     data = {
         "tool": "koszulkit",
         "version": __version__,
@@ -555,7 +544,7 @@ def cmd_groebner(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
     system = parse_system_file(text)
-    gb = groebner(system.f, order=system.order)
+    gb = groebner(system.f, order=system.order, family="x")
     try:
         qb = quotient_basis(gb)
         dimension = len(qb)
@@ -636,6 +625,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except Exception as ex:
+        traceback.print_exc()
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

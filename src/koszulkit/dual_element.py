@@ -19,6 +19,7 @@ from fractions import Fraction
 from .grassmann import (
     Element,
     bordered_det,
+    column,
     grassmann_exp,
     merge_words,
     render_element,
@@ -30,12 +31,14 @@ from .koszul import (
     ComplexElement,
     IdentityReport,
     boundary,
+    gradient,
     homotopy_witness,
+    lift,
     transport,
-    _family_gmap,
+    verdict,
 )
-from .quotient import NotZeroDimensional, charpoly_T, groebner, quotient_basis
-from .ring import FamilyRegistry, Poly, divided_diff
+from .quotient import charpoly_T, groebner, quotient_basis
+from .ring import FamilyRegistry, Poly, as_poly
 
 
 class HypothesisError(ValueError):
@@ -233,13 +236,6 @@ class FunctionalElement:
         return self.functional.eval_poly(m * p)
 
 
-def adjoint_mult(p: Poly, F: FunctionalElement) -> FunctionalElement:
-    """Multiplication acting through the functional: multipliers pick up p."""
-    return FunctionalElement(
-        F.functional, F.odd_family, {w: p * m for w, m in F.comps.items()}
-    )
-
-
 def functional_eval(F: FunctionalElement, e: Element) -> Element:
     """Pair an element against a functional element.
 
@@ -277,14 +273,17 @@ def functional_eval(F: FunctionalElement, e: Element) -> Element:
 # the constructive pipeline
 
 
-def _pipeline_registry(n: int, s: int) -> FamilyRegistry:
+def _pipeline_registry(n: int, s: int, t: int | None = None) -> FamilyRegistry:
+    """Variables x, y and odd families fx, fy (arity s), Fx, Fy (arity t,
+    default n) and u (arity n), registered in this order."""
+    t = n if t is None else t
     reg = FamilyRegistry()
     reg.commuting("x", n)
     reg.commuting("y", n)
     reg.odd("fx", s)
     reg.odd("fy", s)
-    reg.odd("Fx", n)
-    reg.odd("Fy", n)
+    reg.odd("Fx", t)
+    reg.odd("Fy", t)
     reg.odd("u", n)
     return reg
 
@@ -325,7 +324,7 @@ def _kernel_image(Gmat, L: FunctionalElement, fxfam, Fxfam) -> FunctionalElement
     return FunctionalElement(L.functional, L.odd_family, comps)
 
 
-def dual_element(f, mode: str = "char"):
+def dual_element(f):
     """The distinguished dual cocycle of a zero-dimensional system.
 
     Returns (e, certificate).  The certificate carries the annihilators T_j,
@@ -337,11 +336,9 @@ def dual_element(f, mode: str = "char"):
     """
     if not f:
         raise ValueError("need at least one polynomial")
-    src = f[0].reg
-    n, s = src.num_comm, len(f)
+    n, s = f[0].reg.num_comm, len(f)
     reg = _pipeline_registry(n, s)
-    xmap = _family_gmap(src, reg, "x")
-    fX = [transport(p, reg, xmap) for p in f]
+    fX = lift(f, reg, "x")
     gb = groebner(fX, family="x")
     qb = quotient_basis(gb)
     d = len(qb)
@@ -349,7 +346,7 @@ def dual_element(f, mode: str = "char"):
     Gcols = []
     funcs = []
     for j in range(1, n + 1):
-        Tj, Gj = charpoly_T(gb, j, mode=mode)
+        Tj, Gj = charpoly_T(gb, j)
         T.append(Tj)
         Gcols.append(Gj)
         dj = Tj.total_degree()
@@ -404,16 +401,8 @@ def transgression_pairing(f, e: FunctionalElement) -> Element:
     """P = the pairing of e (moved to the y side) against the transgression
     determinant of f; an element over x and the system's odd family."""
     reg = e.reg
-    src = f[0].reg
-    xmap = _family_gmap(src, reg, "x")
-    fX = [transport(p, reg, xmap) for p in f]
-    n = reg.comm_family("x").arity
     s = len(f)
-    grad = [[None] * s for _ in range(n)]
-    for j, p in enumerate(fX):
-        col = divided_diff(p, "x", "y")
-        for k in range(n):
-            grad[k][j] = col[k]
+    grad = gradient(lift(f, reg, "x"), reg)
     fx = reg.odd_family("fx")
     fy = reg.odd_family("fy")
     diffs = [
@@ -429,13 +418,11 @@ def pair_transgression(f, e: FunctionalElement, bound=None) -> IdentityReport:
     """Verdict on the pairing against 1: equal, homotopic with witness, or
     not found within the degree bound."""
     reg = e.reg
-    P = transgression_pairing(f, e)
+    fX = lift(f, reg, "x")
+    P = transgression_pairing(fX, e)
     unit = Element.unit(reg)
     if P == unit:
         return IdentityReport("theorem4.pairing", "", "equal")
-    src = f[0].reg
-    xmap = _family_gmap(src, reg, "x")
-    fX = [transport(p, reg, xmap) for p in f]
     ba = BoundaryAssignment(reg, {"fx": fX})
     if bound is None:
         bound = P.max_coeff_degree() + sum(func.degree for func in e.functional.funcs) + 1
@@ -456,11 +443,8 @@ def verify_theorem4(f, bound=None, instance: str = ""):
     Returns (reports, e, certificate).
     """
     e, certificate = dual_element(f)
-    cocycle = IdentityReport(
-        "theorem4.cocycle",
-        instance,
-        "equal" if e.cocycle else "failed",
-        detail=None if e.cocycle else "boundary of e does not vanish",
+    cocycle = verdict(
+        "theorem4.cocycle", instance, e.cocycle, lambda: "boundary of e does not vanish"
     )
     pairing = pair_transgression(f, e, bound=bound)
     pairing.instance = instance
@@ -492,49 +476,24 @@ def theorem3_compare(f, F, G, bound=None, functional=None) -> IdentityReport:
     for j in range(t):
         acc = Poly.zero(src)
         for i in range(s):
-            gij = G[i][j]
-            if not isinstance(gij, Poly):
-                gij = Poly.const(src, gij)
-            acc = acc + f[i] * gij
+            acc = acc + f[i] * as_poly(src, G[i][j])
         if acc != F[j]:
             raise HypothesisError(f"F[{j}] does not equal sum_i f_i G[i][{j}]")
 
-    reg = FamilyRegistry()
-    reg.commuting("x", n)
-    reg.commuting("y", n)
-    fx = reg.odd("fx", s)
-    fy = reg.odd("fy", s)
-    Fx = reg.odd("Fx", t)
-    Fy = reg.odd("Fy", t)
-    reg.odd("u", n)
-    xmap = _family_gmap(src, reg, "x")
-    ymap = _family_gmap(src, reg, "y")
-    fX = [transport(p, reg, xmap) for p in f]
-    FX = [transport(p, reg, xmap) for p in F]
-    fY = [transport(p, reg, ymap) for p in f]
-    FY = [transport(p, reg, ymap) for p in F]
-    GX = [[transport(G[i][j], reg, xmap) if isinstance(G[i][j], Poly) else Poly.const(reg, G[i][j]) for j in range(t)] for i in range(s)]
-    GY = [[transport(G[i][j], reg, ymap) if isinstance(G[i][j], Poly) else Poly.const(reg, G[i][j]) for j in range(t)] for i in range(s)]
-
-    def gradient(polys):
-        grad = [[None] * len(polys) for _ in range(n)]
-        for j, p in enumerate(polys):
-            col = divided_diff(p, "x", "y")
-            for k in range(n):
-                grad[k][j] = col[k]
-        return grad
+    reg = _pipeline_registry(n, s, t)
+    fx, fy, Fx, Fy = (reg.odd_family(name) for name in ("fx", "fy", "Fx", "Fy"))
+    fX, FX = lift(f, reg, "x"), lift(F, reg, "x")
+    fY, FY = lift(f, reg, "y"), lift(F, reg, "y")
+    GX = [lift(row, reg, "x") for row in G]
+    GY = [lift(row, reg, "y") for row in G]
 
     def gen(fam, i, dual=False):
         return Element.generator(reg, reg.odd_rank(fam, i, dual=dual))
 
-    gradF = gradient(FX)
-    gradf = gradient(fX)
-    fxG = []
-    for j in range(t):
-        col = Element.zero(reg)
-        for i in range(s):
-            col = col + gen(fx, i + 1) * GX[i][j]
-        fxG.append(col)
+    gradF = gradient(FX, reg)
+    gradf = gradient(fX, reg)
+    fxgens = [gen(fx, i + 1) for i in range(s)]
+    fxG = [column(reg, fxgens, GX, j) for j in range(t)]
 
     pairs = [(fxG[j], gen(Fx, j + 1, dual=True)) for j in range(t) if not fxG[j].is_zero]
     Fdiff = [gen(Fx, j + 1) - gen(Fy, j + 1) for j in range(t)]
@@ -562,25 +521,15 @@ def theorem3_compare(f, F, G, bound=None, functional=None) -> IdentityReport:
         fFx = freg.odd_family("Fx")
         if fFx.arity != t:
             raise ValueError("functional registry's auxiliary family does not match F")
-        fmap = _family_gmap(src, freg, "x")
-        GF = [
-            [
-                transport(G[i][j], freg, fmap)
-                if isinstance(G[i][j], Poly)
-                else Poly.const(freg, G[i][j])
-                for j in range(t)
-            ]
-            for i in range(s)
-        ]
-        img = _kernel_image(GF, functional, ffx, fFx)
-        fba = BoundaryAssignment(freg, {ffx.name: [transport(p, freg, fmap) for p in f]})
+        fba = BoundaryAssignment(freg, {ffx.name: lift(f, freg, "x")})
+        img = _kernel_image([lift(row, freg, "x") for row in G], functional, ffx, fFx)
         if not img.boundary(fba).is_zero():
             parts.append("kernel image of the supplied functional is not closed")
 
     if parts:
         return IdentityReport("theorem3", "", "failed", detail="; ".join(parts))
 
-    fdiffs = [gen(fx, i + 1) - gen(fy, i + 1) for i in range(s)]
+    fdiffs = [fxgens[i] - gen(fy, i + 1) for i in range(s)]
     tdetf = transgression_det([(gradf, fdiffs)], "u")
     cform = top_contract(fy, tdetf * bb)
     if rhs_a == cform:

@@ -25,10 +25,9 @@ family).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ring import DUAL, PRIMAL, FamilyRegistry, OddFamily, Poly
+from .ring import PRIMAL, FamilyRegistry, Poly, as_poly
 
 Word = tuple  # tuple[int, ...], strictly ascending global ranks
 
@@ -147,7 +146,7 @@ class Element:
 
     def __mul__(self, other) -> "Element":
         if isinstance(other, (int, Fraction, Poly)):
-            factor = other if isinstance(other, Poly) else Poly.const(self.reg, other)
+            factor = as_poly(self.reg, other)
             if factor.is_zero:
                 return Element.zero(self.reg)
             return Element(self.reg, {w: c * factor for w, c in self.terms.items()})
@@ -182,31 +181,15 @@ class Element:
             if other.reg is not self.reg:
                 raise ValueError("elements built over different registries")
             return other
-        if isinstance(other, (int, Fraction)):
-            return Element.from_poly(Poly.const(self.reg, other))
-        if isinstance(other, Poly):
-            return Element.from_poly(other)
+        if isinstance(other, (int, Fraction, Poly)):
+            return Element.from_poly(as_poly(self.reg, other))
         raise TypeError(f"cannot combine Element with {type(other).__name__}")
-
-    def scalar_part(self) -> Poly:
-        return self.terms.get((), Poly.zero(self.reg))
 
     def support_ranks(self) -> set[int]:
         ranks: set[int] = set()
         for w in self.terms:
             ranks.update(w)
         return ranks
-
-    def word_degrees(self) -> set[int]:
-        return {len(w) for w in self.terms}
-
-    def homogeneous_degree(self) -> int | None:
-        """The common word length, or None if mixed or zero."""
-        degrees = self.word_degrees()
-        return degrees.pop() if len(degrees) == 1 else None
-
-    def graded_component(self, k: int) -> "Element":
-        return Element(self.reg, {w: c for w, c in self.terms.items() if len(w) == k})
 
     def max_coeff_degree(self) -> int:
         if not self.terms:
@@ -221,11 +204,6 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({render_element(self)})"
-
-
-def wedge_mul(a: Element, b: Element) -> Element:
-    """Wedge product; graded-commutative and associative."""
-    return a * b
 
 
 def render_element(e: Element) -> str:
@@ -262,19 +240,6 @@ def _validate_strictly_linear(e: Element, what: str) -> None:
             raise ValueError(f"{what} must be homogeneous of wedge degree 1 (or zero)")
 
 
-def odd_row_det(entries) -> Element:
-    """Determinant of a one-row matrix with degree-<=1 entries: their ordered product."""
-    entries = list(entries)
-    if not entries:
-        raise ValueError("odd_row_det needs at least one entry")
-    reg = entries[0].reg
-    out = Element.unit(reg)
-    for k, entry in enumerate(entries):
-        _validate_linear(entry, f"odd_row_det entry {k}")
-        out = out * entry
-    return out
-
-
 def grassmann_exp(pairs) -> Element:
     """Product of (1 + a_i ^ b_i) over pairs of degree-1 (or zero) elements.
 
@@ -297,12 +262,6 @@ def dual_full_product(reg: FamilyRegistry, fam) -> Element:
     """The full dual word of a family, duals ascending, coefficient +1."""
     fam = reg.odd_family(fam)
     return Element(reg, {tuple(fam.dual_ranks()): Poly.const(reg, 1)})
-
-
-def primal_full_product(reg: FamilyRegistry, fam) -> Element:
-    """The full primal word of a family, primals ascending, coefficient +1."""
-    fam = reg.odd_family(fam)
-    return Element(reg, {tuple(fam.primal_ranks()): Poly.const(reg, 1)})
 
 
 def top_contract(fam, e: Element) -> Element:
@@ -379,63 +338,12 @@ def bot_contract(fam, e: Element) -> Element:
     return top_contract(aux, renamed * grassmann_exp(pairs))
 
 
-@dataclass
-class SubstitutionKernel:
-    """A substitution acting on commuting generators and primal odd generators.
-
-    ``comm`` maps global commuting indices to polynomials; ``odd`` maps primal
-    ranks to degree-1 (or zero) primal linear combinations.  Unmapped
-    generators stay fixed; dual generators are never substituted.
-    """
-
-    reg: FamilyRegistry
-    comm: dict[int, Poly] = field(default_factory=dict)
-    odd: dict[int, Element] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for g in self.comm:
-            if not 0 <= g < self.reg.num_comm:
-                raise ValueError(f"no commuting generator with index {g}")
-        for rank, image in self.odd.items():
-            _, _, pol = self.reg.rank_info(rank)
-            if pol != PRIMAL:
-                raise ValueError("substitution kernels act on primal odd generators only")
-            _validate_strictly_linear(image, "odd generator image")
-            for w in image.terms:
-                if self.reg.rank_info(w[0])[2] != PRIMAL:
-                    raise ValueError("odd generator image must be a primal combination")
-
-
-def apply_kernel(kernel: SubstitutionKernel, e: Element) -> Element:
-    """Apply a substitution kernel; a homomorphism of the whole algebra."""
-    reg = e.reg
-    if kernel.reg is not reg:
-        raise ValueError("kernel built over a different registry")
-    out = Element.zero(reg)
-    for word, c in e.terms.items():
-        term = Element.from_poly(c.subst(kernel.comm))
-        for rank in word:
-            image = kernel.odd.get(rank)
-            if image is None:
-                image = Element.generator(reg, rank)
-            term = term * image
-            if term.is_zero:
-                break
-        out = out + term
-    return out
-
-
-def compose_kernels(k1: SubstitutionKernel, k2: SubstitutionKernel) -> SubstitutionKernel:
-    """The kernel acting like k1 followed by k2."""
-    if k1.reg is not k2.reg:
-        raise ValueError("kernels built over different registries")
-    comm = {g: p.subst(k2.comm) for g, p in k1.comm.items()}
-    for g, p in k2.comm.items():
-        comm.setdefault(g, p)
-    odd = {r: apply_kernel(k2, img) for r, img in k1.odd.items()}
-    for r, img in k2.odd.items():
-        odd.setdefault(r, img)
-    return SubstitutionKernel(k1.reg, comm, odd)
+def column(reg: FamilyRegistry, odd_rows, matrix, k) -> Element:
+    """sum_i odd_rows[i] * matrix[i][k] as a degree-1 element."""
+    col = Element.zero(reg)
+    for gen, row in zip(odd_rows, matrix):
+        col = col + gen * as_poly(reg, row[k])
+    return col
 
 
 def bordered_det(a, oddrow, rowfam) -> Element:
@@ -459,19 +367,11 @@ def bordered_det(a, oddrow, rowfam) -> Element:
     for row in a:
         if len(row) != n:
             raise ValueError("matrix rows and odd row must have equal length")
-    cols = []
-    for k in range(n):
-        col = oddrow[k]
-        _validate_linear(col, f"bordered_det odd entry {k}")
-        for i in range(1, s + 1):
-            entry = a[i - 1][k]
-            if not isinstance(entry, Poly):
-                entry = Poly.const(reg, entry)
-            col = col + Element.generator(reg, reg.odd_rank(rowfam, i)) * entry
-        cols.append(col)
+    rowgens = [Element.generator(reg, r) for r in rowfam.primal_ranks()]
     product = dual_full_product(reg, rowfam)
-    for col in cols:
-        product = product * col
+    for k in range(n):
+        _validate_linear(oddrow[k], f"bordered_det odd entry {k}")
+        product = product * (oddrow[k] + column(reg, rowgens, a, k))
     return bot_contract(rowfam, product)
 
 
@@ -509,12 +409,6 @@ def transgression_det(blocks, ufam) -> Element:
             if len(row) != t:
                 raise ValueError("gradient block and odd row must have equal width")
         for j in range(t):
-            col = oddrow[j]
-            _validate_linear(col, f"transgression_det odd entry {j}")
-            for k in range(n):
-                entry = grad[k][j]
-                if not isinstance(entry, Poly):
-                    entry = Poly.const(reg, entry)
-                col = col - ugens[k] * entry
-            product = product * col
+            _validate_linear(oddrow[j], f"transgression_det odd entry {j}")
+            product = product * (oddrow[j] - column(reg, ugens, grad, j))
     return top_contract(ufam, product)

@@ -26,13 +26,14 @@ from .grassmann import (
     Element,
     bordered_det,
     bot_contract,
+    column,
     dual_full_product,
     grassmann_exp,
     render_element,
     top_contract,
     transgression_det,
 )
-from .ring import PRIMAL, FamilyRegistry, Poly, divided_diff
+from .ring import PRIMAL, FamilyRegistry, Poly, as_poly, divided_diff
 
 
 class UnassignedFamilyError(ValueError):
@@ -58,9 +59,7 @@ class BoundaryAssignment:
         clean = {}
         for name, polys in self.images.items():
             fam = self.reg.odd_family(name)
-            polys = tuple(
-                p if isinstance(p, Poly) else Poly.const(self.reg, p) for p in polys
-            )
+            polys = tuple(as_poly(self.reg, p) for p in polys)
             if len(polys) != fam.arity:
                 raise ValueError(
                     f"family {fam.name!r} has arity {fam.arity}, got {len(polys)} images"
@@ -118,6 +117,24 @@ class IdentityReport:
             "detail": self.detail,
             "elapsed": self.elapsed,
         }
+
+
+def verdict(name: str, instance: str, ok: bool, detail) -> IdentityReport:
+    """An ``equal`` report when ``ok``, else a ``failed`` one whose detail is
+    ``detail()``; the callable defers rendering to the failing case."""
+    if ok:
+        return IdentityReport(name, instance, "equal")
+    return IdentityReport(name, instance, "failed", detail=detail())
+
+
+def sides_verdict(name: str, instance: str, lhs: Element, rhs: Element) -> IdentityReport:
+    """Verdict on lhs == rhs, showing both sides on failure."""
+    return verdict(
+        name,
+        instance,
+        lhs == rhs,
+        lambda: f"lhs {render_element(lhs)}; rhs {render_element(rhs)}",
+    )
 
 
 def infer_dual_families(e: Element) -> frozenset:
@@ -289,19 +306,29 @@ def _family_gmap(src: FamilyRegistry, dst: FamilyRegistry, fam) -> dict:
     return {g: fam.base + g for g in range(src.num_comm)}
 
 
+def lift(polys, dst: FamilyRegistry, fam) -> list[Poly]:
+    """Rebuild polynomials over ``dst``, their variables renamed onto the
+    commuting family ``fam``.
+
+    Constants become constant polynomials and polynomials already over
+    ``dst`` pass through unchanged.
+    """
+    out = []
+    gmap = None
+    for p in polys:
+        if not isinstance(p, Poly):
+            out.append(Poly.const(dst, p))
+        elif p.reg is dst:
+            out.append(p)
+        else:
+            if gmap is None:
+                gmap = _family_gmap(p.reg, dst, fam)
+            out.append(transport(p, dst, gmap))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # lemma verifiers
-
-
-def _column(reg, odd_rows, matrix, k) -> Element:
-    """sum_i gen_i * matrix[i][k] as a degree-1 element."""
-    col = Element.zero(reg)
-    for gen, row in zip(odd_rows, matrix):
-        entry = row[k]
-        if not isinstance(entry, Poly):
-            entry = Poly.const(reg, entry)
-        col = col + gen * entry
-    return col
 
 
 def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
@@ -334,10 +361,7 @@ def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
             for rows in itertools.permutations(range(s), csize):
                 scalar = Poly.const(reg, 1)
                 for r, k in zip(rows, cols):
-                    entry = a[r][k]
-                    if not isinstance(entry, Poly):
-                        entry = Poly.const(reg, entry)
-                    scalar = scalar * entry
+                    scalar = scalar * as_poly(reg, a[r][k])
                 if scalar.is_zero:
                     continue
                 chosen = set(rows)
@@ -376,19 +400,19 @@ def verify_lemma1(a, b, instance: str = "") -> IdentityReport:
     product = dual_full_product(reg, f)
     oddrow = []
     for k in range(n):
-        gpart = _column(reg, ggens, b, k) if t else Element.zero(reg)
+        gpart = column(reg, ggens, b, k)
         oddrow.append(gpart)
-        product = product * (_column(reg, fgens, a, k) + gpart)
+        product = product * (column(reg, fgens, a, k) + gpart)
     lhs = bot_contract(f, product)
     packaged = bordered_det(a, oddrow, f)
     expansion = bordered_minor_expansion(a, oddrow, f)
-    if lhs == packaged == expansion:
-        return IdentityReport("lemma1", instance, "equal")
-    detail = (
-        f"contraction {render_element(lhs)}; packaged {render_element(packaged)}; "
-        f"expansion {render_element(expansion)}"
+    return verdict(
+        "lemma1",
+        instance,
+        lhs == packaged == expansion,
+        lambda: f"contraction {render_element(lhs)}; packaged {render_element(packaged)}; "
+        f"expansion {render_element(expansion)}",
     )
-    return IdentityReport("lemma1", instance, "failed", detail=detail)
 
 
 def verify_lemma2(b, instance: str = "") -> tuple[IdentityReport, IdentityReport]:
@@ -406,12 +430,7 @@ def verify_lemma2(b, instance: str = "") -> tuple[IdentityReport, IdentityReport
     product = dual_full_product(reg, f)
     images = []
     for i in range(s):
-        gpart = Element.zero(reg)
-        for j in range(t):
-            entry = b[j][i]
-            if not isinstance(entry, Poly):
-                entry = Poly.const(reg, entry)
-            gpart = gpart + ggens[j] * entry
+        gpart = column(reg, ggens, b, i)
         images.append(gpart)
         product = product * (
             Element.generator(reg, reg.odd_rank(f, i + 1)) - gpart
@@ -425,46 +444,31 @@ def verify_lemma2(b, instance: str = "") -> tuple[IdentityReport, IdentityReport
         ]
         live = [(u, v) for u, v in pairs if not u.is_zero]
         rhs1 = grassmann_exp(live) if live else Element.unit(reg)
-    r1 = (
-        IdentityReport("lemma2.1", instance, "equal")
-        if lhs1 == rhs1
-        else IdentityReport(
-            "lemma2.1",
-            instance,
-            "failed",
-            detail=f"lhs {render_element(lhs1)}; rhs {render_element(rhs1)}",
-        )
-    )
     lhs2 = top_contract(f, product)
-    r2 = (
-        IdentityReport("lemma2.2", instance, "equal")
-        if lhs2 == Element.unit(reg)
-        else IdentityReport(
-            "lemma2.2", instance, "failed", detail=f"lhs {render_element(lhs2)}"
-        )
+    return (
+        sides_verdict("lemma2.1", instance, lhs1, rhs1),
+        verdict(
+            "lemma2.2",
+            instance,
+            lhs2 == Element.unit(reg),
+            lambda: f"lhs {render_element(lhs2)}",
+        ),
     )
-    return r1, r2
 
 
 def verify_lemma3(f, instance: str = "") -> IdentityReport:
     """The full dual word of the system family is a cocycle."""
     if not f:
         raise ValueError("need at least one polynomial")
-    src = f[0].reg
-    n = src.num_comm
+    n = f[0].reg.num_comm
     s = len(f)
     reg = FamilyRegistry()
     reg.commuting("x", n)
     fx = reg.odd("fx", s)
-    gmap = _family_gmap(src, reg, "x")
-    ba = BoundaryAssignment(reg, {"fx": [transport(p, reg, gmap) for p in f]})
+    ba = BoundaryAssignment(reg, {"fx": lift(f, reg, "x")})
     e = ComplexElement(dual_full_product(reg, fx), frozenset({"fx"}))
     out = boundary(ba, e).element
-    if out.is_zero:
-        return IdentityReport("lemma3", instance, "equal")
-    return IdentityReport(
-        "lemma3", instance, "failed", detail=f"boundary {render_element(out)}"
-    )
+    return verdict("lemma3", instance, out.is_zero, lambda: f"boundary {render_element(out)}")
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +495,7 @@ def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:
     """
     if not f or not F:
         raise ValueError("need nonempty systems f and F")
-    src = f[0].reg
-    n = src.num_comm
+    n = f[0].reg.num_comm
     s, t = len(f), len(F)
     reg = FamilyRegistry()
     x = reg.commuting("x", n)
@@ -500,9 +503,8 @@ def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:
     fpx = reg.odd("fpx", s)
     Fx = reg.odd("Fx", t)
     Fpx = reg.odd("Fpx", t)
-    gmap = _family_gmap(src, reg, "x")
-    fimg = [transport(p, reg, gmap) for p in f]
-    Fimg = [transport(p, reg, gmap) for p in F]
+    fimg = lift(f, reg, "x")
+    Fimg = lift(F, reg, "x")
     ba = BoundaryAssignment(
         reg, {"fx": fimg, "fpx": fimg, "Fx": Fimg, "Fpx": Fimg}
     )
@@ -511,11 +513,7 @@ def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:
     for label, kernel in (("theorem1.kernel_det", k1), ("theorem1.kernel_unit", k2)):
         out = boundary(ba, kernel).element
         reports.append(
-            IdentityReport(label, instance, "equal")
-            if out.is_zero
-            else IdentityReport(
-                label, instance, "failed", detail=f"boundary {render_element(out)}"
-            )
+            verdict(label, instance, out.is_zero, lambda: f"boundary {render_element(out)}")
         )
     xgens = list(x.gens())
     domains = {
@@ -544,18 +542,14 @@ def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:
             if left != right:
                 bad = (k, left - right)
                 break
-        name = f"theorem1.map.{kind}"
-        if bad is None:
-            reports.append(IdentityReport(name, instance, "equal"))
-        else:
-            reports.append(
-                IdentityReport(
-                    name,
-                    instance,
-                    "failed",
-                    detail=f"sample {bad[0]}: difference {render_element(bad[1])}",
-                )
+        reports.append(
+            verdict(
+                f"theorem1.map.{kind}",
+                instance,
+                bad is None,
+                lambda: f"sample {bad[0]}: difference {render_element(bad[1])}",
             )
+        )
     return reports
 
 
@@ -567,8 +561,7 @@ def verify_theorem2(f, F, instance: str = "") -> tuple[IdentityReport, IdentityR
     """Both displayed identities, evaluated exactly on each side."""
     if not f:
         raise ValueError("need at least one polynomial in f")
-    src = f[0].reg
-    n = src.num_comm
+    n = f[0].reg.num_comm
     s, t = len(f), len(F)
     reg = FamilyRegistry()
     reg.commuting("x", n)
@@ -582,11 +575,8 @@ def verify_theorem2(f, F, instance: str = "") -> tuple[IdentityReport, IdentityR
     Fpx = reg.odd("Fpx", t) if t else None
     Fpy = reg.odd("Fpy", t) if t else None
     u = reg.odd("u", n)
-    xmap = _family_gmap(src, reg, "x")
-    fX = [transport(p, reg, xmap) for p in f]
-    FX = [transport(p, reg, xmap) for p in F]
-    gradf = _gradient(fX, reg)
-    gradF = _gradient(FX, reg)
+    gradf = gradient(lift(f, reg, "x"), reg)
+    gradF = gradient(lift(F, reg, "x"), reg)
 
     def gen(fam, i, dual=False):
         return Element.generator(reg, reg.odd_rank(fam, i, dual=dual))
@@ -616,16 +606,6 @@ def verify_theorem2(f, F, instance: str = "") -> tuple[IdentityReport, IdentityR
         # which vanishes for n >= 1; the identity degenerates to lhs = 0.
         lhs1 = top_contract(fy, lhs1)
         rhs1 = Element.zero(reg)
-    r1 = (
-        IdentityReport("theorem2.1", instance, "equal")
-        if lhs1 == rhs1
-        else IdentityReport(
-            "theorem2.1",
-            instance,
-            "failed",
-            detail=f"lhs {render_element(lhs1)}; rhs {render_element(rhs1)}",
-        )
-    )
 
     # identity 2
     lhs2 = transgression_det([(gradf, fdiff)], u) * grassmann_exp(
@@ -644,20 +624,13 @@ def verify_theorem2(f, F, instance: str = "") -> tuple[IdentityReport, IdentityR
         core = top_contract(fpx, core * bigdetp)
     sign = -1 if (t * n) & 1 else 1
     rhs2 = core * sign
-    r2 = (
-        IdentityReport("theorem2.2", instance, "equal")
-        if lhs2 == rhs2
-        else IdentityReport(
-            "theorem2.2",
-            instance,
-            "failed",
-            detail=f"lhs {render_element(lhs2)}; rhs {render_element(rhs2)}",
-        )
+    return (
+        sides_verdict("theorem2.1", instance, lhs1, rhs1),
+        sides_verdict("theorem2.2", instance, lhs2, rhs2),
     )
-    return r1, r2
 
 
-def _gradient(polys, reg) -> list:
+def gradient(polys, reg) -> list:
     """Divided-difference matrix: entry [k][j] is the k-th difference of polys[j]."""
     n = reg.comm_family("x").arity
     cols = [divided_diff(p, "x", "y") for p in polys]

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import charpoly, solve
+from ._linalg import charpoly, identity_matrix, mat_mul, solve
 from .ring import (
     FamilyRegistry,
     Mono,
@@ -348,15 +348,14 @@ def _minimal_coeffs(mat) -> list[Fraction]:
     d = len(mat)
     if d == 0:
         return [Fraction(1)]
-    ident = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
 
     def flatten(m):
         return [m[i][j] for i in range(d) for j in range(d)]
 
-    cur = ident
+    cur = identity_matrix(d)
     seen = [flatten(cur)]
-    for degree in range(1, d + 1):
-        nxt = [[sum((mat[i][k] * cur[k][j] for k in range(d)), Fraction(0)) for j in range(d)] for i in range(d)]
+    for _ in range(d):
+        nxt = mat_mul(mat, cur)
         target = flatten(nxt)
         cols = list(zip(*seen))
         system = [list(row) for row in cols]

@@ -393,24 +393,14 @@ class Poly:
         return f"Poly({render_poly(self)})"
 
 
+def as_poly(reg: FamilyRegistry, x) -> Poly:
+    """``x`` itself when it is a Poly, else the constant polynomial ``x`` over ``reg``."""
+    return x if isinstance(x, Poly) else Poly.const(reg, x)
+
+
 def _grlex_key(item):
     m, _ = item
     return (mono_degree(m), tuple((-g, e) for g, e in m))
-
-
-def poly_arith(op: str, p: Poly, q: Poly) -> Poly:
-    """Named arithmetic entry point: op in {"add", "sub", "mul"}."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown arithmetic op {op!r}")
-
-
-def poly_subst(p: Poly, images: dict[int, Poly]) -> Poly:
-    return p.subst(images)
 
 
 def render_mono(reg: FamilyRegistry, m: Mono) -> str:
@@ -490,6 +480,10 @@ def divided_diff(F: Poly, xfam, yfam) -> list[Poly]:
 
 _OPS = set("+-*^()")
 
+# Parenthesis nesting allowed in one expression; each level costs the
+# recursive-descent parser five stack frames.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens: list[tuple[str, object, int]] = []
@@ -499,11 +493,14 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("num", int(text[i:j]), i))
+            try:
+                tokens.append(("num", int(text[i:j]), i))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"number too long at position {i}") from None
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -525,7 +522,8 @@ class _Parser:
 
     Grammar: expr := term (('+'|'-') term)*; term := unary ('*' unary)*;
     unary := ('-'|'+')* power; power := atom ('^' INT)?;
-    atom := INT ('/' INT)? | NAME | '(' expr ')'.
+    atom := INT ('/' INT)? | NAME | '(' expr ')'.  Parentheses nest at most
+    MAX_NESTING deep.
     """
 
     def __init__(self, reg: FamilyRegistry, text: str, names: dict[str, int]):
@@ -533,6 +531,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.names = names
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -603,8 +602,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r} at position {at}")
             return Poly.variable(self.reg, gidx)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} at position {at}")
+            self.depth += 1
             p = self.expr()
             self.expect(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected token at position {at}")
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from koszulkit import cli
 from koszulkit.cli import (
     main,
     parse_system_file,
@@ -256,6 +257,15 @@ class TestGroebnerCommand:
         assert data["dimension"] is None
         assert data["staircase"] is None
 
+    def test_zero_system_reports_null(self, capsys, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x\nf: 0\n")
+        code, data = run(capsys, ["groebner", str(path)])
+        assert code == 0
+        assert data["basis"] == []
+        assert data["dimension"] is None
+        assert data["staircase"] is None
+
     def test_lex_order_honored(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("vars: x1 x2\nf: x1^2 - x2, x2^2\norder: lex\n")
@@ -263,3 +273,35 @@ class TestGroebnerCommand:
         assert code == 0
         assert data["order"] == "lex"
         assert data["dimension"] == 4
+
+
+class TestDegenerateInput:
+    @pytest.mark.parametrize("system", ["1", "x, x - 1"])
+    @pytest.mark.parametrize("command", [["dual-element"], ["verify", "thm4", "--file"]])
+    def test_unit_ideal_has_dimension_zero(self, capsys, tmp_path, system, command):
+        path = tmp_path / "sys.txt"
+        path.write_text(f"vars: x\nf: {system}\n")
+        code, data = run(capsys, [*command, str(path)])
+        assert code == 0
+        assert data["certificates"][0]["dimension"] == 0
+        assert data["summary"]["failed"] == data["summary"]["not_found"] == 0
+
+    def test_deep_nesting_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x\nf: " + "(" * 1200 + "x" + ")" * 1200 + "\n")
+        code = main(["groebner", str(path)])
+        assert code == 2
+        assert "nested deeper" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_4(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "groebner", broken)
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x\nf: x\n")
+        code = main(["groebner", str(path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.endswith("internal error: RuntimeError: boom\n")

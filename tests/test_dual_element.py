@@ -14,7 +14,6 @@ from koszulkit.dual_element import (
     FunctionalElement,
     HypothesisError,
     ProductFunctional,
-    adjoint_mult,
     dual_element,
     functional_eval,
     pair_transgression,
@@ -204,7 +203,8 @@ class TestFunctionalEval:
         for _ in range(25):
             p = rand_poly(rng, reg, (0, 1), 2)
             q = rand_poly(rng, reg, (0, 1), 2)
-            assert adjoint_mult(p, F).pair_poly(q) == F.pair_poly(p * q)
+            pF = FunctionalElement(l, "fx", {(): p})
+            assert pF.pair_poly(q) == F.pair_poly(p * q)
 
 
 class TestFunctionalElementBoundary:

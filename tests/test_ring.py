@@ -13,6 +13,7 @@ import pytest
 
 from koszulkit.ring import (
     CommFamily,
+    MAX_NESTING,
     FamilyRegistry,
     ParseError,
     Poly,
@@ -21,7 +22,6 @@ from koszulkit.ring import (
     mono_lcm,
     mono_mul,
     parse_poly,
-    poly_arith,
     render_poly,
 )
 
@@ -149,16 +149,6 @@ class TestPolyArithmetic:
             assert p**k == expected
             expected = expected * p
 
-    def test_poly_arith_dispatch(self):
-        reg, x, _ = fresh_xy(1)
-        p = Poly.gen(reg, x, 1)
-        q = Poly.const(reg, 2)
-        assert poly_arith("add", p, q) == p + q
-        assert poly_arith("sub", p, q) == p - q
-        assert poly_arith("mul", p, q) == p * q
-        with pytest.raises(ValueError):
-            poly_arith("div", p, q)
-
     def test_cross_registry_mixing_rejected(self):
         reg1, x1, _ = fresh_xy(1)
         reg2, x2, _ = fresh_xy(1)
@@ -217,6 +207,16 @@ class TestParser:
         reg, _, _ = fresh_xy(2)
         for bad in ("2x1", "x1^-1", "(x1", "x1 +", "x3", "x1^x2", "1/0", "x1 $ x2", ""):
             with pytest.raises(ParseError):
+                parse_poly(reg, bad)
+
+    def test_nesting_depth_is_capped(self):
+        reg, x, _ = fresh_xy(2)
+        g1 = Poly.gen(reg, x, 1)
+        deep = MAX_NESTING
+        assert parse_poly(reg, "(" * deep + "x1" + ")" * deep) == g1
+        assert parse_poly(reg, "-" * 1200 + "x1") == g1
+        for bad in ("(" * (deep + 1) + "x1" + ")" * (deep + 1), "(" * 1200 + "x1" + ")" * 1200):
+            with pytest.raises(ParseError, match="nested deeper"):
                 parse_poly(reg, bad)
 
     def test_render_parse_round_trip(self):
