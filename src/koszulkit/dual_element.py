@@ -12,7 +12,6 @@ transgression determinant, which must come out equal or homotopic to 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,14 +50,16 @@ class Functional1D:
     recurrence plus initial values.
 
     ``rec`` holds the non-leading coefficients a_0..a_{d-1} of the monic
-    annihilator; evaluation beyond the initial segment follows
-    eval(d + k) = -sum_i a_i * eval(i + k).
+    annihilator T; evaluation beyond the initial segment follows
+    eval(d + k) = -sum_i a_i * eval(i + k), so the functional vanishes on
+    the ideal (T).  Values and the powers x^k mod T are cached on demand.
     """
 
     gidx: int
     rec: tuple
     initials: tuple
-    _memo: list = field(default_factory=list)
+    _memo: list = field(default_factory=list, init=False, compare=False, repr=False)
+    _powers: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.initials) != len(self.rec):
@@ -66,6 +67,8 @@ class Functional1D:
         self.rec = tuple(Fraction(c) for c in self.rec)
         self.initials = tuple(Fraction(c) for c in self.initials)
         self._memo = list(self.initials)
+        # x^0 mod T is 1, or nothing at all when T = 1
+        self._powers = [tuple(Fraction(int(i == 0)) for i in range(self.degree))]
 
     @property
     def degree(self) -> int:
@@ -80,6 +83,20 @@ class Functional1D:
             base = len(memo) - d
             memo.append(-sum((self.rec[i] * memo[base + i] for i in range(d)), Fraction(0)))
         return memo[k]
+
+    def power(self, k: int) -> tuple:
+        """Coefficients of x^k mod T on 1, x, ..., x^(d-1)."""
+        d = self.degree
+        pows = self._powers
+        while len(pows) <= k:
+            prev = pows[-1]
+            top = prev[d - 1] if d else 0
+            pows.append(tuple((prev[i - 1] if i else 0) - top * self.rec[i] for i in range(d)))
+        return pows[k]
+
+    def hankel_row(self, b: int) -> tuple:
+        """Row b of the Hankel form on the staircase: eval(a + b), a < d."""
+        return tuple(self.eval(a + b) for a in range(self.degree))
 
     def signature(self):
         return (self.gidx, self.rec, self.initials)
@@ -150,8 +167,11 @@ class FunctionalElement:
     functional: sum_w m_w(x) * l(x_*) (x) word_w.
 
     The multipliers act adjointly (partial contraction over a commuting
-    family is multiplication on the functional side), so the boundary and
-    the zero test never leave this finite description.
+    family is multiplication on the functional side): m * l is the
+    functional p -> l(m p).  The boundary multiplies multipliers and never
+    leaves this finite description; the zero test reduces them modulo the
+    annihilators T_j(x_j), which every l kills.  Multipliers are stored
+    unreduced, so ``comps`` and the rendered element keep the exact products.
     """
 
     functional: ProductFunctional
@@ -204,28 +224,38 @@ class FunctionalElement:
         return FunctionalElement(self.functional, self.odd_family, out)
 
     def is_zero(self) -> bool:
-        """Exact zero test on the finite evaluation box.
+        """Exact zero test through normal forms modulo the annihilators.
 
-        For each word the combined multiplier m gives a function
-        g(alpha) = l.(m x^alpha) satisfying the per-coordinate recurrences
-        beyond degree d_j + deg_j(m); vanishing on the box below that (plus a
-        one-step margin) forces the whole functional to vanish.
+        l kills the ideal (T_1(x_1), ..., T_n(x_n)), so p -> l(m p) depends
+        only on the remainder r of m modulo it, which lives on the staircase
+        prod_j range(d_j); and it vanishes iff l(r x^alpha) does for every
+        alpha on that staircase.  Those values come from applying each
+        l_j's Hankel form [l_j(x^(a+b))] to r one variable at a time.  This
+        holds for any initial values, a singular Hankel form included.
+        Raises ValueError when a multiplier involves a generator outside the
+        paired family.
         """
-        fam = self.reg.comm_family(self.functional.family)
+        funcs = self.functional.funcs
+        slot = {func.gidx: j for j, func in enumerate(funcs)}
+        by_exponent = []
         for m in self.comps.values():
-            ranges = []
-            for func in self.functional.funcs:
-                ranges.append(range(func.degree + m.degree_in(func.gidx) + 1))
-            for alpha in itertools.product(*ranges):
-                val = Fraction(0)
-                for mono, c in m.terms.items():
-                    exps = dict(mono)
-                    term = c
-                    for func, a in zip(self.functional.funcs, alpha):
-                        term *= func.eval(exps.get(func.gidx, 0) + a)
-                    val += term
-                if val:
-                    return False
+            terms = {}
+            for mono, c in m.terms.items():
+                alpha = [0] * len(funcs)
+                for g, e in mono:
+                    j = slot.get(g)
+                    if j is None:
+                        raise ValueError("monomial leaves the paired family")
+                    alpha[j] = e
+                terms[tuple(alpha)] = c
+            by_exponent.append(terms)
+        for terms in by_exponent:
+            for j, func in enumerate(funcs):
+                terms = _apply_mode(terms, j, func.degree, func.power)
+            for j, func in enumerate(funcs):
+                terms = _apply_mode(terms, j, 0, func.hankel_row)
+            if terms:
+                return False
         return True
 
     def pair_poly(self, p: Poly) -> Fraction:
@@ -234,6 +264,24 @@ class FunctionalElement:
         if m is None:
             return Fraction(0)
         return self.functional.eval_poly(m * p)
+
+
+def _apply_mode(terms: dict, j: int, keep: int, row) -> dict:
+    """Linear map along coordinate j of exponent vectors: an exponent b is
+    kept when b < ``keep`` and otherwise spread as sum_a row(b)[a] * x_j^a.
+    Zero coefficients are dropped."""
+    out: dict = {}
+    for alpha, c in terms.items():
+        b = alpha[j]
+        if b < keep:
+            out[alpha] = out.get(alpha, 0) + c
+            continue
+        head, tail = alpha[:j], alpha[j + 1 :]
+        for a, v in enumerate(row(b)):
+            if v:
+                key = head + (a,) + tail
+                out[key] = out.get(key, 0) + c * v
+    return {alpha: c for alpha, c in out.items() if c}
 
 
 def functional_eval(F: FunctionalElement, e: Element) -> Element:

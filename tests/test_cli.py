@@ -12,6 +12,7 @@ from koszulkit.cli import (
     suite_thm3,
     suite_thm4,
 )
+from koszulkit.koszul import NotCocycleError
 from koszulkit.ring import Poly
 
 
@@ -292,6 +293,19 @@ class TestDegenerateInput:
         code = main(["groebner", str(path)])
         assert code == 2
         assert "nested deeper" in capsys.readouterr().err
+
+    def test_not_cocycle_exits_1(self, capsys, tmp_path, monkeypatch):
+        def not_closed(*args, **kwargs):
+            raise NotCocycleError("difference is not closed")
+
+        monkeypatch.setattr(cli, "verify_theorem4", not_closed)
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x\nf: x^2\n")
+        code = main(["dual-element", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: identity failure: difference is not closed\n"
 
     def test_unexpected_exception_exits_4(self, capsys, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -207,6 +207,46 @@ class TestFunctionalEval:
             assert pF.pair_poly(q) == F.pair_poly(p * q)
 
 
+class TestFunctionalEquality:
+    def test_cache_is_not_compared(self):
+        a = Functional1D(0, (Fraction(-1), Fraction(0)), (Fraction(1), Fraction(2)))
+        b = Functional1D(0, (Fraction(-1), Fraction(0)), (Fraction(1), Fraction(2)))
+        a.eval(5)
+        a.power(7)
+        assert a == b
+        assert repr(a) == repr(b)
+        assert "_memo" not in repr(a) and "_powers" not in repr(a)
+
+    def test_powers_reduce_modulo_the_annihilator(self):
+        # T = x^2 - x - 1: x^k = F(k) x + F(k - 1) with Fibonacci F
+        func = Functional1D(0, (Fraction(-1), Fraction(-1)), (Fraction(0), Fraction(1)))
+        assert [func.power(k) for k in range(5)] == [(1, 0), (0, 1), (1, 1), (1, 2), (2, 3)]
+
+    def test_unit_annihilator_has_empty_powers(self):
+        func = Functional1D(0, (), ())
+        assert func.power(0) == func.power(3) == ()
+
+
+class TestZeroTestFamily:
+    def setup_method(self):
+        self.reg = FamilyRegistry()
+        self.reg.commuting("x", 1)
+        self.reg.commuting("y", 1)
+        self.reg.odd("fx", 1)
+        self.l = ProductFunctional(self.reg, "x", (Functional1D(0, (Fraction(0),), (1,)),))
+        self.y = Poly.variable(self.reg, 1)
+
+    @pytest.mark.parametrize(
+        "check",
+        [lambda e: e.is_zero(), lambda e: e.pair_poly(Poly.const(e.reg, 1))],
+        ids=["is_zero", "pair_poly"],
+    )
+    def test_foreign_generator_rejected(self, check):
+        e = FunctionalElement(self.l, "fx", {(): self.y - Poly.const(self.reg, 1)})
+        with pytest.raises(ValueError, match="monomial leaves the paired family"):
+            check(e)
+
+
 class TestFunctionalElementBoundary:
     def setup_method(self):
         self.reg = FamilyRegistry()

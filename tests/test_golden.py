@@ -1,8 +1,10 @@
 """Byte-for-byte regression against outputs recorded from an earlier release.
 
-The two system files are the README examples (``sys.txt``, ``sq.txt``); the
-expected stdout of each command sits next to them in ``tests/golden``.  The
-full ``verify all --seed 42`` report is pinned by its sha256.
+The system files are the README examples (``sys.txt``, ``sq.txt``) and two
+unscaled rungs of the benchmark's dual-element ladder (``cube3.txt``,
+``cyclic3.txt``); the expected stdout of each command sits next to them in
+``tests/golden``.  The full ``verify all --seed 42`` report is pinned by its
+sha256.
 """
 
 import hashlib
@@ -23,6 +25,8 @@ CASES = [
     ("sq", ["dual-element"], "sq.dual-element.json"),
     ("sq", ["pair", "--poly", "x"], "sq.pair.json"),
     ("sq", ["groebner"], "sq.groebner.json"),
+    ("cube3", ["dual-element"], "cube3.dual-element.json"),
+    ("cyclic3", ["dual-element"], "cyclic3.dual-element.json"),
 ]
 
 
