@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over Fraction.
+"""Exact linear algebra over Fraction.
 
-Small internal helper for the solver in the homotopy search and the
-characteristic polynomials of multiplication matrices.  Everything is plain
-lists of Fractions; matrices stay small (quotient dimensions and word counts),
-so simplicity beats asymptotics here.
+``solve`` is the sparse solver behind the homotopy-witness search and the
+minimal polynomials of multiplication matrices: its systems are a few hundred
+rows and columns at 0.2-5% fill, so it works on dict rows with a column index
+and picks fewest-nonzeros pivots (LaMacchia-Odlyzko, 1990).  ``charpoly`` and
+the matrix helpers work on small dense lists of lists (quotient dimensions).
 """
 
 from __future__ import annotations
@@ -36,38 +37,65 @@ def mat_vec(a, v) -> list[Fraction]:
     return [sum((row[k] * v[k] for k in range(len(v)) if v[k]), Fraction(0)) for row in a]
 
 
-def solve(rows, rhs) -> list[Fraction] | None:
-    """One exact solution of rows.x = rhs, or None if inconsistent.
+def solve(cols, rhs, nrows) -> list[Fraction] | None:
+    """One exact solution x of sum_j x_j * cols[j] = rhs, or None if inconsistent.
 
-    Gauss-Jordan elimination on the augmented matrix; free variables are set
-    to zero, so the returned solution is supported on pivot columns only.
+    ``cols`` is a list of sparse columns and ``rhs`` a sparse right-hand side,
+    each a dict from row index (below ``nrows``) to value.  Columns are taken
+    in order; each one that is independent of the columns before it gets as
+    pivot the active row with the fewest nonzeros (ties to the lower index),
+    and only the rows holding that column are eliminated.  Free variables are
+    set to zero, so the solution is the unique one supported on the greedy
+    column-order basis, whichever pivot rows were chosen.  The result has one
+    entry per column.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+    b = [Fraction(0)] * nrows
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            if v:
+                rows[i][j] = Fraction(v)
+    for i, v in rhs.items():
+        b[i] = Fraction(v)
+    # column -> active rows with a nonzero there; pivot rows leave it
+    holders: list[set[int]] = [set() for _ in cols]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
     pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if aug[i][c]), None)
-        if p is None:
+    for c, live in enumerate(holders):
+        if not live:
             continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                row_r = aug[r]
-                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], row_r)]
-        pivots.append((r, c))
-        r += 1
-    if any(aug[i][n] for i in range(r, m)):
+        p = min(live, key=lambda i: (len(rows[i]), i))
+        row_p = rows[p]
+        for j in row_p:
+            holders[j].discard(p)
+        inv = 1 / row_p[c]
+        for i in sorted(live):
+            row_i = rows[i]
+            f = row_i[c] * inv
+            for j, v in row_p.items():
+                s = row_i.get(j, 0) - f * v
+                if s:
+                    if j not in row_i:
+                        holders[j].add(i)
+                    row_i[j] = s
+                else:
+                    del row_i[j]
+                    holders[j].discard(i)
+            b[i] -= f * b[p]
+        pivots.append((p, c))
+    pivot_rows = {p for p, _ in pivots}
+    if any(b[i] for i in range(nrows) if i not in pivot_rows):
         return None
-    x = [Fraction(0)] * n
-    for row, col in pivots:
-        x[col] = aug[row][n]
+    x = [Fraction(0)] * len(cols)
+    for p, c in reversed(pivots):
+        row_p = rows[p]
+        acc = b[p]
+        for j, v in row_p.items():
+            if j != c:
+                acc -= v * x[j]
+        x[c] = acc / row_p[c]
     return x
 
 

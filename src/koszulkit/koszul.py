@@ -641,7 +641,7 @@ def gradient(polys, reg) -> list:
 # homotopy witnesses
 
 
-def _monomials_upto(reg, gens, bound):
+def _monomials_upto(gens, bound):
     """All monomials in ``gens`` of total degree <= bound, ascending degree."""
     gens = sorted(gens)
     out = [()]
@@ -649,7 +649,6 @@ def _monomials_upto(reg, gens, bound):
     for _ in range(bound):
         nxt = []
         for mono in layer:
-            start = mono[-1][0] if mono else gens[0] if gens else None
             for g in gens:
                 if mono and g < mono[-1][0]:
                     continue
@@ -704,13 +703,12 @@ def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_
         for k in sorted(degrees)
         for w in itertools.combinations(sorted(prim_ranks), k)
     ]
-    monos = _monomials_upto(reg, gens, degree_bound)
+    monos = _monomials_upto(gens, degree_bound)
     basis = [(w, m) for w in words for m in monos]
     if not basis:
         return None
-    columns = []
     row_index: dict[tuple, int] = {}
-    rows_of: list[dict] = []
+    columns: list[dict] = []
     for w, m in basis:
         elem = Element(reg, {w: Poly(reg, {m: Fraction(1)})})
         img = _element_boundary(ba, elem, frozenset())
@@ -721,7 +719,7 @@ def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_
                 if key not in row_index:
                     row_index[key] = len(row_index)
                 col[row_index[key]] = c
-        rows_of.append(col)
+        columns.append(col)
     target = {}
     for word, poly in diff.terms.items():
         for mono, c in poly.terms.items():
@@ -729,21 +727,14 @@ def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_
             if key not in row_index:
                 row_index[key] = len(row_index)
             target[row_index[key]] = c
-    nrows = len(row_index)
-    matrix = [[Fraction(0)] * len(basis) for _ in range(nrows)]
-    for j, col in enumerate(rows_of):
-        for i, c in col.items():
-            matrix[i][j] = c
-    rhs_vec = [Fraction(0)] * nrows
-    for i, c in target.items():
-        rhs_vec[i] = c
-    sol = solve(matrix, rhs_vec)
+    sol = solve(columns, target, len(row_index))
     if sol is None:
         return None
-    w = Element.zero(reg)
+    terms: dict[tuple, dict] = {}
     for coeff, (word, mono) in zip(sol, basis):
         if coeff:
-            w = w + Element(reg, {word: Poly(reg, {mono: coeff})})
+            terms.setdefault(word, {})[mono] = coeff
+    w = Element(reg, {word: Poly(reg, cs) for word, cs in terms.items()})
     check = _element_boundary(ba, w, frozenset())
     if check != diff:
         raise AssertionError("witness failed re-verification")

@@ -350,16 +350,14 @@ def _minimal_coeffs(mat) -> list[Fraction]:
         return [Fraction(1)]
 
     def flatten(m):
-        return [m[i][j] for i in range(d) for j in range(d)]
+        return {i * d + j: v for i in range(d) for j, v in enumerate(m[i]) if v}
 
     cur = identity_matrix(d)
     seen = [flatten(cur)]
     for _ in range(d):
         nxt = mat_mul(mat, cur)
         target = flatten(nxt)
-        cols = list(zip(*seen))
-        system = [list(row) for row in cols]
-        sol = solve(system, target)
+        sol = solve(seen, target, d * d)
         if sol is not None:
             return [-c for c in sol] + [Fraction(1)]
         seen.append(target)

@@ -3,8 +3,9 @@
 The system files are the README examples (``sys.txt``, ``sq.txt``) and two
 unscaled rungs of the benchmark's dual-element ladder (``cube3.txt``,
 ``cyclic3.txt``); the expected stdout of each command sits next to them in
-``tests/golden``.  The full ``verify all --seed 42`` report is pinned by its
-sha256.
+``tests/golden``.  ``verify thm3 --seed 586795`` is pinned in full, since its
+seven ``homotopic`` reports render the witnesses the linear solver picks.
+The full ``verify all --seed 42`` report is pinned by its sha256.
 """
 
 import hashlib
@@ -49,3 +50,10 @@ def test_verify_all_seed42_digest(capsys, monkeypatch):
     assert main(["verify", "all", "--seed", "42"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SEED42_SHA256
+
+
+def test_verify_thm3_witnesses_match_recording(capsys, monkeypatch):
+    monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
+    assert main(["verify", "thm3", "--seed", "586795"]) == 0
+    expected = (GOLDEN / "thm3.seed586795.json").read_text()
+    assert capsys.readouterr().out == expected

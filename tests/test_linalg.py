@@ -2,12 +2,20 @@
 
 The determinant oracle is the Leibniz sum, and random charpoly checks compare
 against det(t*I - M) expanded symbolically through a one-variable registry.
+The sparse ``solve`` must return exactly what ``_dense_solve``, the earlier
+dense Gauss-Jordan solver kept here as an oracle, returns: both give the
+solution supported on the greedy column-order basis.  Property generation is
+derandomized, so every run gives the same verdict.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from koszulkit import koszul
 from koszulkit._linalg import (
     charpoly,
     identity_matrix,
@@ -16,6 +24,56 @@ from koszulkit._linalg import (
     poly_at_matrix,
     solve,
 )
+from koszulkit.cli import main
+
+
+def _dense_solve(rows, rhs) -> list[Fraction] | None:
+    """One exact solution of rows.x = rhs, or None if inconsistent.
+
+    Gauss-Jordan elimination on the augmented matrix; free variables are set
+    to zero, so the returned solution is supported on pivot columns only.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if aug[i][c]), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        inv = Fraction(1) / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                row_r = aug[r]
+                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], row_r)]
+        pivots.append((r, c))
+        r += 1
+    if any(aug[i][n] for i in range(r, m)):
+        return None
+    x = [Fraction(0)] * n
+    for row, col in pivots:
+        x[col] = aug[row][n]
+    return x
+
+
+def _columns(rows, ncols):
+    """Sparse columns of a dense matrix with ``ncols`` columns."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
+def _sparse(vec):
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def solve_rows(rows, rhs):
+    """``solve`` on a dense matrix with at least one row."""
+    return solve(_columns(rows, len(rows[0])), _sparse(rhs), len(rows))
 
 
 def det_oracle(m):
@@ -62,6 +120,51 @@ def rand_matrix(rng, n, lo=-4, hi=4):
     return [[Fraction(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
 
 
+PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+values = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def systems(draw):
+    """A dense system (rows, rhs) with at least one row.
+
+    Shapes run from tall to wide; fill from dense to about one nonzero in
+    five; a column may be zero or a combination of earlier columns (rank
+    deficiency); the right-hand side is zero, a random vector (usually
+    inconsistent when the rank is short) or an image A.x (consistent).
+    """
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(0, 7))
+    zero_odds = draw(st.sampled_from([0, 1, 4]))
+
+    def entry():
+        if zero_odds and draw(st.integers(0, zero_odds)):
+            return Fraction(0)
+        return draw(values)
+
+    cols = []
+    for j in range(n):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero":
+            col = [Fraction(0)] * m
+        elif kind == "combination" and cols:
+            coeffs = [entry() for _ in cols]
+            col = [sum((c * v[i] for c, v in zip(coeffs, cols)), Fraction(0)) for i in range(m)]
+        else:
+            col = [entry() for _ in range(m)]
+        cols.append(col)
+    rows = [[col[i] for col in cols] for i in range(m)]
+    kind = draw(st.sampled_from(["zero", "random", "image"]))
+    if kind == "zero":
+        rhs = [Fraction(0)] * m
+    elif kind == "random":
+        rhs = [entry() for _ in range(m)]
+    else:
+        rhs = mat_vec(rows, [entry() for _ in range(n)])
+    return rows, rhs
+
+
 class TestSolve:
     def test_random_square_systems_check_exactly(self):
         rng = random.Random(30001)
@@ -69,7 +172,7 @@ class TestSolve:
             n = rng.randint(1, 5)
             a = rand_matrix(rng, n)
             rhs = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-            x = solve(a, rhs)
+            x = solve_rows(a, rhs)
             if x is not None:
                 assert mat_vec(a, x) == rhs
 
@@ -81,17 +184,56 @@ class TestSolve:
             a = [[Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(n)]
             hidden = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
             rhs = mat_vec(a, hidden)
-            x = solve(a, rhs)
+            x = solve_rows(a, rhs)
             assert x is not None
             assert mat_vec(a, x) == rhs
 
     def test_inconsistent_returns_none(self):
         a = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-        assert solve(a, [Fraction(1), Fraction(3)]) is None
+        assert solve_rows(a, [Fraction(1), Fraction(3)]) is None
 
     def test_free_variables_are_zero(self):
         a = [[Fraction(0), Fraction(1)]]
-        assert solve(a, [Fraction(7)]) == [Fraction(0), Fraction(7)]
+        assert solve_rows(a, [Fraction(7)]) == [Fraction(0), Fraction(7)]
+
+    def test_no_rows_gives_one_zero_per_column(self):
+        assert solve([{}, {}, {}], {}, 0) == [Fraction(0)] * 3
+        assert solve([], {}, 0) == []
+
+    def test_rhs_outside_every_column_is_inconsistent(self):
+        assert solve([{0: Fraction(1)}], {1: Fraction(1)}, 2) is None
+        assert solve([], {0: Fraction(2)}, 1) is None
+
+    def test_integer_entries_are_solved_exactly(self):
+        assert solve([{0: 2}, {0: 1, 1: 3}], {0: 1, 1: 1}, 2) == [Fraction(1, 3), Fraction(1, 3)]
+
+    @PROPERTY
+    @given(systems())
+    @example(([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]], [Fraction(0)] * 2))
+    @example(([[Fraction(1), Fraction(2), Fraction(3)]], [Fraction(1)]))
+    @example(([[Fraction(1)], [Fraction(1)], [Fraction(1)]], [Fraction(1), Fraction(1), Fraction(2)]))
+    def test_matches_dense_oracle_exactly(self, system):
+        rows, rhs = system
+        x = solve_rows(rows, rhs)
+        assert x == _dense_solve(rows, rhs)
+        if x is not None:
+            assert mat_vec(rows, x) == rhs
+
+    def test_matches_dense_oracle_on_witness_systems(self, monkeypatch, capsys):
+        seen = []
+
+        def checked(cols, rhs, nrows):
+            rows = [[col.get(i, Fraction(0)) for col in cols] for i in range(nrows)]
+            vec = [rhs.get(i, Fraction(0)) for i in range(nrows)]
+            x = solve(cols, rhs, nrows)
+            assert x == _dense_solve(rows, vec)
+            seen.append(x is not None)
+            return x
+
+        monkeypatch.setattr(koszul, "solve", checked)
+        assert main(["verify", "thm3", "--seed", "42"]) == 0
+        capsys.readouterr()
+        assert seen and all(seen)
 
 
 class TestCharpoly:

@@ -9,6 +9,7 @@ from koszulkit._linalg import poly_at_matrix
 from koszulkit.quotient import (
     GroebnerBasis,
     NotZeroDimensional,
+    _minimal_coeffs,
     charpoly_T,
     groebner,
     mul_matrix,
@@ -259,6 +260,14 @@ class TestMulMatrixAndAnnihilators:
         for fi, gi in zip(gb.source, Gmin):
             acc = acc + fi * gi
         assert acc == Tmin
+
+    def test_minimal_coeffs_of_small_matrices(self):
+        F = Fraction
+        assert _minimal_coeffs([]) == [F(1)]
+        diag = [[F(2), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(3)]]
+        assert _minimal_coeffs(diag) == [F(6), F(-5), F(1)]
+        jordan = [[F(2), F(1)], [F(0), F(2)]]
+        assert _minimal_coeffs(jordan) == [F(4), F(-4), F(1)]
 
     def test_cayley_hamilton_random(self):
         rng = random.Random(1401)
