@@ -84,6 +84,13 @@ def _split_rows(text: str):
     return rows
 
 
+def _check_degree_bound(bound):
+    """``bound`` itself; a negative witness degree bound is an input error."""
+    if bound is not None and bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {bound}")
+    return bound
+
+
 def parse_system_file(text: str) -> SystemFile:
     """Line-oriented grammar: ``vars:``, ``f:``, optional ``F:``, ``G:``,
     ``order:``, ``degree-bound:``, ``seed:``.  ``#`` starts a comment."""
@@ -127,7 +134,7 @@ def parse_system_file(text: str) -> SystemFile:
         out.order = order
     for key in ("degree-bound", "degree_bound"):
         if key in fields:
-            out.degree_bound = int(fields.pop(key))
+            out.degree_bound = _check_degree_bound(int(fields.pop(key)))
     if "seed" in fields:
         out.seed = int(fields.pop("seed"))
     if fields:
@@ -446,6 +453,7 @@ def _digest(data: bytes) -> str:
 
 
 def cmd_verify(args) -> int:
+    _check_degree_bound(args.degree_bound)
     seed = args.seed
     env = os.environ.get("KOSZULKIT_SEED")
     if env is not None:

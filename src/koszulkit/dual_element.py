@@ -37,7 +37,12 @@ from .koszul import (
     verdict,
 )
 from .quotient import charpoly_T, groebner, quotient_basis
-from .ring import FamilyRegistry, Poly, as_poly
+from .ring import FamilyRegistry, Poly, accumulate, as_poly
+
+
+# Functional1D.eval memoizes values below this index, which covers the
+# degrees the pipeline pairs; larger indices go through square-and-multiply.
+MEMO_LIMIT = 4096
 
 
 class HypothesisError(ValueError):
@@ -52,7 +57,9 @@ class Functional1D:
     ``rec`` holds the non-leading coefficients a_0..a_{d-1} of the monic
     annihilator T; evaluation beyond the initial segment follows
     eval(d + k) = -sum_i a_i * eval(i + k), so the functional vanishes on
-    the ideal (T).  Values and the powers x^k mod T are cached on demand.
+    the ideal (T).  Values below ``MEMO_LIMIT`` and the powers x^k mod T are
+    cached on demand; a value past the limit pairs x^k mod T, found by
+    square-and-multiply, with the initial values.
     """
 
     gidx: int
@@ -78,11 +85,39 @@ class Functional1D:
         d = self.degree
         if d == 0:
             return Fraction(0)
+        if k >= MEMO_LIMIT:
+            return self.eval_by_squaring(k)
         memo = self._memo
         while len(memo) <= k:
             base = len(memo) - d
             memo.append(-sum((self.rec[i] * memo[base + i] for i in range(d)), Fraction(0)))
         return memo[k]
+
+    def eval_by_squaring(self, k: int) -> Fraction:
+        """eval(k) in O(d^2 log k) operations, caching nothing: l(x^k) is
+        sum_i r_i l(x^i) for r = x^k mod T, and l(x^i) = initials[i]."""
+        r = self._power_by_squaring(k)
+        return sum((c * v for c, v in zip(r, self.initials) if c), Fraction(0))
+
+    def _power_by_squaring(self, k: int) -> list:
+        """Coefficients of x^k mod T, by left-to-right binary powering."""
+        d, rec = self.degree, self.rec
+        r = [Fraction(int(i == 0)) for i in range(d)]
+        for bit in bin(k)[2:]:
+            full = [Fraction(0)] * (2 * d - 1)
+            for i, a in enumerate(r):
+                if a:
+                    for j, b in enumerate(r):
+                        full[i + j] += a * b
+            if bit == "1":
+                full.insert(0, Fraction(0))
+            for top in range(len(full) - 1, d - 1, -1):
+                c = full.pop()
+                if c:
+                    for i in range(d):
+                        full[top - d + i] -= c * rec[i]
+            r = full
+        return r
 
     def power(self, k: int) -> tuple:
         """Coefficients of x^k mod T on 1, x, ..., x^(d-1)."""
@@ -212,15 +247,8 @@ class FunctionalElement:
                 pos = sum(1 for r in w if r < rank)
                 word = tuple(sorted(w + (rank,)))
                 piece = ba.image(fam.name, i) * m
-                if pos & 1:
-                    piece = -piece
-                piece = -piece
-                s = out.get(word)
-                s = piece if s is None else s + piece
-                if s.is_zero:
-                    out.pop(word, None)
-                else:
-                    out[word] = s
+                if piece:
+                    accumulate(out, word, piece if pos & 1 else -piece)
         return FunctionalElement(self.functional, self.odd_family, out)
 
     def is_zero(self) -> bool:
@@ -274,14 +302,13 @@ def _apply_mode(terms: dict, j: int, keep: int, row) -> dict:
     for alpha, c in terms.items():
         b = alpha[j]
         if b < keep:
-            out[alpha] = out.get(alpha, 0) + c
+            accumulate(out, alpha, c)
             continue
         head, tail = alpha[:j], alpha[j + 1 :]
         for a, v in enumerate(row(b)):
             if v:
-                key = head + (a,) + tail
-                out[key] = out.get(key, 0) + c * v
-    return {alpha: c for alpha, c in out.items() if c}
+                accumulate(out, head + (a,) + tail, c * v)
+    return out
 
 
 def functional_eval(F: FunctionalElement, e: Element) -> Element:
@@ -305,13 +332,8 @@ def functional_eval(F: FunctionalElement, e: Element) -> Element:
                 paired = tuple((g, x) for g, x in mono if g in famset)
                 rest = tuple((g, x) for g, x in mono if g not in famset)
                 val = c * F.functional.eval_mono(paired)
-                if not val:
-                    continue
-                s = acc.get(rest, Fraction(0)) + val
-                if s:
-                    acc[rest] = s
-                else:
-                    acc.pop(rest, None)
+                if val:
+                    accumulate(acc, rest, val)
             if acc:
                 out = out + Element(reg, {word: Poly(reg, acc)})
     return out
@@ -366,9 +388,7 @@ def _kernel_image(Gmat, L: FunctionalElement, fxfam, Fxfam) -> FunctionalElement
                 word = merged
                 if sign < 0:
                     mult = -mult
-            s = comps.get(word)
-            s = mult if s is None else s + mult
-            comps[word] = s
+            accumulate(comps, word, mult)
     return FunctionalElement(L.functional, L.odd_family, comps)
 
 

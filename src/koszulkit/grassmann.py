@@ -10,12 +10,14 @@ ascending) of one family extracts exactly +1.
 ``top_contract`` is the full contraction over a family: in every term the
 primal and dual index sets of that family must coincide (otherwise the term
 dies), matched pairs are extracted, and the other generators survive.
-``bot_contract`` is the partial contraction, realized by a renaming kernel:
-the family is renamed to a fresh auxiliary copy, the element is multiplied on
-the right by the exponential pairing fresh primals with the original duals,
-and the auxiliary family is fully contracted.  Matched pairs are traded for
-scalars, unmatched duals survive (picking up the parity that restores the
-interleaved normal form), and unmatched primals kill their term.
+``bot_contract`` is the partial contraction, in closed form term by term:
+a term survives exactly when its family primals are matched by duals of the
+same index, the matched pairs (adjacent in a word) are traded for scalars,
+unmatched duals survive with the parity that restores the interleaved normal
+form, and unmatched primals kill their term.  It is the value of the
+renaming kernel (rename the family to an auxiliary copy, wedge on the right
+with the exponential pairing fresh primals with the original duals, fully
+contract the copy) without building that kernel.
 
 On top of the contractions sit the two determinant kernels used throughout
 the package: ``bordered_det`` (a scalar matrix bordered by an odd row) and
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import PRIMAL, FamilyRegistry, Poly, as_poly
+from .ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly
 
 Word = tuple  # tuple[int, ...], strictly ascending global ranks
 
@@ -131,12 +133,7 @@ class Element:
         other = self._coerce(other)
         acc = dict(self.terms)
         for w, c in other.terms.items():
-            s = acc.get(w)
-            s = c if s is None else s + c
-            if s.is_zero:
-                acc.pop(w, None)
-            else:
-                acc[w] = s
+            accumulate(acc, w, c)
         return Element(self.reg, acc)
 
     __radd__ = __add__
@@ -161,14 +158,7 @@ class Element:
                 if w is None:
                     continue
                 c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = acc.get(w)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    acc.pop(w, None)
-                else:
-                    acc[w] = s
+                accumulate(acc, w, c if sign > 0 else -c)
         return Element(self.reg, acc)
 
     def __rmul__(self, other) -> "Element":
@@ -291,51 +281,49 @@ def top_contract(fam, e: Element) -> Element:
         if primal != dual:
             continue
         p = len(primal)
-        sign = -1 if (crossings + p * (p + 1) // 2) & 1 else 1
-        w = tuple(rest)
-        s = acc.get(w)
-        s = sign * c if s is None else s + sign * c
-        if s.is_zero:
-            acc.pop(w, None)
-        else:
-            acc[w] = s
+        odd = (crossings + p * (p + 1) // 2) & 1
+        accumulate(acc, tuple(rest), -c if odd else c)
     return Element(reg, acc)
 
 
 def bot_contract(fam, e: Element) -> Element:
     """Partial contraction: trade family primals for family duals.
 
-    Realized by the renaming kernel: both polarities of the family are
-    renamed to a fresh auxiliary copy, the renamed element is wedged on the
-    right with the exponential pairing each fresh primal with the matching
-    original dual, and the auxiliary family is fully contracted.  A term
-    survives exactly when its family primal index set is contained in its
-    dual index set; matched pairs become scalars and unmatched duals remain,
-    reordered into the interleaved normal form with the corresponding parity.
-    Elements carrying no generators of the family pass through unchanged.
+    Per term, with P the family's primal indices and D its dual indices: the
+    term vanishes unless P is contained in D; otherwise each matched pair
+    (primal i, dual i), adjacent in the word because their ranks are, is
+    removed, and the coefficient picks up (-1)^(k(k-1)/2 + p) with k = |D|
+    and p = |P|.  This is exactly the renaming-kernel contraction (the
+    family wedged with the exponential pairing an auxiliary copy's primals
+    with its duals, then the copy fully contracted).  Elements carrying no
+    generators of the family pass through unchanged.
     """
     reg = e.reg
     fam = reg.odd_family(fam)
-    aux = reg.aux_partner(fam)
-    if any(aux.owns_rank(r) for r in e.support_ranks()):
-        raise ValueError(f"element already uses the auxiliary family {aux.name!r}")
-    rename: dict[int, int] = {}
-    pairs = []
-    for i in range(1, fam.arity + 1):
-        rename[reg.odd_rank(fam, i)] = reg.odd_rank(aux, i)
-        rename[reg.odd_rank(fam, i, dual=True)] = reg.odd_rank(aux, i, dual=True)
-        pairs.append(
-            (
-                Element.generator(reg, reg.odd_rank(aux, i)),
-                Element.generator(reg, reg.odd_rank(fam, i, dual=True)),
-            )
-        )
-    terms: dict[Word, Poly] = {}
+    lo, hi = fam.base, fam.base + 2 * fam.arity
+    acc: dict[Word, Poly] = {}
     for word, c in e.terms.items():
-        sign, w = sort_word([rename.get(r, r) for r in word])
-        terms[w] = c if sign > 0 else -c
-    renamed = Element(reg, terms)
-    return top_contract(aux, renamed * grassmann_exp(pairs))
+        rest = []
+        k = p = 0
+        i, n = 0, len(word)
+        while i < n:
+            r = word[i]
+            if not lo <= r < hi:
+                rest.append(r)
+            elif (r - lo) & 1:
+                k += 1
+                rest.append(r)
+            elif i + 1 < n and word[i + 1] == r + 1:
+                k += 1
+                p += 1
+                i += 1
+            else:
+                break
+            i += 1
+        else:
+            odd = (k * (k - 1) // 2 + p) & 1
+            accumulate(acc, tuple(rest), -c if odd else c)
+    return Element(reg, acc)
 
 
 def column(reg: FamilyRegistry, odd_rows, matrix, k) -> Element:

@@ -33,7 +33,7 @@ from .grassmann import (
     top_contract,
     transgression_det,
 )
-from .ring import PRIMAL, FamilyRegistry, Poly, as_poly, divided_diff
+from .ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, divided_diff
 
 
 class UnassignedFamilyError(ValueError):
@@ -185,13 +185,7 @@ def _element_boundary(ba: BoundaryAssignment, elem: Element, dual_families) -> E
                 piece = -piece
             if piece.is_zero:
                 continue
-            w = word[:pos] + word[pos + 1 :]
-            s = acc.get(w)
-            s = piece if s is None else s + piece
-            if s.is_zero:
-                acc.pop(w, None)
-            else:
-                acc[w] = s
+            accumulate(acc, word[:pos] + word[pos + 1 :], piece)
     derivation = Element(reg, acc)
     if not dual_families:
         return derivation

@@ -75,7 +75,6 @@ class FamilyRegistry:
         self._comm_labels: list[str] = []
         self._comm_owner: list[tuple[str, int]] = []
         self._odd_owner: list[tuple[str, int, int]] = []
-        self._aux: dict[str, OddFamily] = {}
 
     def commuting(self, name: str, arity: int, labels: list[str] | None = None) -> CommFamily:
         """Register a commuting family and return its handle.
@@ -163,21 +162,6 @@ class FamilyRegistry:
         name, i, pol = self._odd_owner[rank]
         return f"{name}*{i}" if pol == DUAL else f"{name}{i}"
 
-    def aux_partner(self, fam) -> OddFamily:
-        """A cached auxiliary odd family mirroring ``fam``, for renaming tricks.
-
-        The tilde prefix cannot appear in parsed input, so auxiliary families
-        never collide with user-registered ones.
-        """
-        fam = self.odd_family(fam)
-        if fam.name.startswith("~"):
-            raise ValueError("auxiliary families have no auxiliary partner")
-        aux = self._aux.get(fam.name)
-        if aux is None:
-            aux = self.odd(f"~{fam.name}", fam.arity)
-            self._aux[fam.name] = aux
-        return aux
-
     def comm_label_map(self) -> dict[str, int]:
         """Display label -> global index for every commuting generator."""
         return {label: g for g, label in enumerate(self._comm_labels)}
@@ -189,6 +173,24 @@ class FamilyRegistry:
     @property
     def num_ranks(self) -> int:
         return self._next_rank
+
+
+def accumulate(acc: dict, key, value) -> None:
+    """Add a nonzero ``value`` into ``acc[key]``, dropping the key at zero.
+
+    The one accumulate-and-prune idiom of the package, for Fraction and Poly
+    values alike: a new key stores ``value`` itself, so no zero is built and
+    no addition is made.
+    """
+    old = acc.get(key)
+    if old is None:
+        acc[key] = value
+    else:
+        s = old + value
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -285,11 +287,7 @@ class Poly:
         other = self._coerce(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            s = acc.get(m, Fraction(0)) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
+            accumulate(acc, m, c)
         return Poly(self.reg, acc)
 
     __radd__ = __add__
@@ -311,12 +309,7 @@ class Poly:
         acc: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = acc.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
+                accumulate(acc, mono_mul(m1, m2), c1 * c2)
         return Poly(self.reg, acc)
 
     __rmul__ = __mul__
@@ -467,12 +460,7 @@ def divided_diff(F: Poly, xfam, yfam) -> list[Poly]:
                     extra.append((xg, i))
                 if a - 1 - i:
                     extra.append((yg, a - 1 - i))
-                mm = mono_mul(rest, tuple(sorted(extra)))
-                s = quo.get(mm, Fraction(0)) + c
-                if s:
-                    quo[mm] = s
-                else:
-                    quo.pop(mm, None)
+                accumulate(quo, mono_mul(rest, tuple(sorted(extra))), c)
         out.append(Poly(reg, quo))
         cur = cur.subst({xg: Poly.variable(reg, yg)})
     return out

@@ -1,6 +1,7 @@
 """File grammar, suite runners, report shape, and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -84,6 +85,10 @@ class TestSystemFileGrammar:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             parse_system_file("vars: x\nf: x\norder: degrevlex\n")
+
+    def test_negative_degree_bound_rejected(self):
+        with pytest.raises(ValueError):
+            parse_system_file("vars: x\nf: x\ndegree-bound: -3\n")
 
     def test_keys_are_case_sensitive(self):
         sf = parse_system_file("vars: x\nf: x\nF: x^2\nG: [[x]]\n")
@@ -173,6 +178,18 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_negative_degree_bound_option_exits_2(self, capsys):
+        code = main(["verify", "thm3", "--degree-bound", "-1"])
+        assert code == 2
+        assert "degree bound" in capsys.readouterr().err
+
+    def test_negative_degree_bound_in_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("vars: x\nf: x\nF: x^2\nG: [[x]]\ndegree-bound: -3\n")
+        code = main(["verify", "thm3", "--file", str(path)])
+        assert code == 2
+        assert "degree bound" in capsys.readouterr().err
+
     def test_file_rejected_for_matrix_suites(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("vars: x\nf: x\n")
@@ -231,6 +248,17 @@ class TestPairCommand:
         assert (code, data["pair_with_e"], data["pair_with_l"]) == (0, "1", "1")
         code, data = run(capsys, ["pair", str(path), "--poly", "x^2"])
         assert (code, data["pair_with_e"], data["pair_with_l"]) == (0, "0", "0")
+
+    def test_huge_exponent_is_quick(self, capsys, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x\nf: x^2\n")
+        start = time.perf_counter()
+        code, data = run(capsys, ["pair", str(path), "--poly", "x^99999999999"])
+        assert time.perf_counter() - start < 5
+        assert (code, data["pair_with_e"], data["pair_with_l"]) == (0, "0", "0")
+        path.write_text("vars: x\nf: x^2 - 1\n")
+        code, data = run(capsys, ["pair", str(path), "--poly", "x^99999999999"])
+        assert (code, data["pair_with_l"]) == (0, "1")
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"

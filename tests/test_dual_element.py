@@ -56,6 +56,24 @@ class TestRecurrentFunctional:
         l = recurrent_functional(x * x - Poly.const(reg, 1), (0, 1))
         assert [l.eval(k) for k in range(8)] == [0, 1, 0, 1, 0, 1, 0, 1]
 
+    def test_squaring_matches_recurrence_below_500(self):
+        """Both evaluation paths agree for every k < 500 on random T,
+        repeated and zero roots included."""
+        rng = random.Random(30001)
+        for _ in range(12):
+            d = rng.randint(1, 4)
+            rec = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d))
+            initials = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d))
+            l = Functional1D(0, rec, initials)
+            for k in range(500):
+                assert l.eval_by_squaring(k) == l.eval(k), (rec, initials, k)
+
+    def test_huge_index_is_not_memoized(self):
+        reg, x = one_var()
+        l = recurrent_functional(x * x - Poly.const(reg, 1), (0, 1))
+        assert l.eval(99999999999) == 1 and l.eval(10**12) == 0
+        assert len(l._memo) == 2
+
     def test_non_monic_rejected(self):
         reg, x = one_var()
         with pytest.raises(ValueError):

@@ -5,7 +5,10 @@ Oracles, defined before anything that uses them:
 - permutation parity by direct pair counting (for word sorting and merging);
 - brute-force subset expansion for the Grassmann exponential;
 - the classic Leibniz determinant for the square cases of bordered_det and
-  transgression_det.
+  transgression_det;
+- ``_renaming_bot_contract``, the earlier renaming-kernel evaluation of the
+  partial contraction, for the closed-form ``bot_contract``;
+- ``koszul.bordered_minor_expansion`` for ``bordered_det`` on random shapes.
 """
 
 import itertools
@@ -13,6 +16,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulkit.grassmann import (
     Element,
@@ -26,6 +31,7 @@ from koszulkit.grassmann import (
     top_contract,
     transgression_det,
 )
+from koszulkit.koszul import bordered_minor_expansion
 from koszulkit.ring import FamilyRegistry, Poly, divided_diff
 
 
@@ -52,6 +58,45 @@ def det_oracle(m):
             prod *= m[i][perm[i]]
         total += sign * prod
     return total
+
+
+def _aux_partner(reg, fam):
+    """The auxiliary odd family ``~name`` mirroring ``fam``, registered once."""
+    name = f"~{fam.name}"
+    try:
+        return reg.family(name)
+    except KeyError:
+        return reg.odd(name, fam.arity)
+
+
+def _renaming_bot_contract(fam, e: Element) -> Element:
+    """Partial contraction through the renaming kernel: both polarities of
+    the family are renamed to an auxiliary copy, the renamed element is
+    wedged on the right with the exponential pairing each fresh primal with
+    the matching original dual, and the auxiliary family is fully
+    contracted.  Registers the auxiliary family on first use."""
+    reg = e.reg
+    fam = reg.odd_family(fam)
+    aux = _aux_partner(reg, fam)
+    if any(aux.owns_rank(r) for r in e.support_ranks()):
+        raise ValueError(f"element already uses the auxiliary family {aux.name!r}")
+    rename: dict[int, int] = {}
+    pairs = []
+    for i in range(1, fam.arity + 1):
+        rename[reg.odd_rank(fam, i)] = reg.odd_rank(aux, i)
+        rename[reg.odd_rank(fam, i, dual=True)] = reg.odd_rank(aux, i, dual=True)
+        pairs.append(
+            (
+                Element.generator(reg, reg.odd_rank(aux, i)),
+                Element.generator(reg, reg.odd_rank(fam, i, dual=True)),
+            )
+        )
+    terms = {}
+    for word, c in e.terms.items():
+        sign, w = sort_word([rename.get(r, r) for r in word])
+        terms[w] = c if sign > 0 else -c
+    renamed = Element(reg, terms)
+    return top_contract(aux, renamed * grassmann_exp(pairs))
 
 
 def setup_fg(arity_f=2, arity_g=2, nvars=2):
@@ -308,6 +353,112 @@ class TestBotContract:
         for _ in range(40):
             e = rand_element(rng, reg, ranks, gens)
             assert bot_contract(f, bot_contract(g, e)) == bot_contract(g, bot_contract(f, e))
+
+
+ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def contraction_cases(draw):
+    """(reg, f, e): f of arity 1-4, optional families before and after it,
+    terms made of f duals, f primals (matched or not) and other generators,
+    small integer coefficients (zero included) and, half the time, a twin
+    term that differs by one matched pair, so contributions can cancel."""
+    reg = FamilyRegistry()
+    x = reg.commuting("x", 2)
+    before = draw(st.integers(0, 2))
+    if before:
+        reg.odd("a", before)
+    f = reg.odd("f", draw(st.integers(1, 4)))
+    after = draw(st.integers(0, 2))
+    if after:
+        reg.odd("b", after)
+    others = [r for r in range(reg.num_ranks) if not f.owns_rank(r)]
+    duals_only = draw(st.booleans())
+    e = Element.zero(reg)
+    for _ in range(draw(st.integers(1, 4))):
+        duals = draw(st.lists(st.sampled_from(f.dual_ranks()), unique=True))
+        primals = []
+        rest = []
+        if not duals_only:
+            primals = draw(st.lists(st.sampled_from(f.primal_ranks()), unique=True))
+            if others:
+                rest = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+        coeff = Poly.const(reg, draw(st.integers(-2, 2)))
+        if draw(st.booleans()):
+            coeff = coeff * Poly.gen(reg, x, draw(st.integers(1, 2)))
+        term = Element.word(reg, duals + primals + rest) * coeff
+        e = e + term
+        free = [i for i in range(1, f.arity + 1) if reg.odd_rank(f, i, dual=True) not in duals]
+        if free and draw(st.booleans()):
+            i = draw(st.sampled_from(free))
+            pair = [reg.odd_rank(f, i), reg.odd_rank(f, i, dual=True)]
+            e = e + Element.word(reg, pair + duals + primals + rest) * coeff * draw(
+                st.sampled_from([-1, 1])
+            )
+    return reg, f, e
+
+
+class TestBotContractOracle:
+    @ORACLE
+    @given(contraction_cases())
+    def test_closed_form_matches_renaming_kernel(self, case):
+        reg, f, e = case
+        got = bot_contract(f, e)
+        assert got == _renaming_bot_contract(f, e)
+
+    def test_matched_pair_cancels_unit(self):
+        """bot_f(1 + f1 f*1) = 1 - 1 = 0: contributions of distinct words cancel."""
+        reg = FamilyRegistry()
+        f = reg.odd("f", 1)
+        e = Element.unit(reg) + Element.word(reg, [reg.odd_rank(f, 1), reg.odd_rank(f, 1, dual=True)])
+        assert bot_contract(f, e).is_zero
+        assert _renaming_bot_contract(f, e).is_zero
+
+    def test_pinned_signs_arity_four(self):
+        """Every pattern of matched pairs and lone duals of an arity-4 family,
+        between generators of two other families, against the oracle."""
+        reg = FamilyRegistry()
+        a = reg.odd("a", 1)
+        f = reg.odd("f", 4)
+        b = reg.odd("b", 1)
+        frame = [reg.odd_rank(a, 1, dual=True), reg.odd_rank(b, 1)]
+        for pattern in itertools.product((None, "dual", "pair", "primal"), repeat=4):
+            seq = list(frame)
+            for i, kind in enumerate(pattern, start=1):
+                if kind in ("dual", "pair"):
+                    seq.append(reg.odd_rank(f, i, dual=True))
+                if kind in ("pair", "primal"):
+                    seq.append(reg.odd_rank(f, i))
+            e = Element.word(reg, seq)
+            assert bot_contract(f, e) == _renaming_bot_contract(f, e), pattern
+
+
+class TestBorderedDetOracle:
+    def test_matches_minor_expansion_on_random_shapes(self):
+        rng = random.Random(20016)
+        for _ in range(60):
+            s, n, t = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 2)
+            reg = FamilyRegistry()
+            x = reg.commuting("x", 1)
+            f = reg.odd("f", s)
+            g = reg.odd("g", t)
+            xv = Poly.gen(reg, x, 1)
+            a = [
+                [xv * rng.randint(-2, 2) + rng.randint(-2, 2) for _ in range(n)]
+                for _ in range(s)
+            ]
+            oddrow = [
+                sum(
+                    (
+                        Element.generator(reg, reg.odd_rank(g, j)) * rng.randint(-2, 2)
+                        for j in range(1, t + 1)
+                    ),
+                    Element.zero(reg),
+                )
+                for _ in range(n)
+            ]
+            assert bordered_det(a, oddrow, f) == bordered_minor_expansion(a, oddrow, f)
 
 
 class TestExpAndRowDet:

@@ -101,16 +101,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.commuting("x", 0)
 
-    def test_aux_partner_cached_and_reserved(self):
-        reg = FamilyRegistry()
-        f = reg.odd("f", 2)
-        aux = reg.aux_partner(f)
-        assert aux.name == "~f"
-        assert aux.arity == 2
-        assert reg.aux_partner(f) is aux
-        with pytest.raises(ValueError):
-            reg.aux_partner(aux)
-
 
 class TestPolyArithmetic:
     def test_ring_axioms_random(self):
