@@ -10,6 +10,7 @@ emits deterministic JSON reports.  Exit codes: 0 all identities verified,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -448,6 +449,27 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@contextlib.contextmanager
+def _any_digits():
+    """Let ints of any size convert to decimal strings for the duration.
+
+    Python 3.11 and later cap int-to-str conversion at 4,300 digits by
+    default.  Commands lift the cap only once their inputs are parsed, where
+    it keeps an over-long literal an input error, so that exact results of
+    any size render; the cap is restored afterwards.
+    """
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(saved)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -475,56 +497,58 @@ def cmd_verify(args) -> int:
         )
         digest = _digest(key.encode())
 
-    suites = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
-    t0 = time.time()
-    reports = []
-    certificates = None
-    for name in suites:
-        runner = _SUITE_RUNNERS[name]
-        kwargs = {"seed": seed, "degree_bound": args.degree_bound}
-        for field, value in (
-            ("n", args.n),
-            ("s", args.s),
-            ("t", args.t),
-            ("deg", args.deg),
-            ("count", args.count),
-        ):
-            if value is not None:
-                kwargs[field] = value
-        if name in _FILE_SUITES:
-            kwargs["system"] = system
-        if name == "thm4":
-            reps, certs = runner(**kwargs)
-            certificates = [_render_certificate(*c) for c in certs]
-        else:
-            reps = runner(**kwargs)
-        reports.extend(reps)
-    elapsed = time.time() - t0
-    data = assemble_report(
-        f"verify {args.suite}",
-        digest,
-        seed,
-        reports,
-        certificates=certificates,
-        timing=round(elapsed, 3) if args.timing else None,
-    )
-    _emit(data)
-    return 0 if all(r.ok for r in reports) else 1
+    with _any_digits():
+        suites = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
+        t0 = time.time()
+        reports = []
+        certificates = None
+        for name in suites:
+            runner = _SUITE_RUNNERS[name]
+            kwargs = {"seed": seed, "degree_bound": args.degree_bound}
+            for field, value in (
+                ("n", args.n),
+                ("s", args.s),
+                ("t", args.t),
+                ("deg", args.deg),
+                ("count", args.count),
+            ):
+                if value is not None:
+                    kwargs[field] = value
+            if name in _FILE_SUITES:
+                kwargs["system"] = system
+            if name == "thm4":
+                reps, certs = runner(**kwargs)
+                certificates = [_render_certificate(*c) for c in certs]
+            else:
+                reps = runner(**kwargs)
+            reports.extend(reps)
+        elapsed = time.time() - t0
+        data = assemble_report(
+            f"verify {args.suite}",
+            digest,
+            seed,
+            reports,
+            certificates=certificates,
+            timing=round(elapsed, 3) if args.timing else None,
+        )
+        _emit(data)
+        return 0 if all(r.ok for r in reports) else 1
 
 
 def cmd_dual_element(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
     system = parse_system_file(text)
-    reports, e, cert = verify_theorem4(system.f, bound=system.degree_bound, instance="file")
-    data = assemble_report(
-        "dual-element",
-        _digest(text.encode()),
-        system.seed,
-        reports,
-        certificates=[_render_certificate("file", e, cert)],
-    )
-    _emit(data, args.out)
+    with _any_digits():
+        reports, e, cert = verify_theorem4(system.f, bound=system.degree_bound, instance="file")
+        data = assemble_report(
+            "dual-element",
+            _digest(text.encode()),
+            system.seed,
+            reports,
+            certificates=[_render_certificate("file", e, cert)],
+        )
+        _emit(data, args.out)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -533,18 +557,19 @@ def cmd_pair(args) -> int:
         text = fh.read()
     system = parse_system_file(text)
     p = parse_poly(system.reg, args.poly)
-    e, _ = dual_element(system.f)
-    pX = lift([p], e.reg, "x")[0]
-    data = {
-        "tool": "koszulkit",
-        "version": __version__,
-        "command": "pair",
-        "input_digest": _digest(text.encode()),
-        "poly": str(p),
-        "pair_with_e": _frac_str(e.pair_poly(pX)),
-        "pair_with_l": _frac_str(e.functional.eval_poly(pX)),
-    }
-    _emit(data)
+    with _any_digits():
+        e, _ = dual_element(system.f)
+        pX = lift([p], e.reg, "x")[0]
+        data = {
+            "tool": "koszulkit",
+            "version": __version__,
+            "command": "pair",
+            "input_digest": _digest(text.encode()),
+            "poly": str(p),
+            "pair_with_e": _frac_str(e.pair_poly(pX)),
+            "pair_with_l": _frac_str(e.functional.eval_poly(pX)),
+        }
+        _emit(data)
     return 0
 
 
@@ -552,26 +577,27 @@ def cmd_groebner(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
     system = parse_system_file(text)
-    gb = groebner(system.f, order=system.order, family="x")
-    try:
-        qb = quotient_basis(gb)
-        dimension = len(qb)
-        staircase = [str(Poly(gb.reg, {m: Fraction(1)})) for m in qb.monomials]
-    except NotZeroDimensional:
-        dimension = None
-        staircase = None
-    data = {
-        "tool": "koszulkit",
-        "version": __version__,
-        "command": "groebner",
-        "input_digest": _digest(text.encode()),
-        "order": gb.order,
-        "basis": [str(p) for p in gb.basis],
-        "cofactors": [[str(c) for c in row] for row in gb.cofactors],
-        "dimension": dimension,
-        "staircase": staircase,
-    }
-    _emit(data)
+    with _any_digits():
+        gb = groebner(system.f, order=system.order, family="x")
+        try:
+            qb = quotient_basis(gb)
+            dimension = len(qb)
+            staircase = [str(Poly(gb.reg, {m: Fraction(1)})) for m in qb.monomials]
+        except NotZeroDimensional:
+            dimension = None
+            staircase = None
+        data = {
+            "tool": "koszulkit",
+            "version": __version__,
+            "command": "groebner",
+            "input_digest": _digest(text.encode()),
+            "order": gb.order,
+            "basis": [str(p) for p in gb.basis],
+            "cofactors": [[str(c) for c in row] for row in gb.cofactors],
+            "dimension": dimension,
+            "staircase": staircase,
+        }
+        _emit(data)
     return 0
 
 

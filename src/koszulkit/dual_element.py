@@ -37,7 +37,7 @@ from .koszul import (
     verdict,
 )
 from .quotient import charpoly_T, groebner, quotient_basis
-from .ring import FamilyRegistry, Poly, accumulate, as_poly
+from .ring import FamilyRegistry, Poly, accumulate, as_poly, mono_mul
 
 
 # Functional1D.eval memoizes values below this index, which covers the
@@ -173,16 +173,40 @@ class ProductFunctional:
         if len(self.funcs) != fam.arity:
             raise ValueError("need one functional per variable")
         self.funcs = tuple(self.funcs)
-        self._slot = {f.gidx: f for f in self.funcs}
+        self._coord = {f.gidx: j for j, f in enumerate(self.funcs)}
+        self._family_gens = frozenset(fam.gens())
+
+    def by_exponent(self, p: Poly, passthrough: bool = False) -> dict:
+        """p's terms as {rest: {alpha: c}}: alpha is the exponent vector over
+        the paired variables, in the order of ``funcs``, and rest the
+        monomial in the other generators.  A generator of another family
+        passes into rest when ``passthrough`` is set and raises ValueError
+        otherwise, as does a paired-family generator without a functional.
+        """
+        coord, family = self._coord, self._family_gens
+        out: dict = {}
+        for mono, c in p.terms.items():
+            alpha = [0] * len(self.funcs)
+            rest = []
+            for g, e in mono:
+                j = coord.get(g)
+                if passthrough and g not in family:
+                    rest.append((g, e))
+                elif j is None:
+                    raise ValueError("monomial leaves the paired family")
+                else:
+                    alpha[j] = e
+            out.setdefault(tuple(rest), {})[tuple(alpha)] = c
+        return out
 
     def eval_mono(self, mono) -> Fraction:
         val = Fraction(1)
         seen = set()
         for g, e in mono:
-            func = self._slot.get(g)
-            if func is None:
+            j = self._coord.get(g)
+            if j is None:
                 raise ValueError("monomial leaves the paired family")
-            val *= func.eval(e)
+            val *= self.funcs[j].eval(e)
             seen.add(g)
         for f in self.funcs:
             if f.gidx not in seen:
@@ -264,19 +288,7 @@ class FunctionalElement:
         paired family.
         """
         funcs = self.functional.funcs
-        slot = {func.gidx: j for j, func in enumerate(funcs)}
-        by_exponent = []
-        for m in self.comps.values():
-            terms = {}
-            for mono, c in m.terms.items():
-                alpha = [0] * len(funcs)
-                for g, e in mono:
-                    j = slot.get(g)
-                    if j is None:
-                        raise ValueError("monomial leaves the paired family")
-                    alpha[j] = e
-                terms[tuple(alpha)] = c
-            by_exponent.append(terms)
+        by_exponent = [self.functional.by_exponent(m)[()] for m in self.comps.values()]
         for terms in by_exponent:
             for j, func in enumerate(funcs):
                 terms = _apply_mode(terms, j, func.degree, func.power)
@@ -287,11 +299,40 @@ class FunctionalElement:
         return True
 
     def pair_poly(self, p: Poly) -> Fraction:
-        """Pairing of the word-free part against a polynomial."""
+        """Pairing of the word-free part against a polynomial: the sum of
+        c * e(x^b) over p's terms, from the moments of the multiplier."""
         m = self.comps.get(())
-        if m is None:
+        if m is None or not p:
             return Fraction(0)
-        return self.functional.eval_poly(m * p)
+        l = self.functional
+        terms = [(c, b) for b, c in l.by_exponent(p)[()].items()]
+        moments = _moments(l.funcs, l.by_exponent(m)[()], {b for _, b in terms})
+        return sum((c * moments[b] for c, b in terms if b in moments), Fraction(0))
+
+
+def _moments(funcs, terms: dict, points) -> dict:
+    """Moments of the functional m * l at the exponent vectors ``points``.
+
+    ``terms`` maps the exponent vectors mu of m to their coefficients c; the
+    moment at b is sum c * prod_j l_j(b_j + mu_j).  It is computed one
+    variable at a time, in the manner of ``_apply_mode``: after mode j the
+    state for a prefix b_1..b_j of some point maps the remaining exponents
+    mu_(j+1).. to partial sums, so multiplier terms that agree past mode j
+    are evaluated once from there on.  Zero moments are left out.
+    """
+    state = {(): terms}
+    for j, func in enumerate(funcs):
+        following = {}
+        for prefix in {b[: j + 1] for b in points}:
+            shift = prefix[j]
+            out: dict = {}
+            for mu, c in state[prefix[:j]].items():
+                v = func.eval(shift + mu[0])
+                if v:
+                    accumulate(out, mu[1:], c * v)
+            following[prefix] = out
+        state = following
+    return {b: sums[()] for b, sums in state.items() if sums}
 
 
 def _apply_mode(terms: dict, j: int, keep: int, row) -> dict:
@@ -316,27 +357,37 @@ def functional_eval(F: FunctionalElement, e: Element) -> Element:
 
     Per component the element is wedged on the right with the dual word, the
     odd family is fully contracted, and the paired commuting variables are
-    evaluated through the product functional (with the multiplier folded in);
-    whatever generators remain pass through untouched.
+    evaluated through the component's functional m_w * l: a term
+    c * x^a * y^b of a contracted coefficient becomes c * x^a * e_w(y^b),
+    with each moment e_w(y^b) computed once per component.  Whatever
+    generators remain, in the multiplier too, pass through untouched.
     """
     reg = e.reg
-    fam = reg.comm_family(F.functional.family)
-    famset = set(fam.gens())
+    l = F.functional
     ofam = reg.odd_family(F.odd_family)
-    out = Element.zero(reg)
+    out: dict = {}
     for w, m in F.comps.items():
         contracted = top_contract(ofam, e * Element.word(reg, w))
-        for word, coeff in contracted.terms.items():
+        coeffs = {
+            word: l.by_exponent(coeff, passthrough=True)
+            for word, coeff in contracted.terms.items()
+        }
+        points = {b for groups in coeffs.values() for terms in groups.values() for b in terms}
+        moments = [
+            (rest_m, _moments(l.funcs, terms, points))
+            for rest_m, terms in l.by_exponent(m, passthrough=True).items()
+        ]
+        for word, groups in coeffs.items():
             acc: dict = {}
-            for mono, c in (coeff * m).terms.items():
-                paired = tuple((g, x) for g, x in mono if g in famset)
-                rest = tuple((g, x) for g, x in mono if g not in famset)
-                val = c * F.functional.eval_mono(paired)
-                if val:
-                    accumulate(acc, rest, val)
+            for rest, terms in groups.items():
+                for b, c in terms.items():
+                    for rest_m, values in moments:
+                        val = c * values.get(b, 0)
+                        if val:
+                            accumulate(acc, mono_mul(rest, rest_m), val)
             if acc:
-                out = out + Element(reg, {word: Poly(reg, acc)})
-    return out
+                accumulate(out, word, Poly(reg, acc))
+    return Element(reg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +450,9 @@ def dual_element(f):
     the cofactor matrix G with T_j(x_j) = sum_i f_i G[i][j], the functional
     initial values, and the quotient dimension.  Both stated forms of e (the
     full kernel route through the auxiliary odd family and the direct
-    bordered determinant of G) are computed and must agree; the boundary of
-    e is checked exactly and recorded on ``e.cocycle``.
+    bordered determinant of G) are computed and must agree; when s > n + 1,
+    e is that determinant oriented as described below.  The boundary of e is
+    checked exactly and recorded on ``e.cocycle``.
     """
     if not f:
         raise ValueError("need at least one polynomial")
@@ -432,6 +484,14 @@ def dual_element(f):
     e_direct = FunctionalElement(l, "fx", dict(direct.terms))
     if e != e_direct:
         raise AssertionError("the two stated forms of the dual element disagree")
+    # Each word of e holds the k = s - n duals the bordered determinant
+    # leaves, in ascending order.  Orienting e by (-1)^(k(k-1)/2), the sign
+    # that reverses a k-word, makes it pair to 1 for every s >= n; unoriented,
+    # f = (x, x, x) pairs to -1, which no boundary can mend.  For k <= 1,
+    # s = n included, the factor is 1.
+    k = s - n
+    if k > 1 and k * (k - 1) // 2 % 2:
+        e = FunctionalElement(l, "fx", {w: -m for w, m in e.comps.items()})
 
     ba = BoundaryAssignment(reg, {"fx": fX})
     e.cocycle = e.boundary(ba).is_zero()
@@ -493,7 +553,14 @@ def pair_transgression(f, e: FunctionalElement, bound=None) -> IdentityReport:
         return IdentityReport("theorem4.pairing", "", "equal")
     ba = BoundaryAssignment(reg, {"fx": fX})
     if bound is None:
-        bound = P.max_coeff_degree() + sum(func.degree for func in e.functional.funcs) + 1
+        dims = [func.degree for func in e.functional.funcs]
+        if any(dims):
+            bound = P.max_coeff_degree() + sum(dims) + 1
+        else:
+            # the unit ideal: l = 0, so P = 0, and the cofactors of 1 over f
+            # give a witness of their degree
+            [cofactors] = groebner(fX, family="x").cofactors
+            bound = max(c.total_degree() for c in cofactors)
     w = homotopy_witness(P, unit, ba, degree_bound=bound)
     if w is None:
         return IdentityReport(

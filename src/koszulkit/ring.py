@@ -317,14 +317,19 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative powers are not polynomial")
-        result = Poly.const(self.reg, 1)
+        if n == 0:
+            return Poly.const(self.reg, 1)
+        # right-to-left square-and-multiply: no squaring after the top bit,
+        # and the first factor is taken as is rather than multiplied into 1
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):

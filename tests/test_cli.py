@@ -1,9 +1,16 @@
 """File grammar, suite runners, report shape, and exit codes."""
 
+import contextlib
+import decimal
+import io
 import json
+import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulkit import cli
 from koszulkit.cli import (
@@ -260,6 +267,18 @@ class TestPairCommand:
         code, data = run(capsys, ["pair", str(path), "--poly", "x^99999999999"])
         assert (code, data["pair_with_l"]) == (0, "1")
 
+    def test_values_past_the_int_str_digit_limit_render(self, capsys, tmp_path):
+        # 2^15000 has 4,516 digits, past Python's default int-to-str limit;
+        # decimal renders it here without touching that limit
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x\nf: x^2 - 2\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, data = run(capsys, ["pair", str(path), "--poly", "x^30001"])
+        assert code == 0
+        expected = str(decimal.Context(prec=5000).power(decimal.Decimal(2), 15000))
+        assert data["pair_with_e"] == data["pair_with_l"] == expected
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("vars: x\nf: x\n")
@@ -347,3 +366,74 @@ class TestDegenerateInput:
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert err.endswith("internal error: RuntimeError: boom\n")
+
+
+# Malformed fragments spliced into otherwise valid system files.
+JUNK = ("$", "^", "x^", "((", ")", "1/0", ",", "*", "2^-1", "9" * 5000, "x y", "é", "/")
+
+
+@st.composite
+def hostile_runs(draw):
+    """(arguments before the file, system file text) for one command on a
+    generated system: valid, malformed, unit ideal, zero polynomial,
+    s != n, positive dimensional, nested past the parser's cap, or paired
+    against a huge exponent.  Exponents in f stay at 4 or below: the
+    quotient's matrices are dense in its dimension."""
+    names = ("x", "y")[: draw(st.integers(1, 2))]
+
+    def poly():
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            mono = "*".join(f"{v}^{draw(st.integers(0, 4))}" for v in names)
+            terms.append(f"{draw(st.integers(-3, 3))}*{mono}")
+        return " + ".join(terms)
+
+    polys = [poly() for _ in range(draw(st.integers(1, 3)))]
+    kind = draw(st.sampled_from(("valid", "malformed", "constant", "nested")))
+    if kind == "malformed":
+        k = draw(st.integers(0, len(polys) - 1))
+        cut = draw(st.integers(0, len(polys[k])))
+        polys[k] = polys[k][:cut] + draw(st.sampled_from(JUNK)) + polys[k][cut:]
+    elif kind == "constant":
+        polys[draw(st.integers(0, len(polys) - 1))] = draw(st.sampled_from(("0", "1", "-2/3")))
+    elif kind == "nested":
+        depth = draw(st.sampled_from((99, 100, 101, 150)))
+        polys[0] = "(" * depth + polys[0] + ")" * depth
+    text = f"vars: {' '.join(names)}\nf: {', '.join(polys)}\n"
+    command = draw(st.sampled_from(("dual-element", "pair", "groebner", "thm4")))
+    if command == "pair":
+        k = draw(st.one_of(st.integers(0, 12), st.integers(0, 10**11)))
+        if k > 12:
+            # v^a - c v^b with c in {-1, 0, 1} has only 0 and roots of unity
+            # as roots, so l(x^k) stays small; a root of another modulus
+            # gives an exact value of about k digits, which nothing can print
+            polys = []
+            for v in names:
+                a = draw(st.integers(1, 4))
+                c, b = draw(st.integers(-1, 1)), draw(st.integers(0, a - 1))
+                polys.append(f"{v}^{a} - {c}*{v}^{b}")
+            text = f"vars: {' '.join(names)}\nf: {', '.join(polys)}\n"
+        return ["pair", "--poly", f"{names[-1]}^{k} + {draw(st.integers(-2, 2))}"], text
+    if command == "thm4":
+        return ["verify", "thm4", "--file"], text
+    return [command], text
+
+
+class TestHostileInput:
+    """The exit-code contract on generated system files: 0, 2 or 3; 1 only
+    with a failed report; never 4."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(hostile_runs())
+    def test_exit_codes(self, run_args):
+        argv, text = run_args
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/sys.txt"
+            with open(path, "w") as fh:
+                fh.write(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + [path])
+        assert code in (0, 1, 2, 3), err.getvalue()
+        if code == 1:
+            assert json.loads(out.getvalue())["summary"]["failed"] > 0, out.getvalue()

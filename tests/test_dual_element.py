@@ -1,12 +1,16 @@
 """Recurrent functionals, the dual-element pipeline, and the pairing checks."""
 
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from koszulkit.ring import FamilyRegistry, Poly, divided_diff
-from koszulkit.grassmann import Element, render_element
+from koszulkit import cli
+from koszulkit.ring import FamilyRegistry, Poly, accumulate, divided_diff
+from koszulkit.grassmann import Element, render_element, top_contract
 from koszulkit.koszul import BoundaryAssignment, boundary
 from koszulkit.quotient import NotZeroDimensional
 from koszulkit.dual_element import (
@@ -22,6 +26,9 @@ from koszulkit.dual_element import (
     transgression_pairing,
     verify_theorem4,
 )
+
+# the package re-exports the function dual_element under the module's name
+dual_module = importlib.import_module("koszulkit.dual_element")
 
 
 def one_var():
@@ -223,6 +230,186 @@ class TestFunctionalEval:
             q = rand_poly(rng, reg, (0, 1), 2)
             pF = FunctionalElement(l, "fx", {(): p})
             assert pF.pair_poly(q) == F.pair_poly(p * q)
+
+
+def _product_functional_eval(F: FunctionalElement, e: Element) -> Element:
+    """Pair an element against a functional element.
+
+    Per component the element is wedged on the right with the dual word, the
+    odd family is fully contracted, and the paired commuting variables are
+    evaluated through the product functional (with the multiplier folded in);
+    whatever generators remain pass through untouched.
+    """
+    reg = e.reg
+    fam = reg.comm_family(F.functional.family)
+    famset = set(fam.gens())
+    ofam = reg.odd_family(F.odd_family)
+    out = Element.zero(reg)
+    for w, m in F.comps.items():
+        contracted = top_contract(ofam, e * Element.word(reg, w))
+        for word, coeff in contracted.terms.items():
+            acc: dict = {}
+            for mono, c in (coeff * m).terms.items():
+                paired = tuple((g, x) for g, x in mono if g in famset)
+                rest = tuple((g, x) for g, x in mono if g not in famset)
+                val = c * F.functional.eval_mono(paired)
+                if val:
+                    accumulate(acc, rest, val)
+            if acc:
+                out = out + Element(reg, {word: Poly(reg, acc)})
+    return out
+
+
+# The ladder rungs of the benchmark: (variables, system).
+LADDER = (
+    ("x", "x^12"),
+    ("x1 x2", "x1^3 - x2 + 1, x2^3 - x1"),
+    ("x1 x2", "x1^4 - x2 + 1, x2^4 - x1 - 2"),
+    ("a b c", "a^2-b, b^2-c, c^2"),
+    ("a b c", "a+b+c, a*b+b*c+c*a, a*b*c-1"),
+)
+
+
+def _ladder(seed):
+    """The ladder systems, each variable x_j replaced by c_j * x_j with the
+    benchmark's seeded rationals c_j (seed None: unscaled)."""
+    rng = random.Random(f"dual-ladder:{seed}")
+    for variables, text in LADDER:
+        sf = cli.parse_system_file(f"vars: {variables}\nf: {text}\n")
+        images = {}
+        for g in range(len(sf.labels)):
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3))
+            images[g] = c * Poly.variable(sf.reg, g)
+        yield [p.subst(images) for p in sf.f] if seed is not None else sf.f
+
+
+def _pairing_arguments(monkeypatch, f):
+    """The (functional element, transgression determinant) pair that
+    ``transgression_pairing`` hands to ``functional_eval`` for f."""
+    e, _ = dual_element(f)
+    seen = []
+
+    def spy(F, tdet):
+        seen.append((F, tdet))
+        return functional_eval(F, tdet)
+
+    monkeypatch.setattr(dual_module, "functional_eval", spy)
+    transgression_pairing(f, e)
+    monkeypatch.undo()
+    [args] = seen
+    return e, args
+
+
+def _random_functional(draw, fam, initials):
+    """One Functional1D per variable of ``fam``; ``initials`` picks the
+    initial values: random, all zero, or singular (a single nonzero at 0)."""
+    funcs = []
+    for g in fam.gens():
+        d = draw(st.integers(0, 3))
+        rec = tuple(Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2))) for _ in range(d))
+        if initials == "zero":
+            init = (0,) * d
+        elif initials == "singular":
+            init = (1,) + (0,) * (d - 1) if d else ()
+        else:
+            init = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+        funcs.append(Functional1D(g, rec, init))
+    return funcs
+
+
+def _random_poly(draw, reg, gens, deg):
+    """A few terms over ``gens`` with exponents up to ``deg``; a stored zero
+    coefficient and terms that cancel in products included."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = tuple((g, e) for g in gens if (e := draw(st.integers(0, deg))))
+        terms[mono] = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+    return Poly(reg, terms)
+
+
+@st.composite
+def functional_pairings(draw):
+    """A random functional element over y (1-3 variables) with several dual
+    words of fy, and a random element over x, y, fy and an unpaired odd
+    family u to pair against it."""
+    n = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 3))
+    reg = FamilyRegistry()
+    xfam = reg.commuting("x", n)
+    yfam = reg.commuting("y", n)
+    fy = reg.odd("fy", s)
+    u = reg.odd("u", 1)
+    initials = draw(st.sampled_from(["random", "zero", "singular"]))
+    funcs = _random_functional(draw, yfam, initials)
+    l = ProductFunctional(reg, "y", funcs)
+    duals = fy.dual_ranks()
+    comps = {}
+    for _ in range(draw(st.integers(1, 4))):
+        word = tuple(sorted(draw(st.sets(st.sampled_from(duals)))))
+        # a multiplier generator outside the paired family passes through
+        gens = ([xfam.base] if draw(st.booleans()) else []) + list(yfam.gens())
+        comps[word] = _random_poly(draw, reg, gens, 3)
+    F = FunctionalElement(l, "fy", comps)
+    ranks = fy.primal_ranks() + duals + u.primal_ranks()
+    e = Element.zero(reg)
+    for _ in range(draw(st.integers(1, 5))):
+        word = draw(st.lists(st.sampled_from(ranks), max_size=4))
+        coeff = _random_poly(draw, reg, list(xfam.gens()) + list(yfam.gens()), 3)
+        e = e + Element.word(reg, word) * coeff
+    return F, e
+
+
+class TestMomentPairingOracle:
+    """``functional_eval`` and ``pair_poly`` evaluate e = m * l through its
+    moments; the earlier product route, which multiplies each contracted
+    coefficient by the whole multiplier, must give exactly the same."""
+
+    @pytest.mark.parametrize("seed", [None, 201, 202, 203])
+    def test_ladder_rungs(self, monkeypatch, seed):
+        for f in _ladder(seed):
+            _, (F, tdet) = _pairing_arguments(monkeypatch, f)
+            P = functional_eval(F, tdet)
+            assert P == _product_functional_eval(F, tdet)
+            assert P == Element.unit(F.reg)
+
+    @pytest.mark.parametrize(
+        "f, label", cli._pinned_thm4(), ids=[label for _, label in cli._pinned_thm4()]
+    )
+    def test_pinned_thm4_systems(self, monkeypatch, f, label):
+        e, (F, tdet) = _pairing_arguments(monkeypatch, f)
+        assert functional_eval(F, tdet) == _product_functional_eval(F, tdet)
+        if label == "f=(x, x^2)":
+            assert all(F.comps) and all(e.comps)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(functional_pairings())
+    def test_random_functional_elements(self, pairing):
+        F, e = pairing
+        assert functional_eval(F, e) == _product_functional_eval(F, e)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(functional_pairings(), st.data())
+    def test_pair_poly(self, pairing, data):
+        F, _ = pairing
+        m = F.comps.get(())
+        y = list(F.reg.comm_family("y").gens())
+        p = _random_poly(data.draw, F.reg, y, 4)
+        if m is None:
+            assert F.pair_poly(p) == 0
+        elif any(g not in y for mono in m.terms for g, _ in mono) and p:
+            with pytest.raises(ValueError, match="monomial leaves the paired family"):
+                F.pair_poly(p)
+        else:
+            assert F.pair_poly(p) == F.functional.eval_poly(m * p)
+
+    def test_pair_poly_on_pipeline_elements(self):
+        rng = random.Random(506)
+        for f in _ladder(None):
+            e, _ = dual_element(f)
+            gens = [func.gidx for func in e.functional.funcs]
+            for _ in range(5):
+                p = rand_poly(rng, e.reg, gens, 6)
+                assert e.pair_poly(p) == e.functional.eval_poly(e.comps[()] * p)
 
 
 class TestFunctionalEquality:
@@ -429,6 +616,31 @@ class TestPairTransgression:
         ba = BoundaryAssignment(e.reg, {"fx": fX})
         P = transgression_pairing(f, e)
         assert boundary(ba, rep.witness) == P - Element.unit(e.reg)
+
+    def test_unit_ideal_witness_needs_the_cofactor_degree(self):
+        # 1 = x^2 - (x + 1)(x - 1): no constant witness exists
+        reg, x = one_var()
+        f = [x * x, x + Poly.const(reg, 1)]
+        e, cert = dual_element(f)
+        assert cert["dimension"] == 0
+        rep = pair_transgression(f, e)
+        assert rep.status == "homotopic"
+        assert max(w.total_degree() for w in rep.witness.terms.values()) == 1
+
+    @pytest.mark.parametrize(
+        "system",
+        ["x, x, x", "x - 1, x^2 - 1, x^3 - 1", "x, x^2, x^3, x^4", "x^2, x^3, x^4, x^5, x^6",
+         "x1, x2, x1, x2", "x1^2 - x2, x2^2, x1*x2, x1^3, x2^3"],
+    )
+    def test_surplus_equations_pair_to_one(self, system):
+        # s - n = 2, 3, 4: the leftover dual words of e have two or more
+        # letters, and e still pairs to exactly 1
+        names = "x1 x2" if "x2" in system else "x"
+        sf = cli.parse_system_file(f"vars: {names}\nf: {system}\n")
+        e, _ = dual_element(sf.f)
+        assert e.cocycle is True
+        assert {len(w) for w in e.comps} == {len(sf.f) - len(sf.labels)}
+        assert transgression_pairing(sf.f, e) == Element.unit(e.reg)
 
     def test_random_systems_pair_or_witness(self):
         rng = random.Random(504)

@@ -139,6 +139,24 @@ class TestPolyArithmetic:
             assert p**k == expected
             expected = expected * p
 
+    def test_pow_squares_no_further_than_the_top_bit(self, monkeypatch):
+        reg, x, _ = fresh_xy(3)
+        p = sum((Poly.gen(reg, x, i) for i in (1, 2, 3)), Poly.const(reg, 1))
+        expected = p**8 * p**8
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        assert p**16 == expected
+        assert len(calls) <= 4
+        calls.clear()
+        assert p**1 == p and not calls
+        assert p**0 == Poly.const(reg, 1) and not calls
+
     def test_cross_registry_mixing_rejected(self):
         reg1, x1, _ = fresh_xy(1)
         reg2, x2, _ = fresh_xy(1)
