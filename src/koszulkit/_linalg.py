@@ -3,13 +3,17 @@
 ``solve`` is the sparse solver behind the homotopy-witness search and the
 minimal polynomials of multiplication matrices: its systems are a few hundred
 rows and columns at 0.2-5% fill, so it works on dict rows with a column index
-and picks fewest-nonzeros pivots (LaMacchia-Odlyzko, 1990).  ``charpoly`` and
-the matrix helpers work on small dense lists of lists (quotient dimensions).
+and picks fewest-nonzeros pivots (LaMacchia-Odlyzko, 1990).  ``inverse``, for
+the reduced Bezoutian of a quotient ring, pivots the same way.  ``charpoly``
+and the matrix helpers work on small dense lists of lists (quotient
+dimensions).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .ring import accumulate
 
 
 def identity_matrix(n: int) -> list[list[Fraction]]:
@@ -97,6 +101,42 @@ def solve(cols, rhs, nrows) -> list[Fraction] | None:
                 acc -= v * x[j]
         x[c] = acc / row_p[c]
     return x
+
+
+def inverse(mat) -> list[list[Fraction]] | None:
+    """Exact inverse of a square matrix, or None when it is singular.
+
+    Gauss-Jordan elimination on dict rows carried alongside the identity;
+    each column pivots, as in ``solve``, on the remaining row with the fewest
+    nonzeros (ties to the lower index).
+    """
+    n = len(mat)
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in mat]
+    inv_rows = [{i: Fraction(1)} for i in range(n)]
+    free = set(range(n))
+    pivots = []
+    for c in range(n):
+        live = [i for i in free if c in rows[i]]
+        if not live:
+            return None
+        p = min(live, key=lambda i: (len(rows[i]), i))
+        free.discard(p)
+        scale = 1 / rows[p][c]
+        rows[p] = {j: v * scale for j, v in rows[p].items()}
+        inv_rows[p] = {j: v * scale for j, v in inv_rows[p].items()}
+        for i in range(n):
+            f = rows[i].get(c)
+            if f and i != p:
+                for src, dst in ((rows[p], rows[i]), (inv_rows[p], inv_rows[i])):
+                    for j, v in src.items():
+                        accumulate(dst, j, -f * v)
+        pivots.append((p, c))
+    # row p of the eliminated matrix is the unit row c, so the row carried
+    # along with it is row c of the inverse
+    out = [None] * n
+    for p, c in pivots:
+        out[c] = [inv_rows[p].get(j, Fraction(0)) for j in range(n)]
+    return out
 
 
 def charpoly(mat) -> list[Fraction]:

@@ -35,6 +35,7 @@ from .koszul import (
 from .quotient import NotZeroDimensional, groebner, quotient_basis
 from .dual_element import (
     HypothesisError,
+    StaircaseFunctional,
     dual_element,
     theorem3_compare,
     verify_theorem4,
@@ -392,15 +393,19 @@ def _frac_str(x) -> str:
 
 
 def _render_functional_element(e) -> list:
+    """One entry per dual word: its multiplier m over a product functional;
+    over a staircase functional, the values of m * tau on the staircase."""
     out = []
     words = sorted(e.comps, key=lambda w: (len(w), w))
+    l = e.functional
     for w in words:
-        out.append(
-            {
-                "word": [e.reg.odd_label(r) for r in w],
-                "multiplier": str(e.comps[w]),
-            }
-        )
+        item = {"word": [e.reg.odd_label(r) for r in w]}
+        if isinstance(l, StaircaseFunctional):
+            terms = l.by_exponent(e.comps[w])[()]
+            item["values"] = [_frac_str(v) for v in l.staircase_values(terms)]
+        else:
+            item["multiplier"] = str(e.comps[w])
+        out.append(item)
     return out
 
 
@@ -558,7 +563,7 @@ def cmd_pair(args) -> int:
     system = parse_system_file(text)
     p = parse_poly(system.reg, args.poly)
     with _any_digits():
-        e, _ = dual_element(system.f)
+        e, cert = dual_element(system.f)
         pX = lift([p], e.reg, "x")[0]
         data = {
             "tool": "koszulkit",
@@ -567,7 +572,7 @@ def cmd_pair(args) -> int:
             "input_digest": _digest(text.encode()),
             "poly": str(p),
             "pair_with_e": _frac_str(e.pair_poly(pX)),
-            "pair_with_l": _frac_str(e.functional.eval_poly(pX)),
+            "pair_with_l": _frac_str(cert["functional"].eval_poly(pX)),
         }
         _emit(data)
     return 0

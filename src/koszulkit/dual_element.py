@@ -8,6 +8,11 @@ Wedging dual words of the system's odd family onto such functionals gives the
 dual-side elements this module manipulates: the distinguished cocycle e built
 from the bordered determinant of G, and the pairing of e against the
 transgression determinant, which must come out equal or homotopic to 1.
+
+For a square system (as many equations as variables) that cocycle is the
+Grothendieck residue of f, a functional on the quotient ring A = k[x]/(f).
+It is computed from the Bezoutian and stored by its values on A's staircase
+(``StaircaseFunctional``); the det G * l route is kept for the other shapes.
 """
 
 from __future__ import annotations
@@ -36,13 +41,21 @@ from .koszul import (
     transport,
     verdict,
 )
-from .quotient import charpoly_T, groebner, quotient_basis
+from ._linalg import inverse
+from .quotient import charpoly_T, groebner, mul_matrix, quotient_basis
 from .ring import FamilyRegistry, Poly, accumulate, as_poly, mono_mul
 
 
 # Functional1D.eval memoizes values below this index, which covers the
 # degrees the pipeline pairs; larger indices go through square-and-multiply.
 MEMO_LIMIT = 4096
+
+# Square-and-multiply gives up, with ValueError, once a coefficient of x^k mod
+# T passes this many decimal digits: the coefficients grow by about
+# log10 |root| digits per unit of k, so an exponent near 10^11 against a root
+# of modulus other than 1 would otherwise run out of time and memory.
+DIGIT_LIMIT = 20_000
+_BIT_LIMIT = DIGIT_LIMIT * 3322 // 1000  # log2(10) < 3.322 bits per digit
 
 
 class HypothesisError(ValueError):
@@ -99,8 +112,12 @@ class Functional1D:
         r = self._power_by_squaring(k)
         return sum((c * v for c, v in zip(r, self.initials) if c), Fraction(0))
 
-    def _power_by_squaring(self, k: int) -> list:
-        """Coefficients of x^k mod T, by left-to-right binary powering."""
+    def _power_by_squaring(self, k: int, capped: bool = True) -> list:
+        """Coefficients of x^k mod T, by left-to-right binary powering.
+
+        When ``capped``, raises ValueError once a coefficient passes
+        ``DIGIT_LIMIT`` digits.
+        """
         d, rec = self.degree, self.rec
         r = [Fraction(int(i == 0)) for i in range(d)]
         for bit in bin(k)[2:]:
@@ -117,7 +134,20 @@ class Functional1D:
                     for i in range(d):
                         full[top - d + i] -= c * rec[i]
             r = full
+            if capped and any(
+                max(c.numerator.bit_length(), c.denominator.bit_length()) > _BIT_LIMIT
+                for c in r
+            ):
+                raise ValueError(
+                    f"power {k} of a variable, reduced modulo its annihilator, "
+                    f"needs more than {DIGIT_LIMIT} digits"
+                )
         return r
+
+    def reduced_power(self, k: int) -> list:
+        """x^k mod T by square-and-multiply; as for ``eval``, only an index
+        past ``MEMO_LIMIT`` is held to ``DIGIT_LIMIT`` digits."""
+        return self._power_by_squaring(k, capped=k >= MEMO_LIMIT)
 
     def power(self, k: int) -> tuple:
         """Coefficients of x^k mod T on 1, x, ..., x^(d-1)."""
@@ -159,8 +189,48 @@ def recurrent_functional(T: Poly, initials) -> Functional1D:
     return Functional1D(gidx if gidx is not None else -1, tuple(coeffs), tuple(initials))
 
 
+class _PairedFamily:
+    """Exponent-vector bookkeeping shared by the functionals.
+
+    A functional pairs the monomials of one commuting family; it reads a
+    polynomial as exponent vectors over that family (``by_exponent``) and
+    answers two questions about a multiplier m, given by such vectors: its
+    ``moments`` (the values of m * functional at exponent vectors) and
+    whether m * functional ``vanishes``.  ``_coord`` maps each paired
+    generator to its coordinate.
+    """
+
+    reg: FamilyRegistry
+    family: str
+    _coord: dict
+    _family_gens: frozenset
+
+    def by_exponent(self, p: Poly, passthrough: bool = False) -> dict:
+        """p's terms as {rest: {alpha: c}}: alpha is the exponent vector over
+        the paired variables, in coordinate order, and rest the monomial in
+        the other generators.  A generator of another family passes into
+        rest when ``passthrough`` is set and raises ValueError otherwise, as
+        does a paired-family generator without a coordinate.
+        """
+        coord, family = self._coord, self._family_gens
+        out: dict = {}
+        for mono, c in p.terms.items():
+            alpha = [0] * len(coord)
+            rest = []
+            for g, e in mono:
+                j = coord.get(g)
+                if passthrough and g not in family:
+                    rest.append((g, e))
+                elif j is None:
+                    raise ValueError("monomial leaves the paired family")
+                else:
+                    alpha[j] = e
+            out.setdefault(tuple(rest), {})[tuple(alpha)] = c
+        return out
+
+
 @dataclass
-class ProductFunctional:
+class ProductFunctional(_PairedFamily):
     """One functional per variable of a commuting family; monomials pair
     coordinatewise and values multiply."""
 
@@ -176,28 +246,35 @@ class ProductFunctional:
         self._coord = {f.gidx: j for j, f in enumerate(self.funcs)}
         self._family_gens = frozenset(fam.gens())
 
-    def by_exponent(self, p: Poly, passthrough: bool = False) -> dict:
-        """p's terms as {rest: {alpha: c}}: alpha is the exponent vector over
-        the paired variables, in the order of ``funcs``, and rest the
-        monomial in the other generators.  A generator of another family
-        passes into rest when ``passthrough`` is set and raises ValueError
-        otherwise, as does a paired-family generator without a functional.
+    @property
+    def degrees(self) -> tuple:
+        return tuple(f.degree for f in self.funcs)
+
+    def on_family(self, family: str) -> "ProductFunctional":
+        """The same functional on another commuting family of equal arity."""
+        shift = self.reg.comm_family(family).base - self.reg.comm_family(self.family).base
+        funcs = [Functional1D(f.gidx + shift, f.rec, f.initials) for f in self.funcs]
+        return ProductFunctional(self.reg, family, funcs)
+
+    def moments(self, terms: dict, points) -> dict:
+        return _moments(self.funcs, terms, points)
+
+    def vanishes(self, terms: dict) -> bool:
+        """Exact zero test of m * l through normal forms modulo the
+        annihilators.
+
+        l kills the ideal (T_1(x_1), ..., T_n(x_n)), so p -> l(m p) depends
+        only on the remainder r of m modulo it, which lives on the staircase
+        prod_j range(d_j); and it vanishes iff l(r x^alpha) does for every
+        alpha on that staircase.  Those values come from applying each
+        l_j's Hankel form [l_j(x^(a+b))] to r one variable at a time.  This
+        holds for any initial values, a singular Hankel form included.
         """
-        coord, family = self._coord, self._family_gens
-        out: dict = {}
-        for mono, c in p.terms.items():
-            alpha = [0] * len(self.funcs)
-            rest = []
-            for g, e in mono:
-                j = coord.get(g)
-                if passthrough and g not in family:
-                    rest.append((g, e))
-                elif j is None:
-                    raise ValueError("monomial leaves the paired family")
-                else:
-                    alpha[j] = e
-            out.setdefault(tuple(rest), {})[tuple(alpha)] = c
-        return out
+        for j, func in enumerate(self.funcs):
+            terms = _apply_mode(terms, j, func.degree, func.power)
+        for j, func in enumerate(self.funcs):
+            terms = _apply_mode(terms, j, 0, func.hankel_row)
+        return not terms
 
     def eval_mono(self, mono) -> Fraction:
         val = Fraction(1)
@@ -220,20 +297,188 @@ class ProductFunctional:
         return (self.family, tuple(f.signature() for f in self.funcs))
 
 
+class Staircase:
+    """The quotient algebra A = k[x]/(f) in its staircase basis.
+
+    ``exponents`` are the exponent vectors of the standard monomials,
+    ascending in the monomial order; ``mats[j]`` and ``mat_rows[j]`` hold
+    the columns and the rows of the multiplication matrix M_j of the j-th
+    variable as sparse dicts; and ``funcs[j]`` carries the annihilator T_j
+    of that variable, the characteristic polynomial of M_j.  Nothing here
+    names a generator, so the same algebra serves the x and the y copies of
+    the variables.
+    """
+
+    def __init__(self, exponents: tuple, mats: tuple, mat_rows: tuple, funcs: tuple):
+        self.exponents = exponents
+        self.mats = mats
+        self.mat_rows = mat_rows
+        self.funcs = funcs
+        self._memo: dict = {}
+        self._remainders: dict = {}
+
+    @classmethod
+    def of(cls, fam, qb, mats, funcs) -> "Staircase":
+        """From the quotient basis over the commuting family ``fam`` and the
+        dense multiplication matrices of its variables (``mul_matrix``)."""
+        exponents = tuple(
+            tuple(dict(m).get(g, 0) for g in fam.gens()) for m in qb.monomials
+        )
+        columns = tuple(
+            tuple({i: row[c] for i, row in enumerate(mat) if row[c]} for c in range(len(qb)))
+            for mat in mats
+        )
+        rows = tuple(tuple({c: v for c, v in enumerate(row) if v} for row in mat) for mat in mats)
+        return cls(exponents, columns, rows, tuple(funcs))
+
+    def coords(self, b: tuple) -> dict:
+        """Coordinates {staircase index: c} of the normal form of x^b.
+
+        An exponent b_j at or past deg T_j is first brought below it, since
+        T_j(M_j) = 0: x_j^b_j mod T_j comes from ``reduced_power`` (which
+        raises ValueError past ``MEMO_LIMIT`` when the value passes
+        ``DIGIT_LIMIT`` digits), once per variable and exponent.  Below
+        those degrees x^b is reached from 1 one variable at a time, x_j * p
+        having the coordinates M_j c(p); every vector on the way is cached.
+        """
+        memo = self._memo
+        if b in memo:
+            return memo[b]
+        for j, func in enumerate(self.funcs):
+            if b[j] >= func.degree:
+                rem = self._remainders.get((j, b[j]))
+                if rem is None:
+                    rem = self._remainders[j, b[j]] = func.reduced_power(b[j])
+                out: dict = {}
+                for k, r in enumerate(rem):
+                    if r:
+                        for i, c in self.coords(b[:j] + (k,) + b[j + 1 :]).items():
+                            accumulate(out, i, r * c)
+                memo[b] = out
+                return out
+        cur = (0,) * len(b)
+        vec = memo.get(cur)
+        if vec is None:
+            vec = memo[cur] = {self.exponents.index(cur): Fraction(1)}
+        for j, e in enumerate(b):
+            for _ in range(e):
+                cur = cur[:j] + (cur[j] + 1,) + cur[j + 1 :]
+                nxt = memo.get(cur)
+                if nxt is None:
+                    nxt = {}
+                    cols = self.mats[j]
+                    for i, c in vec.items():
+                        for k, v in cols[i].items():
+                            accumulate(nxt, k, c * v)
+                    memo[cur] = nxt
+                vec = nxt
+        return vec
+
+    def reduce(self, terms: dict) -> dict:
+        """Coordinates of the normal form of sum c * x^mu over ``terms``."""
+        out: dict = {}
+        for mu, c in terms.items():
+            for i, v in self.coords(mu).items():
+                accumulate(out, i, c * v)
+        return out
+
+    def gram(self, values) -> tuple:
+        """The Gram matrix [tau(x^beta x^gamma)] over the staircase of the
+        functional tau with the given staircase values, row by row: row
+        beta + e_j is row beta times M_j, starting from row 0 = ``values``."""
+        d = len(self.exponents)
+        rows = {}
+        for beta in sorted(self.exponents, key=sum):
+            if not any(beta):
+                rows[beta] = tuple(values)
+                continue
+            j = next(j for j, e in enumerate(beta) if e)
+            prev = rows[beta[:j] + (beta[j] - 1,) + beta[j + 1 :]]
+            row = [Fraction(0)] * d
+            for i, p in enumerate(prev):
+                if p:
+                    for c, v in self.mat_rows[j][i].items():
+                        row[c] += p * v
+            rows[beta] = tuple(row)
+        return tuple(rows[beta] for beta in self.exponents)
+
+
+class StaircaseFunctional(_PairedFamily):
+    """A functional tau on A = k[x]/(f), given by its values on the staircase.
+
+    ``rows`` is tau's Gram matrix over the staircase (``Staircase.gram``):
+    the functional m * tau has the staircase values sum_beta c(m)_beta
+    rows[beta], where c(m) are the coordinates of m's normal form, and its
+    moment at b is those values dotted with c(x^b).  ``bezoutian`` is the
+    determinant whose reduction tau was computed from (see ``_residue``),
+    kept for the pairing's consistency check.
+    """
+
+    def __init__(
+        self, reg: FamilyRegistry, family: str, algebra: Staircase, rows: tuple, bezoutian: Poly
+    ):
+        self.reg = reg
+        self.family = family
+        self.algebra = algebra
+        self.rows = rows
+        self.bezoutian = bezoutian
+        fam = reg.comm_family(family)
+        self._coord = {g: j for j, g in enumerate(fam.gens())}
+        self._family_gens = frozenset(fam.gens())
+
+    @property
+    def values(self) -> tuple:
+        """tau on the staircase; empty for the unit ideal."""
+        return self.rows[0] if self.rows else ()
+
+    @property
+    def degrees(self) -> tuple:
+        return tuple(f.degree for f in self.algebra.funcs)
+
+    def on_family(self, family: str) -> "StaircaseFunctional":
+        """The same functional on another commuting family of equal arity."""
+        return StaircaseFunctional(self.reg, family, self.algebra, self.rows, self.bezoutian)
+
+    def staircase_values(self, terms: dict) -> list:
+        """The staircase values of m * tau, for m given by ``terms``."""
+        out = [Fraction(0)] * len(self.rows)
+        for beta, c in self.algebra.reduce(terms).items():
+            for i, v in enumerate(self.rows[beta]):
+                out[i] += c * v
+        return out
+
+    def moments(self, terms: dict, points) -> dict:
+        values = self.staircase_values(terms)
+        out = {}
+        for b in points:
+            v = sum((c * values[i] for i, c in self.algebra.coords(b).items()), Fraction(0))
+            if v:
+                out[b] = v
+        return out
+
+    def vanishes(self, terms: dict) -> bool:
+        return not any(self.staircase_values(terms))
+
+    def signature(self):
+        return (self.family, self.algebra.exponents, self.algebra.mats, self.rows)
+
+
 @dataclass
 class FunctionalElement:
-    """Sum of dual words with polynomial multipliers over one product
-    functional: sum_w m_w(x) * l(x_*) (x) word_w.
+    """Sum of dual words with polynomial multipliers over one functional:
+    sum_w m_w(x) * l(x_*) (x) word_w.
 
     The multipliers act adjointly (partial contraction over a commuting
     family is multiplication on the functional side): m * l is the
     functional p -> l(m p).  The boundary multiplies multipliers and never
-    leaves this finite description; the zero test reduces them modulo the
-    annihilators T_j(x_j), which every l kills.  Multipliers are stored
-    unreduced, so ``comps`` and the rendered element keep the exact products.
+    leaves this finite description; the zero test asks the functional
+    whether each m * l vanishes, and the pairings take its moments.  The
+    functional is a ``ProductFunctional`` or a ``StaircaseFunctional``.
+    Multipliers are stored unreduced, so ``comps`` and the rendered element
+    keep the exact products.
     """
 
-    functional: ProductFunctional
+    functional: ProductFunctional | StaircaseFunctional
     odd_family: str
     comps: dict
     cocycle: bool | None = None
@@ -276,27 +521,10 @@ class FunctionalElement:
         return FunctionalElement(self.functional, self.odd_family, out)
 
     def is_zero(self) -> bool:
-        """Exact zero test through normal forms modulo the annihilators.
-
-        l kills the ideal (T_1(x_1), ..., T_n(x_n)), so p -> l(m p) depends
-        only on the remainder r of m modulo it, which lives on the staircase
-        prod_j range(d_j); and it vanishes iff l(r x^alpha) does for every
-        alpha on that staircase.  Those values come from applying each
-        l_j's Hankel form [l_j(x^(a+b))] to r one variable at a time.  This
-        holds for any initial values, a singular Hankel form included.
-        Raises ValueError when a multiplier involves a generator outside the
-        paired family.
-        """
-        funcs = self.functional.funcs
-        by_exponent = [self.functional.by_exponent(m)[()] for m in self.comps.values()]
-        for terms in by_exponent:
-            for j, func in enumerate(funcs):
-                terms = _apply_mode(terms, j, func.degree, func.power)
-            for j, func in enumerate(funcs):
-                terms = _apply_mode(terms, j, 0, func.hankel_row)
-            if terms:
-                return False
-        return True
+        """Exact zero test: every m_w * l vanishes.  Raises ValueError when a
+        multiplier involves a generator outside the paired family."""
+        l = self.functional
+        return all(l.vanishes(l.by_exponent(m)[()]) for m in self.comps.values())
 
     def pair_poly(self, p: Poly) -> Fraction:
         """Pairing of the word-free part against a polynomial: the sum of
@@ -306,7 +534,7 @@ class FunctionalElement:
             return Fraction(0)
         l = self.functional
         terms = [(c, b) for b, c in l.by_exponent(p)[()].items()]
-        moments = _moments(l.funcs, l.by_exponent(m)[()], {b for _, b in terms})
+        moments = l.moments(l.by_exponent(m)[()], {b for _, b in terms})
         return sum((c * moments[b] for c, b in terms if b in moments), Fraction(0))
 
 
@@ -374,7 +602,7 @@ def functional_eval(F: FunctionalElement, e: Element) -> Element:
         }
         points = {b for groups in coeffs.values() for terms in groups.values() for b in terms}
         moments = [
-            (rest_m, _moments(l.funcs, terms, points))
+            (rest_m, l.moments(terms, points))
             for rest_m, terms in l.by_exponent(m, passthrough=True).items()
         ]
         for word, groups in coeffs.items():
@@ -443,16 +671,107 @@ def _kernel_image(Gmat, L: FunctionalElement, fxfam, Fxfam) -> FunctionalElement
     return FunctionalElement(L.functional, L.odd_family, comps)
 
 
+def _derivative(p: Poly, g: int) -> Poly:
+    """The partial derivative of p in the generator g."""
+    out: dict = {}
+    for mono, c in p.terms.items():
+        e = dict(mono).get(g, 0)
+        if e:
+            rest = tuple((h, k - (h == g)) for h, k in mono if (h, k) != (g, 1))
+            accumulate(out, rest, c * e)
+    return Poly(p.reg, out)
+
+
+def _residue(reg, fX, qb, mats, l: ProductFunctional) -> StaircaseFunctional:
+    """The Grothendieck residue tau of a square system (s = n) on A.
+
+    The Bezoutian Theta(x, y), the determinant of the divided-difference
+    matrix, is reduced modulo the Groebner basis, first in x and then in y
+    moved onto x, into the d x d matrix B with Theta = sum B[a][b] x^a y^b
+    on A (x) A.  Theta splits into dual bases under tau (Becker, Cardinal,
+    Roy and Szafraniec 1996; Elkadi and Mourrain 2007), so B^-1 is tau's
+    Gram matrix [tau(x^a x^b)] and tau is its row at the monomial 1.  Exact
+    checks, each raising AssertionError: B is invertible; B^-1 equals the
+    Gram matrix rebuilt from tau's values and the multiplication matrices;
+    and tau takes the value d on the Jacobian determinant of f, computed
+    from partial derivatives (the trace formula tau(J g) = trace of g on A,
+    at g = 1), which fixes the sign and scale of Theta.
+    """
+    n = len(fX)
+    fxfam = reg.odd_family("fx")
+    zero_row = [Element.zero(reg)] * n
+    grad = gradient(fX, reg)
+    rows = [[grad[k][i] for k in range(n)] for i in range(n)]
+    theta = bordered_det(rows, zero_row, fxfam).terms.get((), Poly.zero(reg))
+    algebra = Staircase.of(reg.comm_family("x"), qb, mats, l.funcs)
+    d = len(qb)
+    ybase = reg.comm_family("y").base
+    B = [[Fraction(0)] * d for _ in range(d)]
+    for ymono, xterms in l.by_exponent(theta, passthrough=True).items():
+        left = algebra.reduce(xterms)
+        b = [0] * n
+        for g, e in ymono:
+            b[g - ybase] = e
+        right = algebra.coords(tuple(b))
+        for i, u in left.items():
+            for j, v in right.items():
+                B[i][j] += u * v
+    Binv = inverse(B)
+    if Binv is None:
+        raise AssertionError("the reduced Bezoutian is singular")
+    gram = algebra.gram(Binv[algebra.exponents.index((0,) * n)] if d else ())
+    if [list(row) for row in gram] != Binv:
+        raise AssertionError("the reduced Bezoutian's inverse is not the residue's Gram matrix")
+    if d:
+        xgens = reg.comm_family("x").gens()
+        jac = [[_derivative(fi, g) for g in xgens] for fi in fX]
+        J = bordered_det(jac, zero_row, fxfam).terms.get((), Poly.zero(reg))
+        coords = algebra.reduce(l.by_exponent(J)[()]) if J else {}
+        if sum((c * gram[0][i] for i, c in coords.items()), Fraction(0)) != d:
+            raise AssertionError("the residue of the Jacobian is not the quotient dimension")
+    return StaircaseFunctional(reg, "x", algebra, gram, theta)
+
+
+def _det_g_element(Gmat, l: ProductFunctional) -> FunctionalElement:
+    """e = det G * l for the s x n cofactor matrix G and the product
+    functional l over the pipeline registry.
+
+    Both stated forms, the full kernel route through the auxiliary odd
+    family and the direct bordered determinant of G, are computed and must
+    agree (AssertionError otherwise); when s > n + 1, e is that determinant
+    oriented as described below.
+    """
+    reg = l.reg
+    n, s = len(l.funcs), len(Gmat)
+    L = FunctionalElement(l, "fx", {(): Poly.const(reg, 1)})
+    e = _kernel_image(Gmat, L, reg.odd_family("fx"), "Fx")
+    direct = bordered_det(Gmat, [Element.zero(reg)] * n, reg.odd_family("fx"))
+    if e != FunctionalElement(l, "fx", dict(direct.terms)):
+        raise AssertionError("the two stated forms of the dual element disagree")
+    # Each word of e holds the k = s - n duals the bordered determinant
+    # leaves, in ascending order.  Orienting e by (-1)^(k(k-1)/2), the sign
+    # that reverses a k-word, makes it pair to 1 for every s >= n;
+    # unoriented, f = (x, x, x) pairs to -1, which no boundary can mend.
+    # For k <= 1, s = n included, the factor is 1.
+    k = s - n
+    if k > 1 and k * (k - 1) // 2 % 2:
+        e = FunctionalElement(l, "fx", {w: -m for w, m in e.comps.items()})
+    return e
+
+
 def dual_element(f):
     """The distinguished dual cocycle of a zero-dimensional system.
 
     Returns (e, certificate).  The certificate carries the annihilators T_j,
     the cofactor matrix G with T_j(x_j) = sum_i f_i G[i][j], the functional
-    initial values, and the quotient dimension.  Both stated forms of e (the
-    full kernel route through the auxiliary odd family and the direct
-    bordered determinant of G) are computed and must agree; when s > n + 1,
-    e is that determinant oriented as described below.  The boundary of e is
-    checked exactly and recorded on ``e.cocycle``.
+    initial values, the product functional l itself, and the quotient
+    dimension.
+
+    For a square system (s = n), e is the residue tau of f over A (see
+    ``_residue``): multiplier 1 on the empty word over a
+    ``StaircaseFunctional``.  Otherwise e is det G * l (``_det_g_element``);
+    for s = n the two are the same functional.  The boundary of e is checked
+    exactly and recorded on ``e.cocycle``.
     """
     if not f:
         raise ValueError("need at least one polynomial")
@@ -462,11 +781,12 @@ def dual_element(f):
     gb = groebner(fX, family="x")
     qb = quotient_basis(gb)
     d = len(qb)
+    mats = [mul_matrix(gb, qb, j) for j in range(1, n + 1)]
     T = []
     Gcols = []
     funcs = []
     for j in range(1, n + 1):
-        Tj, Gj = charpoly_T(gb, j)
+        Tj, Gj = charpoly_T(gb, j, mat=mats[j - 1])
         T.append(Tj)
         Gcols.append(Gj)
         dj = Tj.total_degree()
@@ -477,22 +797,11 @@ def dual_element(f):
         funcs.append(func)
     Gmat = [[Gcols[j][i] for j in range(n)] for i in range(s)]
     l = ProductFunctional(reg, "x", funcs)
-    L = FunctionalElement(l, "fx", {(): Poly.const(reg, 1)})
 
-    e = _kernel_image(Gmat, L, reg.odd_family("fx"), "Fx")
-    direct = bordered_det(Gmat, [Element.zero(reg)] * n, reg.odd_family("fx"))
-    e_direct = FunctionalElement(l, "fx", dict(direct.terms))
-    if e != e_direct:
-        raise AssertionError("the two stated forms of the dual element disagree")
-    # Each word of e holds the k = s - n duals the bordered determinant
-    # leaves, in ascending order.  Orienting e by (-1)^(k(k-1)/2), the sign
-    # that reverses a k-word, makes it pair to 1 for every s >= n; unoriented,
-    # f = (x, x, x) pairs to -1, which no boundary can mend.  For k <= 1,
-    # s = n included, the factor is 1.
-    k = s - n
-    if k > 1 and k * (k - 1) // 2 % 2:
-        e = FunctionalElement(l, "fx", {w: -m for w, m in e.comps.items()})
-
+    if s == n:
+        e = FunctionalElement(_residue(reg, fX, qb, mats, l), "fx", {(): Poly.const(reg, 1)})
+    else:
+        e = _det_g_element(Gmat, l)
     ba = BoundaryAssignment(reg, {"fx": fX})
     e.cocycle = e.boundary(ba).is_zero()
     certificate = {
@@ -500,6 +809,7 @@ def dual_element(f):
         "annihilators": T,
         "cofactors": Gmat,
         "initials": [list(func.initials) for func in funcs],
+        "functional": l,
         "order": gb.order,
     }
     return e, certificate
@@ -515,19 +825,19 @@ def _transport_functional_to_y(e: FunctionalElement) -> FunctionalElement:
     rename = {}
     for i in range(1, fx.arity + 1):
         rename[reg.odd_rank(fx, i, dual=True)] = reg.odd_rank(fy, i, dual=True)
-    funcs = [
-        Functional1D(gmap[func.gidx], func.rec, func.initials) for func in e.functional.funcs
-    ]
-    ly = ProductFunctional(reg, "y", funcs)
     comps = {
         tuple(rename[r] for r in w): transport(m, reg, gmap) for w, m in e.comps.items()
     }
-    return FunctionalElement(ly, "fy", comps)
+    return FunctionalElement(e.functional.on_family("y"), "fy", comps)
 
 
 def transgression_pairing(f, e: FunctionalElement) -> Element:
     """P = the pairing of e (moved to the y side) against the transgression
-    determinant of f; an element over x and the system's odd family."""
+    determinant of f; an element over x and the system's odd family.
+
+    For e over a ``StaircaseFunctional`` the determinant must be the
+    Bezoutian that functional was computed from, as its single empty-word
+    term; AssertionError otherwise."""
     reg = e.reg
     s = len(f)
     grad = gradient(lift(f, reg, "x"), reg)
@@ -538,6 +848,10 @@ def transgression_pairing(f, e: FunctionalElement) -> Element:
         for i in range(1, s + 1)
     ]
     tdet = transgression_det([(grad, diffs)], "u")
+    if isinstance(e.functional, StaircaseFunctional) and tdet != Element.from_poly(
+        e.functional.bezoutian
+    ):
+        raise AssertionError("the transgression determinant is not the inverted Bezoutian")
     ey = _transport_functional_to_y(e)
     return functional_eval(ey, tdet)
 
@@ -553,7 +867,7 @@ def pair_transgression(f, e: FunctionalElement, bound=None) -> IdentityReport:
         return IdentityReport("theorem4.pairing", "", "equal")
     ba = BoundaryAssignment(reg, {"fx": fX})
     if bound is None:
-        dims = [func.degree for func in e.functional.funcs]
+        dims = e.functional.degrees
         if any(dims):
             bound = P.max_coeff_degree() + sum(dims) + 1
         else:

@@ -365,18 +365,19 @@ def _minimal_coeffs(mat) -> list[Fraction]:
     raise AssertionError("no annihilator up to the matrix dimension")
 
 
-def charpoly_T(gb: GroebnerBasis, j: int, mode: str = "char") -> tuple[Poly, list[Poly]]:
+def charpoly_T(gb: GroebnerBasis, j: int, mode: str = "char", mat=None) -> tuple[Poly, list[Poly]]:
     """Monic annihilator T of the j-th coordinate plus cofactors over the source.
 
     ``mode='char'`` (default) takes the characteristic polynomial of the
     multiplication matrix, degree = quotient dimension; ``mode='minimal'``
     takes its minimal polynomial.  Either way T(x_j) lies in the ideal and
     the returned list G satisfies T(x_j) = sum_i source[i] * G[i] exactly.
+    ``mat`` is that matrix when the caller already has it (``mul_matrix``).
     """
     reg = gb.reg
     fam = reg.comm_family(gb.family)
-    qb = quotient_basis(gb)
-    mat = mul_matrix(gb, qb, j)
+    if mat is None:
+        mat = mul_matrix(gb, quotient_basis(gb), j)
     if mode == "char":
         coeffs = charpoly(mat)
     elif mode == "minimal":

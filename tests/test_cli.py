@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulkit import cli
+from koszulkit.dual_element import DIGIT_LIMIT, MEMO_LIMIT
 from koszulkit.cli import (
     main,
     parse_system_file,
@@ -220,7 +221,8 @@ class TestDualElementCommand:
         assert cert["annihilators"] == ["x^2"]
         assert cert["initials"] == [["0", "1"]]
         assert cert["dimension"] == 2
-        assert cert["element"] == [{"word": [], "multiplier": "1"}]
+        # the residue of x^2 on the staircase 1, x
+        assert cert["element"] == [{"word": [], "values": ["0", "1"]}]
         statuses = {r["name"]: r["status"] for r in data["reports"]}
         assert statuses == {"theorem4.cocycle": "equal", "theorem4.pairing": "equal"}
 
@@ -266,6 +268,36 @@ class TestPairCommand:
         path.write_text("vars: x\nf: x^2 - 1\n")
         code, data = run(capsys, ["pair", str(path), "--poly", "x^99999999999"])
         assert (code, data["pair_with_l"]) == (0, "1")
+
+    def test_hostile_exponent_exits_2_quickly(self, capsys, tmp_path):
+        # the roots of dense2_d16 have modulus other than 1, so the exact
+        # value has about 10^11 digits; square-and-multiply stops at the cap
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x1 x2\nf: x1^4 - x2 + 1, x2^4 - x1 - 2\n")
+        start = time.perf_counter()
+        code = main(
+            ["pair", str(path), "--poly", "x1^99999999999*x2^99999999999 + x1^5000"]
+        )
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"more than {DIGIT_LIMIT} digits" in captured.err
+
+    def test_cap_holds_only_past_the_memo_limit(self, capsys, tmp_path):
+        # 10^24000 passes the digit cap, but x^4000 is below MEMO_LIMIT, so
+        # both pairings print it exactly
+        assert 4000 < MEMO_LIMIT and DIGIT_LIMIT < 24000
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x\nf: x - 10^6\n")
+        code, data = run(capsys, ["pair", str(path), "--poly", "x^4000"])
+        assert code == 0
+        assert data["pair_with_e"] == data["pair_with_l"] == "1" + "0" * 24000
+
+    def test_huge_exponent_on_unit_roots_pairs_exactly(self, capsys, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x\nf: x^2 - 1\n")
+        code, data = run(capsys, ["pair", str(path), "--poly", "x^99999999999"])
+        assert (code, data["pair_with_e"], data["pair_with_l"]) == (0, "1", "1")
 
     def test_values_past_the_int_str_digit_limit_render(self, capsys, tmp_path):
         # 2^15000 has 4,516 digits, past Python's default int-to-str limit;
@@ -377,14 +409,16 @@ def hostile_runs(draw):
     """(arguments before the file, system file text) for one command on a
     generated system: valid, malformed, unit ideal, zero polynomial,
     s != n, positive dimensional, nested past the parser's cap, or paired
-    against a huge exponent.  Exponents in f stay at 4 or below: the
-    quotient's matrices are dense in its dimension."""
-    names = ("x", "y")[: draw(st.integers(1, 2))]
+    against a huge exponent.  Exponents in f stay at 4 or below, and at 3
+    or below with three variables: the quotient's matrices are dense in its
+    dimension."""
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    top = 4 if len(names) < 3 else 3
 
     def poly():
         terms = []
         for _ in range(draw(st.integers(1, 3))):
-            mono = "*".join(f"{v}^{draw(st.integers(0, 4))}" for v in names)
+            mono = "*".join(f"{v}^{draw(st.integers(0, top))}" for v in names)
             terms.append(f"{draw(st.integers(-3, 3))}*{mono}")
         return " + ".join(terms)
 
@@ -409,7 +443,7 @@ def hostile_runs(draw):
             # gives an exact value of about k digits, which nothing can print
             polys = []
             for v in names:
-                a = draw(st.integers(1, 4))
+                a = draw(st.integers(1, top))
                 c, b = draw(st.integers(-1, 1)), draw(st.integers(0, a - 1))
                 polys.append(f"{v}^{a} - {c}*{v}^{b}")
             text = f"vars: {' '.join(names)}\nf: {', '.join(polys)}\n"

@@ -5,8 +5,8 @@ oracle: it evaluates l(m x^alpha) on a box of size prod_j (d_j + deg_j m + 1)
 per multiplier, which is exponential in the number of variables but needs no
 reduction modulo the annihilators.  ``FunctionalElement.is_zero`` must agree
 with it on random functionals (repeated roots, singular Hankel forms and
-degree-0 annihilators included) and on the boundaries of the pipeline's dual
-elements.  Generation is derandomized, so every run gives the same verdict.
+degree-0 annihilators included) and on the boundaries of the dual elements
+the det G route builds.  Generation is derandomized, so every run gives the same verdict.
 """
 
 import itertools
@@ -25,6 +25,8 @@ from koszulkit.dual_element import (
 )
 from koszulkit.koszul import BoundaryAssignment, lift
 from koszulkit.ring import FamilyRegistry, Poly
+
+from test_dual_element import det_g_dual_element
 
 
 def _box_is_zero(F):
@@ -166,7 +168,7 @@ LADDER = [
 @pytest.mark.parametrize("rung, variables, system, box_when_zero", LADDER)
 def test_pipeline_boundary_agrees_with_box(rung, variables, system, box_when_zero):
     f = parse_system_file(f"vars: {variables}\nf: {system}\n").f
-    e, cert = dual_element(f)
+    e, cert = det_g_dual_element(f)
     de = e.boundary(BoundaryAssignment(e.reg, {"fx": lift(f, e.reg, "x")}))
     assert de.comps, "the boundary is syntactically nonzero"
     assert de.is_zero()

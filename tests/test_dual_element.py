@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from koszulkit import cli
 from koszulkit.ring import FamilyRegistry, Poly, accumulate, divided_diff
 from koszulkit.grassmann import Element, render_element, top_contract
-from koszulkit.koszul import BoundaryAssignment, boundary
+from koszulkit.koszul import BoundaryAssignment, boundary, lift
 from koszulkit.quotient import NotZeroDimensional
 from koszulkit.dual_element import (
     Functional1D,
@@ -29,6 +29,17 @@ from koszulkit.dual_element import (
 
 # the package re-exports the function dual_element under the module's name
 dual_module = importlib.import_module("koszulkit.dual_element")
+
+
+def det_g_dual_element(f):
+    """(e, certificate) with e built by the det G * l route, which
+    ``dual_element`` takes only when s != n; for a square system it is the
+    oracle of the residue route."""
+    _, cert = dual_element(f)
+    l = cert["functional"]
+    e = dual_module._det_g_element(cert["cofactors"], l)
+    e.cocycle = e.boundary(BoundaryAssignment(l.reg, {"fx": lift(f, l.reg, "x")})).is_zero()
+    return e, cert
 
 
 def one_var():
@@ -285,8 +296,9 @@ def _ladder(seed):
 
 def _pairing_arguments(monkeypatch, f):
     """The (functional element, transgression determinant) pair that
-    ``transgression_pairing`` hands to ``functional_eval`` for f."""
-    e, _ = dual_element(f)
+    ``transgression_pairing`` hands to ``functional_eval`` for f, with e
+    built by the det G route."""
+    e, _ = det_g_dual_element(f)
     seen = []
 
     def spy(F, tdet):
@@ -405,7 +417,7 @@ class TestMomentPairingOracle:
     def test_pair_poly_on_pipeline_elements(self):
         rng = random.Random(506)
         for f in _ladder(None):
-            e, _ = dual_element(f)
+            e, _ = det_g_dual_element(f)
             gens = [func.gidx for func in e.functional.funcs]
             for _ in range(5):
                 p = rand_poly(rng, e.reg, gens, 6)
@@ -503,7 +515,7 @@ class TestFunctionalElementBoundary:
 class TestDualElement:
     def test_single_variable_linear(self):
         reg, x = one_var()
-        e, cert = dual_element([x])
+        e, cert = det_g_dual_element([x])
         assert e.comps == {(): Poly.const(e.reg, 1)}
         assert cert["dimension"] == 1
         assert cert["initials"] == [[Fraction(1)]]
@@ -511,7 +523,7 @@ class TestDualElement:
 
     def test_single_variable_square(self):
         reg, x = one_var()
-        e, cert = dual_element([x * x])
+        e, cert = det_g_dual_element([x * x])
         assert e.comps == {(): Poly.const(e.reg, 1)}
         assert cert["initials"] == [[Fraction(0), Fraction(1)]]
         assert e.cocycle is True
@@ -531,7 +543,7 @@ class TestDualElement:
         reg.commuting("x", 2)
         x1 = Poly.variable(reg, 0)
         x2 = Poly.variable(reg, 1)
-        e, cert = dual_element([x1 * x1 - x2, x2 * x2])
+        e, cert = det_g_dual_element([x1 * x1 - x2, x2 * x2])
         assert cert["dimension"] == 4
         assert [str(T) for T in cert["annihilators"]] == ["x1^4", "x2^4"]
         y1 = Poly.variable(e.reg, 0)

@@ -1,14 +1,16 @@
 """Byte-for-byte regression against outputs recorded from an earlier release.
 
-The system files are the README examples (``sys.txt``, ``sq.txt``) and two
+The system files are the README examples (``sys.txt``, ``sq.txt``), two
 unscaled rungs of the benchmark's dual-element ladder (``cube3.txt``,
-``cyclic3.txt``); the expected stdout of each command sits next to them in
+``cyclic3.txt``) and two systems past the old det G wall (``3var_d27.txt``,
+``4var_d16.txt``); the expected stdout of each command sits next to them in
 ``tests/golden``.  ``verify thm3 --seed 586795`` is pinned in full, since its
 seven ``homotopic`` reports render the witnesses the linear solver picks.
 The full ``verify all --seed 42`` report is pinned by its sha256.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from koszulkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-VERIFY_ALL_SEED42_SHA256 = "0bc03e7cb75f568347479c728b5720838212187d0e0a7aeff0f4eabeefc16329"
+VERIFY_ALL_SEED42_SHA256 = "9fdc0aa85a42a3e6553202b9a4d6c79626f2cf0e4e0e04fef7475a49f86256c6"
 
 CASES = [
     ("sys", ["dual-element"], "sys.dual-element.json"),
@@ -28,6 +30,8 @@ CASES = [
     ("sq", ["groebner"], "sq.groebner.json"),
     ("cube3", ["dual-element"], "cube3.dual-element.json"),
     ("cyclic3", ["dual-element"], "cyclic3.dual-element.json"),
+    ("3var_d27", ["dual-element"], "3var_d27.dual-element.json"),
+    ("4var_d16", ["dual-element"], "4var_d16.dual-element.json"),
 ]
 
 
@@ -37,6 +41,13 @@ def test_command_stdout_matches_recording(capsys, system, argv, expected):
     code = main([argv[0], path, *argv[1:]])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+@pytest.mark.parametrize("system", ["3var_d27", "4var_d16"])
+def test_wall_recordings_hold_verified_reports(system):
+    data = json.loads((GOLDEN / f"{system}.dual-element.json").read_text())
+    assert [r["name"] for r in data["reports"]] == ["theorem4.cocycle", "theorem4.pairing"]
+    assert all(r["status"] in ("equal", "homotopic") for r in data["reports"])
 
 
 def test_pair_with_undeclared_variable_prints_nothing(capsys):
