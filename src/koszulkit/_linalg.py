@@ -1,17 +1,19 @@
-"""Exact linear algebra over Fraction.
+"""Exact linear algebra over the rationals.
 
 ``solve`` is the sparse solver behind the homotopy-witness search and the
 minimal polynomials of multiplication matrices: its systems are a few hundred
-rows and columns at 0.2-5% fill, so it works on dict rows with a column index
-and picks fewest-nonzeros pivots (LaMacchia-Odlyzko, 1990).  ``inverse``, for
-the reduced Bezoutian of a quotient ring, pivots the same way.  ``charpoly``
-and the matrix helpers work on small dense lists of lists (quotient
-dimensions).
+rows and columns at 0.2-5% fill, so it works on dict rows with a column index,
+picks fewest-nonzeros pivots (LaMacchia-Odlyzko, 1990) and eliminates
+fraction-free on integer rows (as in Bareiss, 1968), with ``Fraction`` only in
+back-substitution.  ``inverse``, for the reduced Bezoutian of a quotient ring,
+pivots the same way over ``Fraction``.  ``charpoly`` and the matrix helpers
+work over ``Fraction`` on small dense lists of lists (quotient dimensions).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .ring import accumulate
 
@@ -45,27 +47,39 @@ def solve(cols, rhs, nrows) -> list[Fraction] | None:
     """One exact solution x of sum_j x_j * cols[j] = rhs, or None if inconsistent.
 
     ``cols`` is a list of sparse columns and ``rhs`` a sparse right-hand side,
-    each a dict from row index (below ``nrows``) to value.  Columns are taken
-    in order; each one that is independent of the columns before it gets as
-    pivot the active row with the fewest nonzeros (ties to the lower index),
-    and only the rows holding that column are eliminated.  Free variables are
-    set to zero, so the solution is the unique one supported on the greedy
-    column-order basis, whichever pivot rows were chosen.  The result has one
-    entry per column.
+    each a dict from row index (below ``nrows``) to an ``int`` or ``Fraction``.
+    Columns are taken in order; each one that is independent of the columns
+    before it gets as pivot the active row with the fewest nonzeros (ties to
+    the lower index), and only the rows holding that column are eliminated.
+    Free variables are set to zero, so the solution is the unique one
+    supported on the greedy column-order basis, whichever pivot rows were
+    chosen.  The result has one ``Fraction`` per column.
+
+    Elimination is fraction-free.  Each row, its right-hand side included, is
+    scaled to integers by the lcm of its denominators; a row is updated as
+    a*row_i - f*row_p with f/a the elimination factor in lowest terms, then
+    divided by its content.  So every row stays a nonzero multiple of the
+    row elimination over the rationals would hold: the zero patterns, the
+    pivots and the solution are the same, and ``Fraction`` arithmetic is left
+    to back-substitution.
     """
-    rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
-    b = [Fraction(0)] * nrows
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    # column -> active rows with a nonzero there; pivot rows leave it
+    holders: list[set[int]] = []
     for j, col in enumerate(cols):
+        live = set()
         for i, v in col.items():
             if v:
-                rows[i][j] = Fraction(v)
-    for i, v in rhs.items():
-        b[i] = Fraction(v)
-    # column -> active rows with a nonzero there; pivot rows leave it
-    holders: list[set[int]] = [set() for _ in cols]
+                rows[i][j] = v
+                live.add(i)
+        holders.append(live)
+    b = [0] * nrows
     for i, row in enumerate(rows):
-        for j in row:
-            holders[j].add(i)
+        v = rhs.get(i, 0)
+        den = lcm(v.denominator, *(u.denominator for u in row.values()))
+        b[i] = v.numerator * (den // v.denominator)
+        for j, u in row.items():
+            row[j] = u.numerator * (den // u.denominator)
     pivots: list[tuple[int, int]] = []
     for c, live in enumerate(holders):
         if not live:
@@ -74,12 +88,17 @@ def solve(cols, rhs, nrows) -> list[Fraction] | None:
         row_p = rows[p]
         for j in row_p:
             holders[j].discard(p)
-        inv = 1 / row_p[c]
+        a, b_p = row_p[c], b[p]
         for i in sorted(live):
             row_i = rows[i]
-            f = row_i[c] * inv
+            f = row_i[c]
+            g = gcd(a, f)
+            a_i, f_i = a // g, f // g
+            if a_i != 1:
+                for j in row_i:
+                    row_i[j] *= a_i
             for j, v in row_p.items():
-                s = row_i.get(j, 0) - f * v
+                s = row_i.get(j, 0) - f_i * v
                 if s:
                     if j not in row_i:
                         holders[j].add(i)
@@ -87,7 +106,13 @@ def solve(cols, rhs, nrows) -> list[Fraction] | None:
                 else:
                     del row_i[j]
                     holders[j].discard(i)
-            b[i] -= f * b[p]
+            b_i = a_i * b[i] - f_i * b_p
+            content = gcd(b_i, *row_i.values())
+            if content > 1:
+                for j in row_i:
+                    row_i[j] //= content
+                b_i //= content
+            b[i] = b_i
         pivots.append((p, c))
     pivot_rows = {p for p, _ in pivots}
     if any(b[i] for i in range(nrows) if i not in pivot_rows):
@@ -97,9 +122,10 @@ def solve(cols, rhs, nrows) -> list[Fraction] | None:
         row_p = rows[p]
         acc = b[p]
         for j, v in row_p.items():
-            if j != c:
+            if j != c and x[j]:
                 acc -= v * x[j]
-        x[c] = acc / row_p[c]
+        if acc:
+            x[c] = Fraction(acc, row_p[c])
     return x
 
 

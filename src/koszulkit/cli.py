@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -610,7 +611,10 @@ def cmd_groebner(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``main`` may be
+    called many times in one process, and building takes about 1 ms."""
     p = argparse.ArgumentParser(
         prog="koszulkit",
         description="Exact verification of contraction and boundary identities, "

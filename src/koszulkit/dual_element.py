@@ -47,7 +47,8 @@ from .ring import FamilyRegistry, Poly, accumulate, as_poly, mono_mul
 
 
 # Functional1D.eval memoizes values below this index, which covers the
-# degrees the pipeline pairs; larger indices go through square-and-multiply.
+# degrees the pipeline pairs, as long as they stay under DIGIT_LIMIT digits;
+# other indices go through square-and-multiply.
 MEMO_LIMIT = 4096
 
 # Square-and-multiply gives up, with ValueError, once a coefficient of x^k mod
@@ -56,6 +57,11 @@ MEMO_LIMIT = 4096
 # of modulus other than 1 would otherwise run out of time and memory.
 DIGIT_LIMIT = 20_000
 _BIT_LIMIT = DIGIT_LIMIT * 3322 // 1000  # log2(10) < 3.322 bits per digit
+
+
+def _too_long(c: Fraction) -> bool:
+    """Whether the numerator or denominator of ``c`` passes ``DIGIT_LIMIT`` digits."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length()) > _BIT_LIMIT
 
 
 class HypothesisError(ValueError):
@@ -70,9 +76,10 @@ class Functional1D:
     ``rec`` holds the non-leading coefficients a_0..a_{d-1} of the monic
     annihilator T; evaluation beyond the initial segment follows
     eval(d + k) = -sum_i a_i * eval(i + k), so the functional vanishes on
-    the ideal (T).  Values below ``MEMO_LIMIT`` and the powers x^k mod T are
-    cached on demand; a value past the limit pairs x^k mod T, found by
-    square-and-multiply, with the initial values.
+    the ideal (T).  Values below ``MEMO_LIMIT``, up to the first one past
+    ``DIGIT_LIMIT`` digits, and the powers x^k mod T are cached on demand;
+    any other value pairs x^k mod T, found by square-and-multiply, with the
+    initial values.
     """
 
     gidx: int
@@ -103,13 +110,20 @@ class Functional1D:
         memo = self._memo
         while len(memo) <= k:
             base = len(memo) - d
-            memo.append(-sum((self.rec[i] * memo[base + i] for i in range(d)), Fraction(0)))
+            v = -sum((self.rec[i] * memo[base + i] for i in range(d)), Fraction(0))
+            if _too_long(v):
+                # the memo stops short of the first value past the digit cap,
+                # so it holds at most MEMO_LIMIT values of capped size
+                return self.eval_by_squaring(k)
+            memo.append(v)
         return memo[k]
 
     def eval_by_squaring(self, k: int) -> Fraction:
         """eval(k) in O(d^2 log k) operations, caching nothing: l(x^k) is
-        sum_i r_i l(x^i) for r = x^k mod T, and l(x^i) = initials[i]."""
-        r = self._power_by_squaring(k)
+        sum_i r_i l(x^i) for r = x^k mod T, and l(x^i) = initials[i].  As
+        for ``reduced_power``, only an index past ``MEMO_LIMIT`` is held to
+        ``DIGIT_LIMIT`` digits."""
+        r = self.reduced_power(k)
         return sum((c * v for c, v in zip(r, self.initials) if c), Fraction(0))
 
     def _power_by_squaring(self, k: int, capped: bool = True) -> list:
@@ -134,10 +148,7 @@ class Functional1D:
                     for i in range(d):
                         full[top - d + i] -= c * rec[i]
             r = full
-            if capped and any(
-                max(c.numerator.bit_length(), c.denominator.bit_length()) > _BIT_LIMIT
-                for c in r
-            ):
+            if capped and any(_too_long(c) for c in r):
                 raise ValueError(
                     f"power {k} of a variable, reduced modulo its annihilator, "
                     f"needs more than {DIGIT_LIMIT} digits"

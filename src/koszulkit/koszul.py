@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._linalg import solve
 from .grassmann import (
@@ -33,7 +32,15 @@ from .grassmann import (
     top_contract,
     transgression_det,
 )
-from .ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, divided_diff
+from .ring import (
+    PRIMAL,
+    FamilyRegistry,
+    Poly,
+    accumulate,
+    as_poly,
+    divided_diff,
+    mono_mul,
+)
 
 
 class UnassignedFamilyError(ValueError):
@@ -656,6 +663,45 @@ def _monomials_upto(gens, bound):
     return out
 
 
+def _witness_system(ba: BoundaryAssignment, diff: Element, words, monos):
+    """The witness search's linear system: (columns, target, row_index).
+
+    ``columns`` holds the sparse boundary of every basis element m*w, words
+    major and monomials minor, and ``target`` the sparse ``diff``; both are
+    keyed by the rows of ``row_index``, {(word, mono): row} in order of first
+    appearance.  The boundary is linear over the polynomial ring, so the
+    boundary of w is computed once per word and shifted by each monomial m.
+    """
+    reg = diff.reg
+    shifts: dict[tuple, list] = {}  # mono -> [mono * m for m in monos]
+    row_index: dict[tuple, int] = {}
+    columns: list[dict] = []
+    for w in words:
+        img = _element_boundary(ba, Element(reg, {w: Poly.const(reg, 1)}), frozenset())
+        pieces = []
+        for word, poly in img.terms.items():
+            for mono, c in poly.terms.items():
+                if mono not in shifts:
+                    shifts[mono] = [mono_mul(m, mono) for m in monos]
+                pieces.append((word, shifts[mono], c))
+        for k in range(len(monos)):
+            col = {}
+            for word, shifted, c in pieces:
+                key = (word, shifted[k])
+                if key not in row_index:
+                    row_index[key] = len(row_index)
+                col[row_index[key]] = c
+            columns.append(col)
+    target = {}
+    for word, poly in diff.terms.items():
+        for mono, c in poly.terms.items():
+            key = (word, mono)
+            if key not in row_index:
+                row_index[key] = len(row_index)
+            target[row_index[key]] = c
+    return columns, target, row_index
+
+
 def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_bound=None):
     """Search for w with boundary(w) = lhs - rhs; None when not found.
 
@@ -701,26 +747,7 @@ def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_
     basis = [(w, m) for w in words for m in monos]
     if not basis:
         return None
-    row_index: dict[tuple, int] = {}
-    columns: list[dict] = []
-    for w, m in basis:
-        elem = Element(reg, {w: Poly(reg, {m: Fraction(1)})})
-        img = _element_boundary(ba, elem, frozenset())
-        col = {}
-        for word, poly in img.terms.items():
-            for mono, c in poly.terms.items():
-                key = (word, mono)
-                if key not in row_index:
-                    row_index[key] = len(row_index)
-                col[row_index[key]] = c
-        columns.append(col)
-    target = {}
-    for word, poly in diff.terms.items():
-        for mono, c in poly.terms.items():
-            key = (word, mono)
-            if key not in row_index:
-                row_index[key] = len(row_index)
-            target[row_index[key]] = c
+    columns, target, row_index = _witness_system(ba, diff, words, monos)
     sol = solve(columns, target, len(row_index))
     if sol is None:
         return None

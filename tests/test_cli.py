@@ -7,6 +7,7 @@ import json
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,22 @@ class TestPairCommand:
         code, data = run(capsys, ["pair", str(path), "--poly", "x^4000"])
         assert code == 0
         assert data["pair_with_e"] == data["pair_with_l"] == "1" + "0" * 24000
+
+    def test_memo_stays_below_the_digit_cap(self, capsys, tmp_path):
+        # the values 10^(6k) are memoized only while they have at most
+        # DIGIT_LIMIT digits, k < 3334, about 14 MB; memoizing every k < 4000
+        # took about 20 MB
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x\nf: x - 10^6\n")
+        tracemalloc.start()
+        try:
+            code, data = run(capsys, ["pair", str(path), "--poly", "x^4000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert data["pair_with_e"] == data["pair_with_l"] == "1" + "0" * 24000
+        assert peak < 18_000_000
 
     def test_huge_exponent_on_unit_roots_pairs_exactly(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"

@@ -92,6 +92,15 @@ class TestRecurrentFunctional:
         assert l.eval(99999999999) == 1 and l.eval(10**12) == 0
         assert len(l._memo) == 2
 
+    def test_memo_stops_at_the_digit_cap(self):
+        # 10^(6k) passes DIGIT_LIMIT digits first at k = 3334; later values
+        # below MEMO_LIMIT come from square-and-multiply without the cap
+        reg, x = one_var()
+        l = recurrent_functional(x - Poly.const(reg, 10**6), (1,))
+        assert l.eval(4000) == 10**24000
+        assert len(l._memo) == 3334
+        assert l.eval(3333) == 10**19998 and l.eval(3334) == 10**20004
+
     def test_non_monic_rejected(self):
         reg, x = one_var()
         with pytest.raises(ValueError):

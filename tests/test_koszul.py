@@ -1,9 +1,18 @@
-"""Boundary operator, chain maps, lemma and transgression verifiers."""
+"""Boundary operator, chain maps, lemma and transgression verifiers.
+
+The witness search shifts each word's boundary by monomials; its system must
+equal, column for column and row for row, the one ``_per_basis_system`` builds
+from the boundary of every basis element m*w taken in full, the earlier
+column build kept here as an oracle.
+"""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from koszulkit import koszul
+from koszulkit.cli import main
 from koszulkit.grassmann import Element, dual_full_product, grassmann_exp
 from koszulkit.koszul import (
     BoundaryAssignment,
@@ -287,6 +296,33 @@ class TestTheorem2:
                     assert r2.status == "equal", f"{r2.instance}: {r2.detail}"
 
 
+def _per_basis_system(ba, diff, words, monos):
+    """The witness system with one boundary per basis element m*w.
+
+    Returns (columns, target, row_index) with columns and target keyed by
+    (word, mono) and the row index in order of first appearance.
+    """
+    reg = diff.reg
+    row_index = {}
+    columns = []
+    for w in words:
+        for m in monos:
+            elem = Element(reg, {w: Poly(reg, {m: Fraction(1)})})
+            img = koszul._element_boundary(ba, elem, frozenset())
+            col = {}
+            for word, poly in img.terms.items():
+                for mono, c in poly.terms.items():
+                    row_index.setdefault((word, mono), len(row_index))
+                    col[word, mono] = c
+            columns.append(col)
+    target = {}
+    for word, poly in diff.terms.items():
+        for mono, c in poly.terms.items():
+            row_index.setdefault((word, mono), len(row_index))
+            target[word, mono] = c
+    return columns, target, row_index
+
+
 class TestHomotopyWitness:
     def setup_line(self):
         reg = FamilyRegistry()
@@ -328,6 +364,31 @@ class TestHomotopyWitness:
         reg, f, ba = self.setup_line()
         w = homotopy_witness(Element.unit(reg), Element.zero(reg), ba, degree_bound=5)
         assert w is None
+
+    @pytest.mark.parametrize("seed", [42, 586795])
+    def test_shifted_boundaries_match_per_basis_oracle(self, seed, monkeypatch, capsys):
+        real = koszul._witness_system
+        seen = []
+
+        def recorded(ba, diff, words, monos):
+            columns, target, row_index = real(ba, diff, words, monos)
+            keys = list(row_index)
+            keyed = (
+                keys,
+                [{keys[i]: v for i, v in col.items()} for col in columns],
+                {keys[i]: v for i, v in target.items()},
+            )
+            o_columns, o_target, o_index = _per_basis_system(ba, diff, words, monos)
+            seen.append((keyed, (list(o_index), o_columns, o_target)))
+            return columns, target, row_index
+
+        monkeypatch.setattr(koszul, "_witness_system", recorded)
+        code = main(["verify", "thm3", "--seed", str(seed)])
+        capsys.readouterr()
+        assert seen
+        for keyed, oracle in seen:
+            assert keyed == oracle
+        assert code == 0
 
 
 def test_report_serialization_is_stable():

@@ -4,7 +4,9 @@ The determinant oracle is the Leibniz sum, and random charpoly checks compare
 against det(t*I - M) expanded symbolically through a one-variable registry.
 The sparse ``solve`` must return exactly what ``_dense_solve``, the earlier
 dense Gauss-Jordan solver kept here as an oracle, returns: both give the
-solution supported on the greedy column-order basis.  Property generation is
+solution supported on the greedy column-order basis.  It must also return
+exactly what ``_fraction_solve``, the earlier sparse solver that eliminated
+over ``Fraction`` with the same pivots, returns.  Property generation is
 derandomized, so every run gives the same verdict.
 """
 
@@ -12,6 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +63,68 @@ def _dense_solve(rows, rhs) -> list[Fraction] | None:
     x = [Fraction(0)] * n
     for row, col in pivots:
         x[col] = aug[row][n]
+    return x
+
+
+def _fraction_solve(cols, rhs, nrows) -> list[Fraction] | None:
+    """One exact solution x of sum_j x_j * cols[j] = rhs, or None if inconsistent.
+
+    ``cols`` is a list of sparse columns and ``rhs`` a sparse right-hand side,
+    each a dict from row index (below ``nrows``) to value.  Columns are taken
+    in order; each one that is independent of the columns before it gets as
+    pivot the active row with the fewest nonzeros (ties to the lower index),
+    and only the rows holding that column are eliminated.  Free variables are
+    set to zero, so the solution is the unique one supported on the greedy
+    column-order basis, whichever pivot rows were chosen.  The result has one
+    entry per column.
+    """
+    rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+    b = [Fraction(0)] * nrows
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            if v:
+                rows[i][j] = Fraction(v)
+    for i, v in rhs.items():
+        b[i] = Fraction(v)
+    # column -> active rows with a nonzero there; pivot rows leave it
+    holders: list[set[int]] = [set() for _ in cols]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    pivots: list[tuple[int, int]] = []
+    for c, live in enumerate(holders):
+        if not live:
+            continue
+        p = min(live, key=lambda i: (len(rows[i]), i))
+        row_p = rows[p]
+        for j in row_p:
+            holders[j].discard(p)
+        inv = 1 / row_p[c]
+        for i in sorted(live):
+            row_i = rows[i]
+            f = row_i[c] * inv
+            for j, v in row_p.items():
+                s = row_i.get(j, 0) - f * v
+                if s:
+                    if j not in row_i:
+                        holders[j].add(i)
+                    row_i[j] = s
+                else:
+                    del row_i[j]
+                    holders[j].discard(i)
+            b[i] -= f * b[p]
+        pivots.append((p, c))
+    pivot_rows = {p for p, _ in pivots}
+    if any(b[i] for i in range(nrows) if i not in pivot_rows):
+        return None
+    x = [Fraction(0)] * len(cols)
+    for p, c in reversed(pivots):
+        row_p = rows[p]
+        acc = b[p]
+        for j, v in row_p.items():
+            if j != c:
+                acc -= v * x[j]
+        x[c] = acc / row_p[c]
     return x
 
 
@@ -166,6 +231,49 @@ def systems(draw):
     return rows, rhs
 
 
+# entries with denominators up to 10^15, so a row's lcm is a large integer
+large = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**15)
+mixed = st.one_of(st.integers(-5, 5), values, large)
+
+
+@st.composite
+def sparse_systems(draw):
+    """A sparse system (cols, rhs, nrows) as ``solve`` takes it.
+
+    Entries are ``int``, small-denominator or large-denominator ``Fraction``,
+    explicit zeros included; a column may be a combination of earlier ones;
+    the right-hand side is zero, a random vector (usually inconsistent when
+    the rank is short) or an image (consistent).
+    """
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(0, 8))
+    cols = []
+    for _ in range(ncols):
+        if cols and draw(st.booleans()):
+            col = {}
+            for other in cols:
+                f = draw(mixed)
+                for i, v in other.items():
+                    col[i] = col.get(i, 0) + f * v
+        else:
+            support = draw(st.sets(st.integers(0, nrows - 1), max_size=nrows)) if nrows else set()
+            col = {i: draw(mixed) for i in sorted(support)}
+        cols.append(col)
+    kind = draw(st.sampled_from(["zero", "random", "image"]))
+    if kind == "random" and nrows:
+        support = draw(st.sets(st.integers(0, nrows - 1), min_size=1, max_size=nrows))
+        rhs = {i: draw(mixed) for i in sorted(support)}
+    elif kind == "image":
+        rhs = {}
+        for col in cols:
+            f = draw(mixed)
+            for i, v in col.items():
+                rhs[i] = rhs.get(i, 0) + f * v
+    else:
+        rhs = {}
+    return cols, rhs, nrows
+
+
 class TestSolve:
     def test_random_square_systems_check_exactly(self):
         rng = random.Random(30001)
@@ -235,6 +343,35 @@ class TestSolve:
         assert main(["verify", "thm3", "--seed", "42"]) == 0
         capsys.readouterr()
         assert seen and all(seen)
+
+    @PROPERTY
+    @given(sparse_systems())
+    @example(([{0: 3, 1: 6}, {0: Fraction(1, 2), 1: 1}], {0: 1, 1: 3}, 2))
+    @example(([{0: Fraction(1, 10**15), 1: 7}, {1: Fraction(-3, 10**12 + 39)}], {0: Fraction(2, 3)}, 2))
+    @example(([{0: Fraction(0), 2: 4}, {1: 0, 2: Fraction(5, 7)}], {2: 1}, 3))
+    def test_matches_fraction_oracle_exactly(self, system):
+        cols, rhs, nrows = system
+        x = solve(cols, rhs, nrows)
+        assert x == _fraction_solve(cols, rhs, nrows)
+        if x is not None:
+            assert all(type(v) is Fraction for v in x)
+
+    @pytest.mark.parametrize("seed", [42, 586795])
+    def test_matches_fraction_oracle_on_witness_systems(self, seed, monkeypatch, capsys):
+        seen = []
+
+        def recorded(cols, rhs, nrows):
+            x = solve(cols, rhs, nrows)
+            seen.append((x, _fraction_solve(cols, rhs, nrows)))
+            return x
+
+        monkeypatch.setattr(koszul, "solve", recorded)
+        code = main(["verify", "thm3", "--seed", str(seed)])
+        capsys.readouterr()
+        assert seen
+        for x, oracle in seen:
+            assert x == oracle and x is not None
+        assert code == 0
 
 
 class TestInverse:
