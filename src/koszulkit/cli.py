@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import functools
 import hashlib
 import json
@@ -389,8 +390,60 @@ _FILE_SUITES = ("lemma3", "thm3", "thm4")
 # report assembly
 
 
+# Past this many bits, ints convert to decimal through ``decimal`` rather than
+# str(): int-to-str is quadratic in the digit count before Python 3.12.
+_DECIMAL_STR_BITS = 40_000
+_DECIMAL_BASE_BITS = 128
+
+
+def _int_str(n: int) -> str:
+    """str(n), by divide and conquer over libmpdec for large n.
+
+    The split n = hi * 2^w + lo halves the bit length at each level, and the
+    powers 2^w are exact Decimals shared between levels: the method
+    CPython 3.12 uses internally for large ints.
+    """
+    if n.bit_length() <= _DECIMAL_STR_BITS:
+        return str(n)
+    D = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w):
+        result = powers.get(w)
+        if result is None:
+            if w <= _DECIMAL_BASE_BITS:
+                result = D(2) ** w
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:
+                half = w >> 1
+                result = pow2(half) * pow2(w - half)
+            powers[w] = result
+        return result
+
+    def convert(m, w):
+        if w <= _DECIMAL_BASE_BITS:
+            return D(m)
+        half = w >> 1
+        hi = m >> half
+        lo = m - (hi << half)
+        return convert(lo, half) + convert(hi, w - half) * pow2(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
 def _frac_str(x) -> str:
-    return str(Fraction(x))
+    """str(Fraction(x)), fast for huge numerators and denominators."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def _render_functional_element(e) -> list:

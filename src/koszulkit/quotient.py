@@ -6,13 +6,18 @@ input system, the staircase basis of the quotient ring (finite exactly when
 the system is zero dimensional), multiplication matrices in that basis, and
 monic annihilators of each coordinate with their own cofactor certificates.
 
-All arithmetic is exact.  Reductions scan the basis in its canonical sorted
-order, pair selection uses the sugar strategy with a fixed tie break, so
-every output is deterministic for a given input and monomial order.
+All arithmetic is exact.  Division is heap division (Monagan and Pearce,
+CASC 2007): the remainder is one dict updated in place, its monomials wait in
+a heap keyed by the monomial order, and each step cancels the largest one
+against the first divisor, in the basis's canonical sorted order, whose
+leading monomial divides it.  Pair selection uses the sugar strategy with a
+fixed tie break.  So every output is deterministic for a given input and
+monomial order.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +27,7 @@ from .ring import (
     FamilyRegistry,
     Mono,
     Poly,
+    accumulate,
     mono_degree,
     mono_divide,
     mono_exponent,
@@ -87,42 +93,76 @@ class QuotientBasis:
         return self.monomials.index(m)
 
 
-def _leading(p: Poly, key) -> tuple[Mono, Fraction]:
-    m = max(p.terms, key=key)
-    return m, p.terms[m]
+def _heap_key(k: tuple) -> tuple:
+    """The order key with every entry negated and nesting flattened.
+
+    Keys of one order all have the same shape, so the flat negated tuples
+    sort in exactly the reverse order: a min-heap of them pops the largest
+    monomial first.
+    """
+    out = []
+    for x in k:
+        if isinstance(x, tuple):
+            out.extend(-e for e in x)
+        else:
+            out.append(-x)
+    return tuple(out)
 
 
 def _reduce(p: Poly, polys, key, sugars=None, sugar=None):
     """Divide ``p`` by the list, returning (normal form, quotients, sugar).
 
-    Deterministic: at each step the order-largest reducible monomial of the
-    remainder is cancelled against the first dividing entry of ``polys``.
+    Deterministic: at each step the order-largest monomial of the remainder
+    is cancelled against the first entry of ``polys`` whose leading monomial
+    divides it, or moved to the normal form when none does.
+
+    Heap division: the remainder is one dict updated in place, and its
+    monomials sit in a min-heap of negated order keys, each key computed
+    once per call.  A monomial that cancels stays in the heap and is skipped
+    when popped (lazy deletion).  The leading monomial strictly decreases,
+    so each quotient term is set exactly once.
     """
-    reg = p.reg
-    quotients = [Poly.zero(reg) for _ in polys]
-    nf = Poly.zero(reg)
-    h = p
-    leads = [(max(g.terms, key=key), g.terms[max(g.terms, key=key)]) for g in polys]
-    while not h.is_zero:
-        hm, hc = _leading(h, key)
-        hit = None
-        for idx, (gm, gc) in enumerate(leads):
-            q = mono_divide(hm, gm)
-            if q is not None:
-                hit = (idx, q, hc / gc)
-                break
-        if hit is None:
-            mono_poly = Poly(reg, {hm: hc})
-            nf = nf + mono_poly
-            h = h - mono_poly
+    h = dict(p.terms)
+    heap_keys: dict[Mono, tuple] = {}
+
+    def heap_entry(m: Mono):
+        k = heap_keys.get(m)
+        if k is None:
+            k = heap_keys[m] = _heap_key(key(m))
+        return k, m
+
+    heap = [heap_entry(m) for m in h]
+    heapq.heapify(heap)
+    divisors = []
+    for g in polys:
+        gm = max(g.terms, key=key)
+        divisors.append((gm, g.terms[gm], [(m, -c) for m, c in g.terms.items() if m != gm]))
+    quotients: list[dict] = [{} for _ in polys]
+    nf: dict[Mono, Fraction] = {}
+    track_sugar = sugars is not None and sugar is not None
+    while heap:
+        hm = heapq.heappop(heap)[1]
+        hc = h.pop(hm, None)
+        if hc is None:
             continue
-        idx, qmono, qc = hit
-        qpoly = Poly(reg, {qmono: qc})
-        quotients[idx] = quotients[idx] + qpoly
-        h = h - qpoly * polys[idx]
-        if sugars is not None and sugar is not None:
+        for idx, (gm, gc, tail) in enumerate(divisors):
+            qmono = mono_divide(hm, gm)
+            if qmono is not None:
+                break
+        else:
+            nf[hm] = hc
+            continue
+        qc = hc / gc
+        quotients[idx][qmono] = qc
+        for m, nc in tail:
+            pm = mono_mul(qmono, m)
+            if pm not in h:
+                heapq.heappush(heap, heap_entry(pm))
+            accumulate(h, pm, qc * nc)
+        if track_sugar:
             sugar = max(sugar, mono_degree(qmono) + sugars[idx])
-    return nf, quotients, sugar
+    reg = p.reg
+    return Poly(reg, nf), [Poly(reg, q) for q in quotients], sugar
 
 
 def _system_family(f, family=None):
@@ -159,10 +199,12 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
     polys: list[Poly] = []
     cofs: list[list[Poly]] = []
     sugars: list[int] = []
+    leads: list[Mono] = []
 
     def push(p: Poly, cof: list[Poly], sugar=None):
-        lc = p.terms[max(p.terms, key=key)]
-        inv = Fraction(1) / lc
+        lm = max(p.terms, key=key)
+        inv = Fraction(1) / p.terms[lm]
+        leads.append(lm)
         polys.append(p * inv)
         cofs.append([c * inv for c in cof])
         sugars.append(p.total_degree() if sugar is None else sugar)
@@ -173,23 +215,29 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
         cof = [Poly.const(reg, 1 if k == i else 0) for k in range(s)]
         push(p, cof)
 
-    pending = {(i, j) for i in range(len(polys)) for j in range(i + 1, len(polys))}
+    # pending pairs, and a heap of their (sugar, key(lcm), i, j) ranks: a
+    # pair leaves the set only when its rank is popped, and ranks are
+    # unique, so the heap yields min(pending, key=rank) with each rank
+    # computed once
+    pending: set[tuple[int, int]] = set()
+    queue: list[tuple] = []
 
-    def lead(i):
-        return max(polys[i].terms, key=key)
+    def add_pair(i, j):
+        lcm = mono_lcm(leads[i], leads[j])
+        ui = mono_divide(lcm, leads[i])
+        uj = mono_divide(lcm, leads[j])
+        sug = max(sugars[i] + mono_degree(ui), sugars[j] + mono_degree(uj))
+        pending.add((i, j))
+        heapq.heappush(queue, (sug, key(lcm), i, j))
 
-    while pending:
-        def pair_rank(pr):
-            i, j = pr
-            lcm = mono_lcm(lead(i), lead(j))
-            ui = mono_divide(lcm, lead(i))
-            uj = mono_divide(lcm, lead(j))
-            sug = max(sugars[i] + mono_degree(ui), sugars[j] + mono_degree(uj))
-            return (sug, key(lcm), i, j)
+    for j in range(len(polys)):
+        for i in range(j):
+            add_pair(i, j)
 
-        i, j = min(pending, key=pair_rank)
+    while queue:
+        _, _, i, j = heapq.heappop(queue)
         pending.discard((i, j))
-        li, lj = lead(i), lead(j)
+        li, lj = leads[i], leads[j]
         lcm = mono_lcm(li, lj)
         if mono_mul(li, lj) == lcm:
             continue
@@ -197,7 +245,7 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
         for k in range(len(polys)):
             if k in (i, j):
                 continue
-            if mono_divide(lcm, lead(k)) is None:
+            if mono_divide(lcm, leads[k]) is None:
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -226,17 +274,18 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
             continue
         m = len(polys)
         push(nf, spcof, sug)
-        pending.update((k, m) for k in range(m))
+        for k in range(m):
+            add_pair(k, m)
 
     # minimal: drop entries whose leading monomial another one divides
     keep = []
     for i in range(len(polys)):
-        li = lead(i)
+        li = leads[i]
         redundant = False
         for j in range(len(polys)):
             if i == j:
                 continue
-            q = mono_divide(li, lead(j))
+            q = mono_divide(li, leads[j])
             if q is not None and (q != () or j < i):
                 redundant = True
                 break
@@ -244,6 +293,7 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
             keep.append(i)
     polys = [polys[i] for i in keep]
     cofs = [cofs[i] for i in keep]
+    leads = [leads[i] for i in keep]
 
     # interreduce tails against the rest, to a fixpoint
     changed = True
@@ -263,9 +313,10 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
                 cofs[i] = cof
                 changed = True
 
-    pairs = sorted(zip(polys, cofs), key=lambda pc: key(max(pc[0].terms, key=key)))
-    polys = [p for p, _ in pairs]
-    cofs = [c for _, c in pairs]
+    # interreduction keeps each leading monomial: no other lead divides it
+    by_lead = sorted(range(len(polys)), key=lambda i: key(leads[i]))
+    polys = [polys[i] for i in by_lead]
+    cofs = [cofs[i] for i in by_lead]
     return GroebnerBasis(
         reg,
         fam.name,

@@ -2,12 +2,16 @@
 
 import contextlib
 import decimal
+import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,8 @@ from koszulkit.cli import (
 )
 from koszulkit.koszul import NotCocycleError
 from koszulkit.ring import Poly
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv):
@@ -328,6 +334,19 @@ class TestPairCommand:
         assert data["pair_with_e"] == data["pair_with_l"] == expected
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    def test_huge_value_renders_quickly(self, capsys, tmp_path):
+        # 10^400000, twice: str() took about 3 s per value before Python 3.12
+        path = tmp_path / "sys.txt"
+        path.write_text("vars: x\nf: x - 10^100\n")
+        start = time.perf_counter()
+        code = main(["pair", str(path), "--poly", "x^4000"])
+        assert time.perf_counter() - start < 2.5
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4d2176545ae73c4ef9d586c974e8d9808b10f606f40523ae9d73954d3d254212"
+        )
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("vars: x\nf: x\n")
@@ -337,6 +356,15 @@ class TestPairCommand:
 
 
 class TestGroebnerCommand:
+    def test_positive_dimensional_fuzz_system_is_quick(self, capsys):
+        # took 5.6 s when every division step rescanned the whole remainder
+        path = GOLDEN / "posdim3.txt"
+        start = time.perf_counter()
+        code, data = run(capsys, ["groebner", str(path)])
+        assert time.perf_counter() - start < 2.5
+        assert (code, data["dimension"]) == (0, None)
+        assert len(data["basis"]) == 12
+
     def test_pinned_tower(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"
         path.write_text("vars: x1 x2\nf: x1^2 - x2, x2^2\n")
@@ -488,3 +516,33 @@ class TestHostileInput:
         assert code in (0, 1, 2, 3), err.getvalue()
         if code == 1:
             assert json.loads(out.getvalue())["summary"]["failed"] > 0, out.getvalue()
+
+
+class TestDecimalRendering:
+    """``cli._int_str`` and ``cli._frac_str`` against str() itself."""
+
+    def values(self):
+        rng = random.Random(1601)
+        bits = [1, 64, 129, cli._DECIMAL_STR_BITS, cli._DECIMAL_STR_BITS + 1, 130_001]
+        for b in bits:
+            for _ in range(3):
+                n = rng.getrandbits(b) | 1 << (b - 1)
+                yield n
+                yield -n
+        for k in (0, 1, 12_041, 12_042, 40_000):
+            yield 10**k
+            yield 10**k - 1
+            yield -(10**k)
+
+    def test_ints_equal_str(self):
+        with cli._any_digits():
+            for n in self.values():
+                assert cli._int_str(n) == str(n)
+
+    def test_fractions_equal_str(self):
+        with cli._any_digits():
+            values = [n for n in self.values() if n]
+            for num, den in zip(values[::4], values[1::4]):
+                x = Fraction(num, abs(den))
+                assert cli._frac_str(x) == str(x)
+            assert cli._frac_str(3) == "3"

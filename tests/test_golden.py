@@ -3,8 +3,9 @@
 The system files are the README examples (``sys.txt``, ``sq.txt``), two
 unscaled rungs of the benchmark's dual-element ladder (``cube3.txt``,
 ``cyclic3.txt``) and two systems past the old det G wall (``3var_d27.txt``,
-``4var_d16.txt``); the expected stdout of each command sits next to them in
-``tests/golden``.  ``verify thm3 --seed 586795`` is pinned in full, since its
+``4var_d16.txt``), plus a positive-dimensional system whose Groebner basis
+the CLI fuzz found slow (``posdim3.txt``); the expected stdout of each
+command sits next to them in ``tests/golden``.  ``verify thm3 --seed 586795`` is pinned in full, since its
 seven ``homotopic`` reports render the witnesses the linear solver picks.
 The full ``verify all --seed 42`` report is pinned by its sha256.
 """
@@ -32,6 +33,7 @@ CASES = [
     ("cyclic3", ["dual-element"], "cyclic3.dual-element.json"),
     ("3var_d27", ["dual-element"], "3var_d27.dual-element.json"),
     ("4var_d16", ["dual-element"], "4var_d16.dual-element.json"),
+    ("posdim3", ["groebner"], "posdim3.groebner.json"),
 ]
 
 

@@ -1,15 +1,20 @@
 """Groebner engine: bases, cofactors, staircases, multiplication matrices."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koszulkit._linalg import poly_at_matrix
 from koszulkit.quotient import (
     GroebnerBasis,
     NotZeroDimensional,
     _minimal_coeffs,
+    _reduce,
     charpoly_T,
     groebner,
     mul_matrix,
@@ -18,7 +23,7 @@ from koszulkit.quotient import (
     reduce_with_cofactors,
     source_cofactors,
 )
-from koszulkit.ring import FamilyRegistry, Poly, parse_poly
+from koszulkit.ring import FamilyRegistry, Mono, Poly, mono_degree, mono_divide, parse_poly
 
 
 def setup(n=2):
@@ -290,3 +295,184 @@ class TestMulMatrixAndAnnihilators:
                 for fi, gi in zip(f, G):
                     acc = acc + fi * gi
                 assert acc == T
+
+
+# ---------------------------------------------------------------------------
+# heap division against the scanning division it replaced
+
+
+def _leading(p: Poly, key) -> tuple[Mono, Fraction]:
+    m = max(p.terms, key=key)
+    return m, p.terms[m]
+
+
+def _scan_reduce(p: Poly, polys, key, sugars=None, sugar=None):
+    """Divide ``p`` by the list, returning (normal form, quotients, sugar).
+
+    Deterministic: at each step the order-largest reducible monomial of the
+    remainder is cancelled against the first dividing entry of ``polys``.
+    """
+    reg = p.reg
+    quotients = [Poly.zero(reg) for _ in polys]
+    nf = Poly.zero(reg)
+    h = p
+    leads = [(max(g.terms, key=key), g.terms[max(g.terms, key=key)]) for g in polys]
+    while not h.is_zero:
+        hm, hc = _leading(h, key)
+        hit = None
+        for idx, (gm, gc) in enumerate(leads):
+            q = mono_divide(hm, gm)
+            if q is not None:
+                hit = (idx, q, hc / gc)
+                break
+        if hit is None:
+            mono_poly = Poly(reg, {hm: hc})
+            nf = nf + mono_poly
+            h = h - mono_poly
+            continue
+        idx, qmono, qc = hit
+        qpoly = Poly(reg, {qmono: qc})
+        quotients[idx] = quotients[idx] + qpoly
+        h = h - qpoly * polys[idx]
+        if sugars is not None and sugar is not None:
+            sugar = max(sugar, mono_degree(qmono) + sugars[idx])
+    return nf, quotients, sugar
+
+
+REGS = {}
+for _n in (1, 2, 3):
+    REGS[_n] = FamilyRegistry()
+    REGS[_n].commuting("x", _n)
+
+DIVISION = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+
+
+@st.composite
+def division_problems(draw):
+    """(p, divisors, order, sugars, sugar) over 1-3 variables; divisors are
+    not monic and may repeat."""
+    n = draw(st.integers(1, 3))
+    reg = REGS[n]
+    monos = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+        lambda exps: tuple((g, e) for g, e in enumerate(exps) if e)
+    )
+
+    def poly(min_size):
+        return st.dictionaries(monos, coefficients, min_size=min_size, max_size=5).map(
+            lambda terms: Poly(reg, terms)
+        )
+
+    divisors = draw(st.lists(poly(1), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        divisors.insert(draw(st.integers(0, len(divisors))), draw(st.sampled_from(divisors)))
+    sugars = draw(st.lists(st.integers(0, 6), min_size=len(divisors), max_size=len(divisors)))
+    sugar = draw(st.one_of(st.none(), st.integers(0, 6)))
+    return draw(poly(0)), divisors, draw(st.sampled_from(["grevlex", "lex"])), sugars, sugar
+
+
+def assert_same_division(p, divisors, order, sugars=None, sugar=None):
+    key = order_key(order, p.reg.comm_family("x"))
+    nf, quots, sug = _reduce(p, divisors, key, sugars, sugar)
+    want_nf, want_quots, want_sug = _scan_reduce(p, divisors, key, sugars, sugar)
+    assert nf == want_nf
+    assert quots == want_quots
+    assert sug == want_sug
+    return nf, quots
+
+
+@DIVISION
+@given(division_problems())
+def test_heap_division_equals_scanning_division(problem):
+    p, divisors, order, sugars, sugar = problem
+    assert_same_division(p, divisors, order, sugars, sugar)
+
+
+class TestHeapDivisionCases:
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_one_variable(self, order):
+        # the lex key of a one-variable monomial is the 1-tuple (e,)
+        reg, names = setup(1)
+        p = parse_poly(reg, "3*x^7 - x^4 + 2*x + 5", names)
+        divisors = polys(reg, names, ["2*x^3 - x + 1/3", "x^2 - 4"])
+        nf, quots = assert_same_division(p, divisors, order, [3, 2], 7)
+        assert nf.total_degree() < 2
+        assert not quots[0].is_zero and not quots[1].is_zero
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_zero_polynomial(self, order):
+        reg, names = setup(2)
+        divisors = polys(reg, names, ["x1 - x2"])
+        nf, quots = assert_same_division(Poly.zero(reg), divisors, order, [1], 0)
+        assert nf.is_zero and quots == [Poly.zero(reg)]
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_already_reduced(self, order):
+        reg, names = setup(2)
+        p = parse_poly(reg, "x2^3 + 7*x2 - 1", names)
+        divisors = polys(reg, names, ["x1^2 - x2", "x1*x2 + 1"])
+        nf, quots = assert_same_division(p, divisors, order)
+        assert nf == p and all(q.is_zero for q in quots)
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_first_dividing_lead_wins(self, order):
+        # the lead x1 of b divides the lead x1^2 of a: listed first, b takes
+        # every monomial a could, and a gets no quotient
+        reg, names = setup(2)
+        p = parse_poly(reg, "x1^3*x2 + 2*x1^2 - x1*x2 + 1", names)
+        a, b = polys(reg, names, ["3*x1^2 + x2", "-2*x1 + 1"])
+        _, quots_ab = assert_same_division(p, [a, b], order, [2, 1], 4)
+        _, quots_ba = assert_same_division(p, [b, a], order, [1, 2], 4)
+        assert not quots_ab[0].is_zero and not quots_ab[1].is_zero
+        assert quots_ba[1].is_zero
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_repeated_divisor(self, order):
+        # only the first copy of a repeated divisor ever gets a quotient
+        reg, names = setup(3)
+        p = parse_poly(reg, "x1^2*x3 - x2^3 + x1*x2*x3 + 4", names)
+        g = parse_poly(reg, "-5*x1*x3 + x2 - 2", names)
+        h = parse_poly(reg, "x2^2 + x3", names)
+        _, quots = assert_same_division(p, [g, h, g, h], order, [2, 2, 2, 2], 3)
+        assert quots[2].is_zero and quots[3].is_zero
+
+
+def _dense_system(rng, n, deg):
+    """n polynomials with every monomial of degree at most deg, random
+    coefficients in -3..3."""
+    reg = FamilyRegistry()
+    fam = reg.commuting("x", n)
+    monos = [
+        tuple((g, e) for g, e in zip(fam.gens(), exps) if e)
+        for exps in itertools.product(range(deg + 1), repeat=n)
+        if sum(exps) <= deg
+    ]
+    return [Poly(reg, {m: c for m in monos if (c := rng.randint(-3, 3))}) for _ in range(n)]
+
+
+# Recorded before the heap division replaced the scanning one: bases and
+# cofactors in both orders, and grevlex annihilators with their cofactors.
+DENSE_DIGEST = "6c39e40621a4555c57804eeb8ea69667c93ef77b9153a5857e2868d0772fa301"
+DENSE_CASES = [
+    (2, 3, "grevlex"),
+    (2, 4, "grevlex"),
+    (3, 2, "grevlex"),
+    (2, 5, "grevlex"),
+    (2, 3, "lex"),
+    (2, 4, "lex"),
+    (3, 2, "lex"),
+]
+
+
+def test_dense_systems_match_recorded_digest():
+    h = hashlib.sha256()
+    for n, deg, order in DENSE_CASES:
+        f = _dense_system(random.Random(f"dense:{n}:{deg}"), n, deg)
+        gb = groebner(f, order=order)
+        h.update(repr([str(g) for g in gb.basis]).encode())
+        h.update(repr([[str(c) for c in row] for row in gb.cofactors]).encode())
+        if order == "grevlex":
+            for j in range(1, n + 1):
+                T, G = charpoly_T(gb, j)
+                h.update(repr([str(T)] + [str(g) for g in G]).encode())
+    assert h.hexdigest() == DENSE_DIGEST
