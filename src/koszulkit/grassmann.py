@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly
+from .ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, mono_mul
 
 Word = tuple  # tuple[int, ...], strictly ascending global ranks
 
@@ -151,15 +151,27 @@ class Element:
             return NotImplemented
         if other.reg is not self.reg:
             raise ValueError("elements built over different registries")
-        acc: dict[Word, Poly] = {}
+        # every surviving word pair adds its signed coefficient products
+        # straight into one {word: {monomial: Fraction}} map; Polys are built
+        # once at the end, and words whose terms all cancelled are dropped
+        acc: dict[Word, dict] = {}
+        right = [(w2, c2.terms.items()) for w2, c2 in other.terms.items()]
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+            left = c1.terms.items()
+            for w2, terms2 in right:
                 sign, w = merge_words(w1, w2)
                 if w is None:
                     continue
-                c = c1 * c2
-                accumulate(acc, w, c if sign > 0 else -c)
-        return Element(self.reg, acc)
+                out = acc.get(w)
+                if out is None:
+                    out = acc[w] = {}
+                for m1, a in left:
+                    if sign < 0:
+                        a = -a
+                    for m2, b in terms2:
+                        accumulate(out, mono_mul(m1, m2), a * b)
+        reg = self.reg
+        return Element(reg, {w: Poly(reg, t) for w, t in acc.items() if t})
 
     def __rmul__(self, other) -> "Element":
         if isinstance(other, (int, Fraction, Poly)):

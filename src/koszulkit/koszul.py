@@ -18,7 +18,7 @@ decides whether two cocycles differ by a boundary within a degree bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._linalg import solve
 from .grassmann import (
@@ -61,6 +61,9 @@ class BoundaryAssignment:
 
     reg: FamilyRegistry
     images: dict
+    # dual-family set -> its dual multiplier, built on first use by
+    # _dual_multiplier; not part of equality or repr
+    _multipliers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         clean = {}
@@ -156,13 +159,19 @@ def infer_dual_families(e: Element) -> frozenset:
 
 
 def _dual_multiplier(ba: BoundaryAssignment, reg, dual_families) -> Element:
-    m = Element.zero(reg)
-    for name in sorted(dual_families):
-        fam = reg.odd_family(name)
-        for i in range(1, fam.arity + 1):
-            m = m + Element.generator(reg, reg.odd_rank(fam, i, dual=True)) * ba.image(
-                name, i
-            )
+    """sum over the dual-role families of their duals times their images,
+    built once per family set and cached on ``ba``."""
+    key = frozenset(dual_families)
+    m = ba._multipliers.get(key)
+    if m is None:
+        m = Element.zero(reg)
+        for name in sorted(key):
+            fam = reg.odd_family(name)
+            for i in range(1, fam.arity + 1):
+                m = m + Element.generator(reg, reg.odd_rank(fam, i, dual=True)) * ba.image(
+                    name, i
+                )
+        ba._multipliers[key] = m
     return m
 
 
@@ -333,53 +342,64 @@ def lift(polys, dst: FamilyRegistry, fam) -> list[Poly]:
 
 
 def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
-    """Independent evaluation of the bordered determinant by minor expansion.
+    """Independent evaluation of the bordered determinant in Laplace form.
 
-    Sums over choices of which columns take scalar-row entries (an injection
-    into the rows); each choice contributes the product of the chosen scalar
-    entries, the wedge of the leftover odd-row entries, the wedge of the
-    unmatched row duals, and an explicit sign:
+    Expands along complementary minors: a set C of columns takes scalar-row
+    entries from a set R of rows of the same size c, the leftover columns L
+    (q = n - c of them, ascending) take their odd-row entries, and the rows
+    outside R (the survivors, u = s - c of them) leave their duals.  With
+    X the number of (chosen, leftover) column pairs with the chosen column
+    first and inv the number of (survivor, chosen) row pairs with the
+    survivor first, the value is
 
-        (-1)^(s*q + X + inv + u(u-1)/2) * sgn(rows)
+        sum_C (-1)^(s*q + X) * (wedge_{k in L} oddrow[k])
+              ^ sum_R (-1)^(inv + u(u-1)/2) * det a[R, C] * (survivor duals, ascending)
 
-    with s the family arity, q the number of leftover columns, X the number
-    of chosen/leftover column interleavings, inv the number of (survivor,
-    matched) row pairs out of order, u the number of surviving duals, and
-    sgn(rows) the parity of the chosen row sequence.  No contraction
-    machinery is involved, which makes this a genuine cross-check on the
-    partial-contraction evaluation.
+    where det a[R, C] is the Leibniz sum over the orderings of R against the
+    ascending columns of C.  The leftover wedge is built once per column
+    set and the bracket once per column set, one term per row set.  No
+    contraction machinery is involved, which makes this a genuine
+    cross-check on the partial-contraction evaluation.
     """
+    if not oddrow:
+        raise ValueError("bordered_minor_expansion needs at least one column")
     reg = oddrow[0].reg
     fam = reg.odd_family(rowfam)
     s = fam.arity
     n = len(oddrow)
+    entries = [[as_poly(reg, x) for x in row] for row in a]
+    duals = [reg.odd_rank(fam, i, dual=True) for i in range(1, s + 1)]
+    one = Poly.const(reg, 1)
     total = Element.zero(reg)
     for csize in range(min(s, n) + 1):
         for cols in itertools.combinations(range(n), csize):
-            colset = set(cols)
-            rest = [k for k in range(n) if k not in colset]
-            inter = sum(1 for kp in cols for k in rest if kp < k)
-            for rows in itertools.permutations(range(s), csize):
-                scalar = Poly.const(reg, 1)
-                for r, k in zip(rows, cols):
-                    scalar = scalar * as_poly(reg, a[r][k])
-                if scalar.is_zero:
+            rest = [k for k in range(n) if k not in cols]
+            left = Element.unit(reg)
+            for k in rest:
+                left = left * oddrow[k]
+            if left.is_zero:
+                continue
+            bracket = {}
+            for rows in itertools.combinations(range(s), csize):
+                minor = Poly.zero(reg)
+                for perm in itertools.permutations(rows):
+                    scalar = one
+                    for r, k in zip(perm, cols):
+                        scalar = scalar * entries[r][k]
+                    asc = sum(
+                        1 for i in range(csize) for j in range(i + 1, csize) if perm[i] > perm[j]
+                    )
+                    minor = minor + (-scalar if asc & 1 else scalar)
+                if minor.is_zero:
                     continue
-                chosen = set(rows)
-                survivors = [u for u in range(s) if u not in chosen]
-                inv = sum(1 for u in survivors for v in chosen if u < v)
-                asc = sum(
-                    1 for i in range(csize) for j in range(i + 1, csize) if rows[i] > rows[j]
-                )
+                survivors = [u for u in range(s) if u not in rows]
+                inv = sum(1 for u in survivors for v in rows if u < v)
                 u = len(survivors)
-                exponent = s * len(rest) + inter + inv + u * (u - 1) // 2 + asc
-                part = Element.unit(reg) * scalar
-                for k in rest:
-                    part = part * oddrow[k]
-                part = part * Element.word(
-                    reg, [reg.odd_rank(fam, i + 1, dual=True) for i in survivors]
-                )
-                total = total + (-part if exponent & 1 else part)
+                odd = (inv + u * (u - 1) // 2) & 1
+                bracket[tuple(duals[i] for i in survivors)] = -minor if odd else minor
+            part = left * Element(reg, bracket)
+            inter = sum(1 for kp in cols for k in rest if kp < k)
+            total = total + (-part if (s * len(rest) + inter) & 1 else part)
     return total
 
 

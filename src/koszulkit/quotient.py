@@ -387,8 +387,12 @@ def mul_matrix(gb: GroebnerBasis, qb: QuotientBasis, j: int):
     index = {m: i for i, m in enumerate(qb.monomials)}
     mat = [[Fraction(0)] * d for _ in range(d)]
     for col, m in enumerate(qb.monomials):
-        prod = Poly(reg, {mono_mul(m, ((g, 1),)): Fraction(1)})
-        nf, _ = reduce_with_cofactors(prod, gb)
+        shifted = mono_mul(m, ((g, 1),))
+        if shifted in index:
+            # a staircase monomial is its own normal form: a unit column
+            mat[index[shifted]][col] = Fraction(1)
+            continue
+        nf, _ = reduce_with_cofactors(Poly(reg, {shifted: Fraction(1)}), gb)
         for mono, c in nf.terms.items():
             mat[index[mono]][col] = c
     return mat

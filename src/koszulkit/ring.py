@@ -251,7 +251,8 @@ class Poly:
 
     @classmethod
     def const(cls, reg: FamilyRegistry, c) -> "Poly":
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         return cls(reg, {MONO_ONE: c} if c else {})
 
     @classmethod

@@ -7,7 +7,9 @@ unscaled rungs of the benchmark's dual-element ladder (``cube3.txt``,
 the CLI fuzz found slow (``posdim3.txt``); the expected stdout of each
 command sits next to them in ``tests/golden``.  ``verify thm3 --seed 586795`` is pinned in full, since its
 seven ``homotopic`` reports render the witnesses the linear solver picks.
-The full ``verify all --seed 42`` report is pinned by its sha256.
+The full ``verify all --seed 42`` report is pinned by its sha256, as are
+``verify all`` at seeds 1, 7 and 201 and ``verify lemma1`` at n = s = t = 4,
+whose s = 4 lies outside ``verify all``.
 """
 
 import hashlib
@@ -21,6 +23,16 @@ from koszulkit.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 VERIFY_ALL_SEED42_SHA256 = "9fdc0aa85a42a3e6553202b9a4d6c79626f2cf0e4e0e04fef7475a49f86256c6"
+
+VERIFY_STDOUT_SHA256 = [
+    (["all", "--seed", "1"], "96644ec1c9873d4b79d52c5fb5b07003d1218fbb60b565230e80f7a9fee0cf62"),
+    (["all", "--seed", "7"], "9ac3615a1b9ec9faa9192648d609c0ae7661bca1f147ff291f7faa6dcb8a6e32"),
+    (["all", "--seed", "201"], "378b74fbffcad2cd5625b2599f0515d323a4fdd3693ed342924a2bd01d1f3dfe"),
+    (
+        ["lemma1", "--n", "4", "--s", "4", "--t", "4", "--count", "5", "--seed", "42"],
+        "fde4bf5282efc1c0c362ae73946bd25ddbcd2cf91afb0b06471fd0d9ed183df1",
+    ),
+]
 
 CASES = [
     ("sys", ["dual-element"], "sys.dual-element.json"),
@@ -63,6 +75,14 @@ def test_verify_all_seed42_digest(capsys, monkeypatch):
     assert main(["verify", "all", "--seed", "42"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SEED42_SHA256
+
+
+@pytest.mark.parametrize("argv, digest", VERIFY_STDOUT_SHA256)
+def test_verify_digests(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
+    assert main(["verify", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_thm3_witnesses_match_recording(capsys, monkeypatch):

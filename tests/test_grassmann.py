@@ -8,7 +8,9 @@ Oracles, defined before anything that uses them:
   transgression_det;
 - ``_renaming_bot_contract``, the earlier renaming-kernel evaluation of the
   partial contraction, for the closed-form ``bot_contract``;
-- ``koszul.bordered_minor_expansion`` for ``bordered_det`` on random shapes.
+- ``koszul.bordered_minor_expansion`` for ``bordered_det`` on random shapes;
+- ``_pair_loop_mul``, the earlier ``Element.__mul__`` that built one ``Poly``
+  product per word pair, for the accumulating product kernel.
 """
 
 import itertools
@@ -32,7 +34,10 @@ from koszulkit.grassmann import (
     transgression_det,
 )
 from koszulkit.koszul import bordered_minor_expansion
-from koszulkit.ring import FamilyRegistry, Poly, divided_diff
+from koszulkit.ring import FamilyRegistry, Poly, accumulate, as_poly, divided_diff
+
+
+ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
 
 def parity_oracle(seq):
@@ -97,6 +102,29 @@ def _renaming_bot_contract(fam, e: Element) -> Element:
         terms[w] = c if sign > 0 else -c
     renamed = Element(reg, terms)
     return top_contract(aux, renamed * grassmann_exp(pairs))
+
+
+def _pair_loop_mul(self, other) -> Element:
+    """The earlier ``Element.__mul__``: one ``Poly`` product (and, for an odd
+    merge, its negated copy) per surviving word pair, summed word by word."""
+    if isinstance(other, (int, Fraction, Poly)):
+        factor = as_poly(self.reg, other)
+        if factor.is_zero:
+            return Element.zero(self.reg)
+        return Element(self.reg, {w: c * factor for w, c in self.terms.items()})
+    if not isinstance(other, Element):
+        return NotImplemented
+    if other.reg is not self.reg:
+        raise ValueError("elements built over different registries")
+    acc: dict = {}
+    for w1, c1 in self.terms.items():
+        for w2, c2 in other.terms.items():
+            sign, w = merge_words(w1, w2)
+            if w is None:
+                continue
+            c = c1 * c2
+            accumulate(acc, w, c if sign > 0 else -c)
+    return Element(self.reg, acc)
 
 
 def setup_fg(arity_f=2, arity_g=2, nvars=2):
@@ -192,6 +220,65 @@ class TestWedge:
         b = Element.generator(reg, f.dual_ranks()[1])
         assert (a * p) * b == p * (a * b)
         assert a * (p * b) == (p * a) * b
+
+
+@st.composite
+def product_cases(draw):
+    """(a, b) over two odd families f, g and variables x1, x2.
+
+    Words mix primals and duals of both families, so merges share ranks;
+    coefficients have up to three terms in x1, x2 with signed rational
+    values.  Half the time both operands carry the same odd element z (or z
+    times a polynomial), so z ^ z forces whole words to cancel."""
+    reg = FamilyRegistry()
+    x = reg.commuting("x", 2)
+    reg.odd("f", draw(st.integers(1, 2)))
+    reg.odd("g", draw(st.integers(1, 2)))
+    ranks = list(range(reg.num_ranks))
+
+    def coeff():
+        c = Poly.zero(reg)
+        for _ in range(draw(st.integers(1, 3))):
+            term = Poly.const(reg, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+            for i in (1, 2):
+                term = term * Poly.gen(reg, x, i) ** draw(st.integers(0, 2))
+            c = c + term
+        return c
+
+    def element(max_len):
+        e = Element.zero(reg)
+        for _ in range(draw(st.integers(0, 4))):
+            word = draw(st.lists(st.sampled_from(ranks), unique=True, max_size=max_len))
+            e = e + Element.word(reg, word) * coeff()
+        return e
+
+    a, b = element(3), element(3)
+    if draw(st.booleans()):
+        z = element(1)
+        a = a + z
+        b = b + z * coeff()
+    return a, b
+
+
+class TestElementProductOracle:
+    @ORACLE
+    @given(product_cases())
+    def test_kernel_matches_pair_loop(self, case):
+        a, b = case
+        for left, right in ((a, b), (b, a)):
+            got = left * right
+            want = _pair_loop_mul(left, right)
+            assert got == want
+            assert render_element(got) == render_element(want)
+
+    def test_square_of_odd_element_cancels_every_word(self):
+        reg, x, f, g = setup_fg()
+        p = Poly.gen(reg, x, 1) - Poly.gen(reg, x, 2) + 3
+        z = Element.generator(reg, f.primal_ranks()[0]) * p + Element.generator(
+            reg, g.dual_ranks()[1]
+        ) * (p * p)
+        assert (z * z).terms == {}
+        assert _pair_loop_mul(z, z).terms == {}
 
 
 class TestTopContract:
@@ -353,9 +440,6 @@ class TestBotContract:
         for _ in range(40):
             e = rand_element(rng, reg, ranks, gens)
             assert bot_contract(f, bot_contract(g, e)) == bot_contract(g, bot_contract(f, e))
-
-
-ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
 
 @st.composite

@@ -3,9 +3,12 @@
 The witness search shifts each word's boundary by monomials; its system must
 equal, column for column and row for row, the one ``_per_basis_system`` builds
 from the boundary of every basis element m*w taken in full, the earlier
-column build kept here as an oracle.
+column build kept here as an oracle.  Lemma 1's Laplace-form minor expansion
+must equal ``_permutation_minor_expansion``, the earlier expansion that
+wedged the leftover odd entries once per row permutation.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from koszulkit.koszul import (
     DomainError,
     NotCocycleError,
     UnassignedFamilyError,
+    bordered_minor_expansion,
     boundary,
     homotopy_witness,
     infer_dual_families,
@@ -31,7 +35,7 @@ from koszulkit.koszul import (
     verify_theorem1,
     verify_theorem2,
 )
-from koszulkit.ring import FamilyRegistry, Poly, parse_poly
+from koszulkit.ring import FamilyRegistry, Poly, as_poly, parse_poly
 
 
 def simple_setup():
@@ -122,6 +126,19 @@ class TestBoundary:
             tagged = ComplexElement(e, infer_dual_families(e))
             assert boundary(ba, e) == boundary(ba, tagged).element
 
+    def test_cached_dual_multiplier_stays_out_of_equality_and_repr(self):
+        """The dual multiplier is cached per dual-family set on the assignment;
+        a fresh assignment gives the same boundaries and compares and prints
+        the same as one that has cached both sets."""
+        reg, ba = simple_setup()
+        fresh = BoundaryAssignment(reg, ba.images)
+        a1 = Element.generator(reg, reg.odd_rank("a", 1, dual=True))
+        b2 = Element.generator(reg, reg.odd_rank("b", 2, dual=True))
+        for e in (a1, a1 + b2, b2, a1):
+            assert boundary(ba, e) == boundary(BoundaryAssignment(reg, ba.images), e)
+        assert ba == fresh
+        assert repr(ba) == repr(fresh)
+
     def test_unassigned_family_rejected(self):
         reg, _ = simple_setup()
         ba = BoundaryAssignment(reg, {"a": [Poly.variable(reg, 0), Poly.variable(reg, 1)]})
@@ -209,6 +226,124 @@ class TestKernelsAndMaps:
         )
         out = theorem1_map("mult_dual_det", c, Fx)
         assert not any(Fx.owns_rank(r) for r in out.element.support_ranks())
+
+
+def _permutation_minor_expansion(a, oddrow, rowfam) -> Element:
+    """The earlier lemma 1 oracle: one wedge per row *permutation*.
+
+    Independent evaluation of the bordered determinant by minor expansion.
+
+    Sums over choices of which columns take scalar-row entries (an injection
+    into the rows); each choice contributes the product of the chosen scalar
+    entries, the wedge of the leftover odd-row entries, the wedge of the
+    unmatched row duals, and an explicit sign:
+
+        (-1)^(s*q + X + inv + u(u-1)/2) * sgn(rows)
+
+    with s the family arity, q the number of leftover columns, X the number
+    of chosen/leftover column interleavings, inv the number of (survivor,
+    matched) row pairs out of order, u the number of surviving duals, and
+    sgn(rows) the parity of the chosen row sequence.  No contraction
+    machinery is involved, which makes this a genuine cross-check on the
+    partial-contraction evaluation.
+    """
+    reg = oddrow[0].reg
+    fam = reg.odd_family(rowfam)
+    s = fam.arity
+    n = len(oddrow)
+    total = Element.zero(reg)
+    for csize in range(min(s, n) + 1):
+        for cols in itertools.combinations(range(n), csize):
+            colset = set(cols)
+            rest = [k for k in range(n) if k not in colset]
+            inter = sum(1 for kp in cols for k in rest if kp < k)
+            for rows in itertools.permutations(range(s), csize):
+                scalar = Poly.const(reg, 1)
+                for r, k in zip(rows, cols):
+                    scalar = scalar * as_poly(reg, a[r][k])
+                if scalar.is_zero:
+                    continue
+                chosen = set(rows)
+                survivors = [u for u in range(s) if u not in chosen]
+                inv = sum(1 for u in survivors for v in chosen if u < v)
+                asc = sum(
+                    1 for i in range(csize) for j in range(i + 1, csize) if rows[i] > rows[j]
+                )
+                u = len(survivors)
+                exponent = s * len(rest) + inter + inv + u * (u - 1) // 2 + asc
+                part = Element.unit(reg) * scalar
+                for k in rest:
+                    part = part * oddrow[k]
+                part = part * Element.word(
+                    reg, [reg.odd_rank(fam, i + 1, dual=True) for i in survivors]
+                )
+                total = total + (-part if exponent & 1 else part)
+    return total
+
+
+def _expansion_inputs(rng, n, s, t, poly_entries):
+    """A random s x n scalar matrix and an n-entry odd row over t generators
+    of a family g (t = 0: a zero odd row), entries Fractions or, with
+    ``poly_entries``, polynomials of degree <= 1 in x1, x2."""
+    reg = FamilyRegistry()
+    x = reg.commuting("x", 2)
+    f = reg.odd("f", s)
+    g = reg.odd("g", t) if t else None
+
+    def entry():
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if not poly_entries:
+            return c
+        return c + Poly.gen(reg, x, 1) * rng.randint(-2, 2) + Poly.gen(reg, x, 2) * rng.randint(-1, 1)
+
+    a = [[entry() for _ in range(n)] for _ in range(s)]
+    oddrow = []
+    for _ in range(n):
+        e = Element.zero(reg)
+        for j in range(1, t + 1):
+            e = e + Element.generator(reg, reg.odd_rank(g, j)) * as_poly(reg, entry())
+        oddrow.append(e)
+    return a, oddrow, f
+
+
+class TestMinorExpansionOracle:
+    @pytest.mark.parametrize("poly_entries", [False, True])
+    def test_laplace_form_matches_permutation_expansion(self, poly_entries):
+        rng = random.Random(4114 + poly_entries)
+        for n, s, t in itertools.product(range(1, 5), range(1, 5), range(0, 5)):
+            a, oddrow, f = _expansion_inputs(rng, n, s, t, poly_entries)
+            got = bordered_minor_expansion(a, oddrow, f)
+            assert got == _permutation_minor_expansion(a, oddrow, f), (n, s, t)
+
+    def test_singular_square_block_cancels(self):
+        """Two equal scalar rows: every full minor cancels inside its Leibniz sum."""
+        reg = FamilyRegistry()
+        f = reg.odd("f", 2)
+        g = reg.odd("g", 1)
+        a = [[1, 2], [1, 2]]
+        oddrow = [Element.zero(reg), Element.generator(reg, reg.odd_rank(g, 1))]
+        got = bordered_minor_expansion(a, oddrow, f)
+        assert got == _permutation_minor_expansion(a, oddrow, f)
+        assert all(len(w) == 2 for w in got.terms)
+
+    def test_uses_no_contraction(self, monkeypatch):
+        """The oracle stays independent of the contraction route."""
+        from koszulkit import grassmann
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("contraction called")
+
+        for mod in (koszul, grassmann):
+            for name in ("bot_contract", "top_contract", "bordered_det"):
+                monkeypatch.setattr(mod, name, refuse)
+        a, oddrow, f = _expansion_inputs(random.Random(4116), 3, 3, 2, True)
+        assert bordered_minor_expansion(a, oddrow, f) == _permutation_minor_expansion(a, oddrow, f)
+
+    def test_empty_odd_row_is_a_value_error(self):
+        reg = FamilyRegistry()
+        f = reg.odd("f", 2)
+        with pytest.raises(ValueError, match="needs at least one column"):
+            bordered_minor_expansion([[], []], [], f)
 
 
 class TestLemmaVerifiers:

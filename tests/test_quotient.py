@@ -23,7 +23,15 @@ from koszulkit.quotient import (
     reduce_with_cofactors,
     source_cofactors,
 )
-from koszulkit.ring import FamilyRegistry, Mono, Poly, mono_degree, mono_divide, parse_poly
+from koszulkit.ring import (
+    FamilyRegistry,
+    Mono,
+    Poly,
+    mono_degree,
+    mono_divide,
+    mono_mul,
+    parse_poly,
+)
 
 
 def setup(n=2):
@@ -221,6 +229,33 @@ class TestMulMatrixAndAnnihilators:
         qb = quotient_basis(gb)
         m = mul_matrix(gb, qb, 1)
         assert m == [[0, 0], [1, 0]]
+
+    def test_columns_are_normal_forms_of_shifted_staircase(self):
+        """Column m holds NF(x_j * m), reduced in full for every monomial:
+        unit columns for shifts that stay on the staircase, reduced border
+        monomials otherwise."""
+        rng = random.Random(1402)
+        reg, _ = setup()
+        units = border = 0
+        for _ in range(6):
+            gb = groebner(rand_zero_dim_system(rng, reg, [0, 1]))
+            qb = quotient_basis(gb)
+            index = {m: i for i, m in enumerate(qb.monomials)}
+            for j in (1, 2):
+                mat = mul_matrix(gb, qb, j)
+                g = reg.comm_gen("x", j)
+                for col, m in enumerate(qb.monomials):
+                    shifted = mono_mul(m, ((g, 1),))
+                    nf, _ = reduce_with_cofactors(Poly(reg, {shifted: Fraction(1)}), gb)
+                    want = [Fraction(0)] * len(qb)
+                    for mono, c in nf.terms.items():
+                        want[index[mono]] = c
+                    assert [row[col] for row in mat] == want
+                    if shifted in index:
+                        units += 1
+                    else:
+                        border += 1
+        assert units and border
 
     def test_charpoly_single_variable(self):
         reg, names = setup(1)
