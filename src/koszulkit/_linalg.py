@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
-``solve`` is the sparse solver behind the homotopy-witness search and the
-minimal polynomials of multiplication matrices: its systems are a few hundred
-rows and columns at 0.2-5% fill, so it works on dict rows with a column index,
-picks fewest-nonzeros pivots (LaMacchia-Odlyzko, 1990) and eliminates
-fraction-free on integer rows (as in Bareiss, 1968), with ``Fraction`` only in
-back-substitution.  ``inverse``, for the reduced Bezoutian of a quotient ring,
-pivots the same way over ``Fraction``.  ``charpoly`` and the matrix helpers
-work over ``Fraction`` on small dense lists of lists (quotient dimensions).
+``solve`` is the sparse solver behind the homotopy-witness search: its
+systems are a few hundred rows and columns at 0.2-5% fill, so it works on
+dict rows with a column index, picks fewest-nonzeros pivots (LaMacchia-
+Odlyzko, 1990) and eliminates fraction-free on integer rows (as in Bareiss,
+1968), with ``Fraction`` only in back-substitution.  ``inverse``, for the
+reduced Bezoutian of a quotient ring, pivots the same way over ``Fraction``.
+``charpoly`` works over ``Fraction`` on a small dense list of lists (a
+multiplication matrix of the quotient ring).
 """
 
 from __future__ import annotations
@@ -16,31 +16,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .ring import accumulate
-
-
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b) -> list[list[Fraction]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            f = ai[k]
-            if not f:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] += f * bk[j]
-    return out
-
-
-def mat_vec(a, v) -> list[Fraction]:
-    return [sum((row[k] * v[k] for k in range(len(v)) if v[k]), Fraction(0)) for row in a]
 
 
 def solve(cols, rhs, nrows) -> list[Fraction] | None:
@@ -212,13 +187,3 @@ def charpoly(mat) -> list[Fraction]:
         minors.append(cur)
     return minors[n]
 
-
-def poly_at_matrix(coeffs, mat) -> list[list[Fraction]]:
-    """Evaluate a scalar polynomial (ascending coefficients) at a square matrix."""
-    n = len(mat)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for c in reversed(list(coeffs)):
-        acc = mat_mul(acc, mat)
-        for i in range(n):
-            acc[i][i] += c
-    return acc

@@ -97,14 +97,15 @@ def _check_degree_bound(bound):
 
 def parse_system_file(text: str) -> SystemFile:
     """Line-oriented grammar: ``vars:``, ``f:``, optional ``F:``, ``G:``,
-    ``order:``, ``degree-bound:``, ``seed:``.  ``#`` starts a comment."""
+    ``order:``, ``degree-bound:``, ``seed:``; ``_`` in a key reads as ``-``.
+    ``#`` starts a comment."""
     fields: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, rest = line.partition(":")
-        key = key.strip()
+        key = key.strip().replace("_", "-")
         if not sep or not key:
             raise ValueError(f"expected 'key: value', got {raw.strip()!r}")
         if key in fields:
@@ -136,9 +137,8 @@ def parse_system_file(text: str) -> SystemFile:
         if order not in ("grevlex", "lex"):
             raise ValueError(f"unknown order {order!r}")
         out.order = order
-    for key in ("degree-bound", "degree_bound"):
-        if key in fields:
-            out.degree_bound = _check_degree_bound(int(fields.pop(key)))
+    if "degree-bound" in fields:
+        out.degree_bound = _check_degree_bound(int(fields.pop("degree-bound")))
     if "seed" in fields:
         out.seed = int(fields.pop("seed"))
     if fields:

@@ -25,7 +25,6 @@ from .grassmann import (
     bordered_det,
     column,
     grassmann_exp,
-    merge_words,
     render_element,
     top_contract,
     transgression_det,
@@ -648,40 +647,6 @@ def _pipeline_registry(n: int, s: int, t: int | None = None) -> FamilyRegistry:
     return reg
 
 
-def _kernel_image(Gmat, L: FunctionalElement, fxfam, Fxfam) -> FunctionalElement:
-    """Apply the bordered-determinant kernel of G to a functional element.
-
-    Computes the partial contraction over the commuting family of the full
-    contraction over ``Fxfam`` of det(G bordered by -Fx row) times L: the
-    full contraction against L's empty-word functional keeps exactly the
-    terms free of ``Fxfam``, and the commuting contraction attaches
-    multipliers adjointly.
-    """
-    reg = L.reg
-    Fxfam = reg.odd_family(Fxfam)
-    oddrow = [
-        -Element.generator(reg, reg.odd_rank(Fxfam, j))
-        for j in range(1, Fxfam.arity + 1)
-    ]
-    bd = bordered_det(Gmat, oddrow, fxfam)
-    comps: dict[tuple, Poly] = {}
-    for w, c in bd.terms.items():
-        if any(Fxfam.owns_rank(r) for r in w):
-            continue
-        for wl, ml in L.comps.items():
-            word = w
-            mult = c * ml
-            if wl:
-                sign, merged = merge_words(word, wl)
-                if merged is None:
-                    continue
-                word = merged
-                if sign < 0:
-                    mult = -mult
-            accumulate(comps, word, mult)
-    return FunctionalElement(L.functional, L.odd_family, comps)
-
-
 def _derivative(p: Poly, g: int) -> Poly:
     """The partial derivative of p in the generator g."""
     out: dict = {}
@@ -754,9 +719,14 @@ def _det_g_element(Gmat, l: ProductFunctional) -> FunctionalElement:
     """
     reg = l.reg
     n, s = len(l.funcs), len(Gmat)
-    L = FunctionalElement(l, "fx", {(): Poly.const(reg, 1)})
-    e = _kernel_image(Gmat, L, reg.odd_family("fx"), "Fx")
-    direct = bordered_det(Gmat, [Element.zero(reg)] * n, reg.odd_family("fx"))
+    fx, Fx = reg.odd_family("fx"), reg.odd_family("Fx")
+    # the kernel route: the full contraction over Fx against l's unit on the
+    # empty word keeps exactly the terms of det(G bordered by -Fx) free of Fx
+    oddrow = [-Element.generator(reg, reg.odd_rank(Fx, j)) for j in range(1, Fx.arity + 1)]
+    kernel = bordered_det(Gmat, oddrow, fx).terms
+    free = {w: c for w, c in kernel.items() if not any(Fx.owns_rank(r) for r in w)}
+    e = FunctionalElement(l, "fx", free)
+    direct = bordered_det(Gmat, [Element.zero(reg)] * n, fx)
     if e != FunctionalElement(l, "fx", dict(direct.terms)):
         raise AssertionError("the two stated forms of the dual element disagree")
     # Each word of e holds the k = s - n duals the bordered determinant
@@ -915,7 +885,7 @@ def verify_theorem4(f, bound=None, instance: str = ""):
 # embedded systems
 
 
-def theorem3_compare(f, F, G, bound=None, functional=None) -> IdentityReport:
+def theorem3_compare(f, F, G, bound=None) -> IdentityReport:
     """Exactness and homotopy comparison for an embedded system F = f.G.
 
     Checks the stated equality between the contraction of the exponential
@@ -923,9 +893,7 @@ def theorem3_compare(f, F, G, bound=None, functional=None) -> IdentityReport:
     determinant; the two cocycle facts; and the homotopy claim relating the
     mixed determinant to the pairing through f's transgression, producing a
     verified witness when the sides differ.  ``G`` is an s x t matrix over
-    the same variables as f.  When ``functional`` is given (a functional
-    element over this module's pipeline registry), the kernel image of G
-    against it is also required to be a cocycle.
+    the same variables as f.
     """
     if not f or not F:
         raise ValueError("need nonempty systems")
@@ -972,19 +940,6 @@ def theorem3_compare(f, F, G, bound=None, functional=None) -> IdentityReport:
     bb = bordered_det(GY, [-gen(Fy, j + 1) for j in range(t)], fy)
     if not boundary(ba, ComplexElement(bb, frozenset({"fy"}))).element.is_zero:
         parts.append("bordered determinant is not closed")
-
-    if functional is not None:
-        freg = functional.reg
-        ffx = freg.odd_family(functional.odd_family)
-        if ffx.arity != s:
-            raise ValueError("functional's odd family does not match the system size")
-        fFx = freg.odd_family("Fx")
-        if fFx.arity != t:
-            raise ValueError("functional registry's auxiliary family does not match F")
-        fba = BoundaryAssignment(freg, {ffx.name: lift(f, freg, "x")})
-        img = _kernel_image([lift(row, freg, "x") for row in G], functional, ffx, fFx)
-        if not img.boundary(fba).is_zero():
-            parts.append("kernel image of the supplied functional is not closed")
 
     if parts:
         return IdentityReport("theorem3", "", "failed", detail="; ".join(parts))

@@ -211,10 +211,9 @@ def _element_boundary(ba: BoundaryAssignment, elem: Element, dual_families) -> E
 def boundary(ba: BoundaryAssignment, e):
     """Apply the boundary; the result has the same shape as the input.
 
-    Accepts a ComplexElement (explicit dual-role tags), a bare Element (tags
-    inferred as the families whose duals occur), or any object exposing a
-    ``boundary`` method and a ``functional`` attribute (the functional-side
-    elements of the dual_element module dispatch through their own rule).
+    Accepts a ComplexElement (explicit dual-role tags) or a bare Element
+    (tags inferred as the families whose duals occur); a functional element
+    of the dual_element module takes its boundary by its own method.
     """
     if isinstance(e, ComplexElement):
         return ComplexElement(
@@ -222,8 +221,6 @@ def boundary(ba: BoundaryAssignment, e):
         )
     if isinstance(e, Element):
         return _element_boundary(ba, e, infer_dual_families(e))
-    if hasattr(e, "functional") and hasattr(e, "boundary"):
-        return e.boundary(ba)
     raise TypeError(f"cannot take the boundary of {type(e).__name__}")
 
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import charpoly, identity_matrix, mat_mul, solve
+from ._linalg import charpoly
 from .ring import (
     FamilyRegistry,
     Mono,
@@ -63,7 +63,9 @@ def order_key(order: str, fam):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced basis with cofactors: basis[k] = sum_i source[i] * cofactors[k][i]."""
+    """Reduced basis with cofactors: basis[k] = sum_i source[i] * cofactors[k][i].
+
+    ``leads[k]`` is the leading monomial of ``basis[k]`` in the order."""
 
     reg: FamilyRegistry
     family: str
@@ -71,13 +73,10 @@ class GroebnerBasis:
     source: tuple
     basis: tuple
     cofactors: tuple
+    leads: tuple
 
     def key(self):
         return order_key(self.order, self.reg.comm_family(self.family))
-
-    def leading_monomials(self) -> list[Mono]:
-        key = self.key()
-        return [max(g.terms, key=key) for g in self.basis]
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,13 @@ def _heap_key(k: tuple) -> tuple:
     return tuple(out)
 
 
-def _reduce(p: Poly, polys, key, sugars=None, sugar=None):
+def _reduce(p: Poly, polys, leads, key, sugars=None, sugar=None):
     """Divide ``p`` by the list, returning (normal form, quotients, sugar).
 
-    Deterministic: at each step the order-largest monomial of the remainder
-    is cancelled against the first entry of ``polys`` whose leading monomial
-    divides it, or moved to the normal form when none does.
+    ``leads[k]`` is the leading monomial of ``polys[k]``.  Deterministic: at
+    each step the order-largest monomial of the remainder is cancelled
+    against the first entry of ``polys`` whose leading monomial divides it,
+    or moved to the normal form when none does.
 
     Heap division: the remainder is one dict updated in place, and its
     monomials sit in a min-heap of negated order keys, each key computed
@@ -133,10 +133,10 @@ def _reduce(p: Poly, polys, key, sugars=None, sugar=None):
 
     heap = [heap_entry(m) for m in h]
     heapq.heapify(heap)
-    divisors = []
-    for g in polys:
-        gm = max(g.terms, key=key)
-        divisors.append((gm, g.terms[gm], [(m, -c) for m, c in g.terms.items() if m != gm]))
+    divisors = [
+        (gm, g.terms[gm], [(m, -c) for m, c in g.terms.items() if m != gm])
+        for g, gm in zip(polys, leads)
+    ]
     quotients: list[dict] = [{} for _ in polys]
     nf: dict[Mono, Fraction] = {}
     track_sugar = sugars is not None and sugar is not None
@@ -265,7 +265,7 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
         sug = max(sugars[i] + mono_degree(ui), sugars[j] + mono_degree(uj))
         if sp.is_zero:
             continue
-        nf, quots, sug = _reduce(sp, polys, key, sugars, sug)
+        nf, quots, sug = _reduce(sp, polys, leads, key, sugars, sug)
         for q, cof in zip(quots, cofs):
             if q.is_zero:
                 continue
@@ -295,35 +295,31 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
     cofs = [cofs[i] for i in keep]
     leads = [leads[i] for i in keep]
 
-    # interreduce tails against the rest, to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1 :]
-            other_cofs = cofs[:i] + cofs[i + 1 :]
-            nf, quots, _ = _reduce(polys[i], others, key)
-            if nf != polys[i]:
-                cof = cofs[i]
-                for q, oc in zip(quots, other_cofs):
-                    if q.is_zero:
-                        continue
-                    cof = [a - q * b for a, b in zip(cof, oc)]
-                polys[i] = nf
-                cofs[i] = cof
-                changed = True
+    # interreduce tails against the rest: one pass suffices, since each
+    # tail is reduced in full against leads that no pass changes
+    for i in range(len(polys)):
+        others = polys[:i] + polys[i + 1 :]
+        other_cofs = cofs[:i] + cofs[i + 1 :]
+        nf, quots, _ = _reduce(polys[i], others, leads[:i] + leads[i + 1 :], key)
+        if nf != polys[i]:
+            cof = cofs[i]
+            for q, oc in zip(quots, other_cofs):
+                if q.is_zero:
+                    continue
+                cof = [a - q * b for a, b in zip(cof, oc)]
+            polys[i] = nf
+            cofs[i] = cof
 
     # interreduction keeps each leading monomial: no other lead divides it
     by_lead = sorted(range(len(polys)), key=lambda i: key(leads[i]))
-    polys = [polys[i] for i in by_lead]
-    cofs = [cofs[i] for i in by_lead]
     return GroebnerBasis(
         reg,
         fam.name,
         order,
         tuple(f),
-        tuple(polys),
-        tuple(tuple(c) for c in cofs),
+        tuple(polys[i] for i in by_lead),
+        tuple(tuple(cofs[i]) for i in by_lead),
+        tuple(leads[i] for i in by_lead),
     )
 
 
@@ -331,7 +327,7 @@ def reduce_with_cofactors(p: Poly, gb: GroebnerBasis) -> tuple[Poly, list[Poly]]
     """Normal form plus quotients: p = nf + sum_k basis[k] * cof[k]."""
     if p.is_zero:
         return p, [Poly.zero(p.reg) for _ in gb.basis]
-    nf, quots, _ = _reduce(p, list(gb.basis), gb.key())
+    nf, quots, _ = _reduce(p, gb.basis, gb.leads, gb.key())
     return nf, quots
 
 
@@ -352,7 +348,7 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
     reg = gb.reg
     fam = reg.comm_family(gb.family)
     key = gb.key()
-    leads = gb.leading_monomials()
+    leads = gb.leads
     if any(m == () for m in leads):
         return QuotientBasis(())
     caps = []
@@ -398,47 +394,19 @@ def mul_matrix(gb: GroebnerBasis, qb: QuotientBasis, j: int):
     return mat
 
 
-def _minimal_coeffs(mat) -> list[Fraction]:
-    """Monic minimal polynomial of a square matrix, ascending coefficients."""
-    d = len(mat)
-    if d == 0:
-        return [Fraction(1)]
-
-    def flatten(m):
-        return {i * d + j: v for i in range(d) for j, v in enumerate(m[i]) if v}
-
-    cur = identity_matrix(d)
-    seen = [flatten(cur)]
-    for _ in range(d):
-        nxt = mat_mul(mat, cur)
-        target = flatten(nxt)
-        sol = solve(seen, target, d * d)
-        if sol is not None:
-            return [-c for c in sol] + [Fraction(1)]
-        seen.append(target)
-        cur = nxt
-    raise AssertionError("no annihilator up to the matrix dimension")
-
-
-def charpoly_T(gb: GroebnerBasis, j: int, mode: str = "char", mat=None) -> tuple[Poly, list[Poly]]:
+def charpoly_T(gb: GroebnerBasis, j: int, mat=None) -> tuple[Poly, list[Poly]]:
     """Monic annihilator T of the j-th coordinate plus cofactors over the source.
 
-    ``mode='char'`` (default) takes the characteristic polynomial of the
-    multiplication matrix, degree = quotient dimension; ``mode='minimal'``
-    takes its minimal polynomial.  Either way T(x_j) lies in the ideal and
-    the returned list G satisfies T(x_j) = sum_i source[i] * G[i] exactly.
-    ``mat`` is that matrix when the caller already has it (``mul_matrix``).
+    T is the characteristic polynomial of the multiplication matrix, of
+    degree the quotient dimension, so T(x_j) lies in the ideal; the returned
+    list G satisfies T(x_j) = sum_i source[i] * G[i] exactly.  ``mat`` is
+    that matrix when the caller already has it (``mul_matrix``).
     """
     reg = gb.reg
     fam = reg.comm_family(gb.family)
     if mat is None:
         mat = mul_matrix(gb, quotient_basis(gb), j)
-    if mode == "char":
-        coeffs = charpoly(mat)
-    elif mode == "minimal":
-        coeffs = _minimal_coeffs(mat)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    coeffs = charpoly(mat)
     g = reg.comm_gen(fam, j)
     T = Poly(reg, {(() if k == 0 else ((g, k),)): c for k, c in enumerate(coeffs) if c})
     nf, quots = reduce_with_cofactors(T, gb)

@@ -14,7 +14,6 @@ from koszulkit.ring import FamilyRegistry, Poly, divided_diff
 from koszulkit.grassmann import Element
 from koszulkit.koszul import BoundaryAssignment, ComplexElement, boundary, transport, _family_gmap
 from koszulkit.quotient import groebner, mul_matrix, quotient_basis
-from koszulkit._linalg import poly_at_matrix
 from koszulkit.dual_element import dual_element
 from koszulkit.cli import (
     main,
@@ -27,6 +26,8 @@ from koszulkit.cli import (
     suite_thm4,
     _pinned_thm4,
 )
+
+from dense_matrices import poly_at_matrix
 
 SEED = 12042
 

@@ -83,6 +83,11 @@ class TestSystemFileGrammar:
         with pytest.raises(ValueError):
             parse_system_file("vars: x\nf: x\nf: x^2\n")
 
+    def test_degree_bound_spellings_are_one_key(self):
+        assert parse_system_file("vars: x\nf: x\ndegree_bound: 5\n").degree_bound == 5
+        with pytest.raises(ValueError, match="duplicate key"):
+            parse_system_file("vars: x\nf: x\ndegree_bound: 2\ndegree-bound: 7\n")
+
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             parse_system_file("vars: x\nf: x\nmystery: 3\n")
@@ -204,6 +209,13 @@ class TestVerifyCommand:
         code = main(["verify", "thm3", "--file", str(path)])
         assert code == 2
         assert "degree bound" in capsys.readouterr().err
+
+    def test_both_degree_bound_spellings_in_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("vars: x\nf: x\nF: x^2\nG: [[x]]\ndegree_bound: 2\ndegree-bound: 7\n")
+        code = main(["verify", "thm3", "--file", str(path)])
+        assert code == 2
+        assert "duplicate key" in capsys.readouterr().err
 
     def test_file_rejected_for_matrix_suites(self, capsys, tmp_path):
         path = tmp_path / "sys.txt"

@@ -507,9 +507,10 @@ class TestFunctionalElementBoundary:
             dde = e.boundary(self.ba).boundary(self.ba)
             assert dde.comps == {}
 
-    def test_dispatch_through_boundary(self):
+    def test_module_boundary_rejects_functional_elements(self):
         e = FunctionalElement(self.l, "fx", {(self.d2,): Poly.const(self.reg, 1)})
-        assert boundary(self.ba, e).comps == e.boundary(self.ba).comps
+        with pytest.raises(TypeError):
+            boundary(self.ba, e)
 
     def test_zero_test_sees_through_the_recurrence(self):
         # -x tensor the full dual word kills every evaluation against
@@ -738,16 +739,6 @@ class TestTheorem3Compare:
         reg, x = one_var()
         with pytest.raises(ValueError):
             theorem3_compare([x], [x], [[Poly.const(reg, 1), x]])
-
-    def test_supplied_functional_is_checked(self):
-        reg, x = one_var()
-        f = [x, x * x]
-        e, cert = dual_element(f)
-        L = FunctionalElement(e.functional, "fx", {(): Poly.const(e.reg, 1)})
-        rep = theorem3_compare(
-            f, [x], [[Poly.const(reg, 1)], [Poly.zero(reg)]], functional=L
-        )
-        assert rep.status == "equal"
 
     def test_random_multiples(self):
         rng = random.Random(505)

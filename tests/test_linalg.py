@@ -19,16 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszulkit import koszul
-from koszulkit._linalg import (
-    charpoly,
-    identity_matrix,
-    inverse,
-    mat_mul,
-    mat_vec,
-    poly_at_matrix,
-    solve,
-)
+from koszulkit._linalg import charpoly, inverse, solve
 from koszulkit.cli import main
+
+from dense_matrices import identity_matrix, mat_mul, mat_vec, poly_at_matrix
 
 
 def _dense_solve(rows, rhs) -> list[Fraction] | None:

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from koszulkit._linalg import poly_at_matrix
 from koszulkit.quotient import (
     GroebnerBasis,
     NotZeroDimensional,
-    _minimal_coeffs,
     _reduce,
     charpoly_T,
     groebner,
@@ -32,6 +30,8 @@ from koszulkit.ring import (
     mono_mul,
     parse_poly,
 )
+
+from dense_matrices import poly_at_matrix
 
 
 def setup(n=2):
@@ -58,7 +58,7 @@ def spolys_reduce_to_zero(gb: GroebnerBasis):
     from koszulkit.ring import mono_divide, mono_lcm
 
     key = gb.key()
-    leads = gb.leading_monomials()
+    leads = gb.leads
     for i in range(len(gb.basis)):
         for j in range(i + 1, len(gb.basis)):
             lcm = mono_lcm(leads[i], leads[j])
@@ -190,7 +190,7 @@ class TestReduction:
         rng = random.Random(1302)
         reg, names = setup()
         gb = groebner(polys(reg, names, ["x1^3 - 1", "x2^2 - x1"]))
-        leads = gb.leading_monomials()
+        leads = gb.leads
         for _ in range(10):
             nf, _ = reduce_with_cofactors(rand_poly(rng, reg, [0, 1], 6), gb)
             for m in nf.terms:
@@ -291,24 +291,6 @@ class TestMulMatrixAndAnnihilators:
         T2, _ = charpoly_T(gb, 2)
         assert T2 == parse_poly(reg, "x2^4", names)
 
-    def test_minimal_mode_divides(self):
-        reg, names = setup()
-        gb = groebner(polys(reg, names, ["x1^2 - x2", "x2^2"]))
-        Tmin, Gmin = charpoly_T(gb, 2, mode="minimal")
-        assert Tmin == parse_poly(reg, "x2^2", names)
-        acc = Poly.zero(reg)
-        for fi, gi in zip(gb.source, Gmin):
-            acc = acc + fi * gi
-        assert acc == Tmin
-
-    def test_minimal_coeffs_of_small_matrices(self):
-        F = Fraction
-        assert _minimal_coeffs([]) == [F(1)]
-        diag = [[F(2), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(3)]]
-        assert _minimal_coeffs(diag) == [F(6), F(-5), F(1)]
-        jordan = [[F(2), F(1)], [F(0), F(2)]]
-        assert _minimal_coeffs(jordan) == [F(4), F(-4), F(1)]
-
     def test_cayley_hamilton_random(self):
         rng = random.Random(1401)
         reg, _ = setup()
@@ -383,18 +365,22 @@ DIVISION = settings(max_examples=200, derandomize=True, database=None, deadline=
 coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5))
 
 
+def monomials(n):
+    """Monomials in n variables with each exponent at most 2."""
+    return st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+        lambda exps: tuple((g, e) for g, e in enumerate(exps) if e)
+    )
+
+
 @st.composite
 def division_problems(draw):
     """(p, divisors, order, sugars, sugar) over 1-3 variables; divisors are
     not monic and may repeat."""
     n = draw(st.integers(1, 3))
     reg = REGS[n]
-    monos = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
-        lambda exps: tuple((g, e) for g, e in enumerate(exps) if e)
-    )
 
     def poly(min_size):
-        return st.dictionaries(monos, coefficients, min_size=min_size, max_size=5).map(
+        return st.dictionaries(monomials(n), coefficients, min_size=min_size, max_size=5).map(
             lambda terms: Poly(reg, terms)
         )
 
@@ -408,7 +394,8 @@ def division_problems(draw):
 
 def assert_same_division(p, divisors, order, sugars=None, sugar=None):
     key = order_key(order, p.reg.comm_family("x"))
-    nf, quots, sug = _reduce(p, divisors, key, sugars, sugar)
+    leads = [_leading(g, key)[0] for g in divisors]
+    nf, quots, sug = _reduce(p, divisors, leads, key, sugars, sugar)
     want_nf, want_quots, want_sug = _scan_reduce(p, divisors, key, sugars, sugar)
     assert nf == want_nf
     assert quots == want_quots
@@ -421,6 +408,34 @@ def assert_same_division(p, divisors, order, sugars=None, sugar=None):
 def test_heap_division_equals_scanning_division(problem):
     p, divisors, order, sugars, sugar = problem
     assert_same_division(p, divisors, order, sugars, sugar)
+
+
+@st.composite
+def small_systems(draw):
+    """(system, order): one to three polynomials in one to three variables,
+    exponents at most 2 per variable."""
+    n = draw(st.integers(1, 3))
+    reg = REGS[n]
+    poly = st.dictionaries(monomials(n), coefficients, min_size=1, max_size=3).map(
+        lambda terms: Poly(reg, terms)
+    )
+    return draw(st.lists(poly, min_size=1, max_size=3)), draw(st.sampled_from(["grevlex", "lex"]))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(small_systems())
+def test_basis_carries_its_leads_and_is_interreduced(problem):
+    """``leads[k]`` is the order-largest monomial of ``basis[k]``, and
+    dividing any basis element by the others leaves it unchanged."""
+    f, order = problem
+    gb = groebner(f, order=order, family="x")
+    key = gb.key()
+    assert gb.leads == tuple(_leading(g, key)[0] for g in gb.basis)
+    for k, g in enumerate(gb.basis):
+        others = gb.basis[:k] + gb.basis[k + 1 :]
+        nf, quots, _ = _reduce(g, others, gb.leads[:k] + gb.leads[k + 1 :], key)
+        assert nf == g
+        assert all(q.is_zero for q in quots)
 
 
 class TestHeapDivisionCases:
