@@ -152,8 +152,9 @@ class Element:
         if other.reg is not self.reg:
             raise ValueError("elements built over different registries")
         # every surviving word pair adds its signed coefficient products
-        # straight into one {word: {monomial: Fraction}} map; Polys are built
-        # once at the end, and words whose terms all cancelled are dropped
+        # straight into one {word: {monomial: coefficient}} map; Polys are
+        # built once at the end, and words whose terms all cancelled are
+        # dropped
         acc: dict[Word, dict] = {}
         right = [(w2, c2.terms.items()) for w2, c2 in other.terms.items()]
         for w1, c1 in self.terms.items():

@@ -9,9 +9,14 @@ the same registry compose without any renaming.
 
 Polynomials are sparse: a monomial is a tuple of ``(generator_index,
 exponent)`` pairs sorted by generator index with all exponents positive, and a
-polynomial maps monomials to nonzero :class:`fractions.Fraction` coefficients.
-All arithmetic is exact; nothing in this module (or the package) touches
-floating point.
+polynomial maps monomials to nonzero rational coefficients.  One coefficient
+rule holds where coefficients enter (``Poly.const``, and through it the
+parser, ``as_poly`` and every constant; ``Poly.variable``): a coefficient is an
+``int`` when it is integral and a :class:`fractions.Fraction` otherwise, never
+a float or a bool.  Sums and products of ``int`` coefficients then stay
+``int``, so integral inputs never pay for ``Fraction`` arithmetic.  All
+arithmetic is exact; nothing in this module (or the package) touches floating
+point.
 """
 
 from __future__ import annotations
@@ -178,9 +183,9 @@ class FamilyRegistry:
 def accumulate(acc: dict, key, value) -> None:
     """Add a nonzero ``value`` into ``acc[key]``, dropping the key at zero.
 
-    The one accumulate-and-prune idiom of the package, for Fraction and Poly
-    values alike: a new key stores ``value`` itself, so no zero is built and
-    no addition is made.
+    The one accumulate-and-prune idiom of the package, for coefficients and
+    Poly values alike: a new key stores ``value`` itself, so no zero is built
+    and no addition is made.
     """
     old = acc.get(key)
     if old is None:
@@ -243,7 +248,7 @@ class Poly:
 
     def __init__(self, reg: FamilyRegistry, terms: dict | None = None):
         self.reg = reg
-        self.terms: dict[Mono, Fraction] = terms if terms is not None else {}
+        self.terms: dict[Mono, int | Fraction] = terms if terms is not None else {}
 
     @classmethod
     def zero(cls, reg: FamilyRegistry) -> "Poly":
@@ -251,15 +256,17 @@ class Poly:
 
     @classmethod
     def const(cls, reg: FamilyRegistry, c) -> "Poly":
-        if not isinstance(c, Fraction):
+        if type(c) is not int:  # the coefficient rule: int when integral
             c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
         return cls(reg, {MONO_ONE: c} if c else {})
 
     @classmethod
     def variable(cls, reg: FamilyRegistry, gidx: int) -> "Poly":
         if not 0 <= gidx < reg.num_comm:
             raise IndexError(f"no commuting generator with index {gidx}")
-        return cls(reg, {((gidx, 1),): Fraction(1)})
+        return cls(reg, {((gidx, 1),): 1})
 
     @classmethod
     def gen(cls, reg: FamilyRegistry, fam, i: int) -> "Poly":
@@ -301,13 +308,16 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
+            # a Fraction even when integral: Groebner's monic basis elements
+            # are built here, and quotient._reduce divides by their leading
+            # coefficients, which int / int would turn into a float
             c = Fraction(other)
             if not c:
                 return Poly.zero(self.reg)
             return Poly(self.reg, {m: c * v for m, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        acc: dict[Mono, Fraction] = {}
+        acc: dict[Mono, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 accumulate(acc, mono_mul(m1, m2), c1 * c2)
@@ -352,11 +362,13 @@ class Poly:
             return -1
         return max(mono_exponent(m, gidx) for m in self.terms)
 
-    def coeff(self, m: Mono) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coeff(self, m: Mono) -> int | Fraction:
+        """Coefficient of ``m`` (0 when absent): an ``int`` when integral, else a Fraction."""
+        return self.terms.get(m, 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(MONO_ONE, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        """Coefficient of 1 (0 when absent): an ``int`` when integral, else a Fraction."""
+        return self.terms.get(MONO_ONE, 0)
 
     def support_gens(self) -> set[int]:
         gens: set[int] = set()
@@ -381,7 +393,7 @@ class Poly:
             out = out + term
         return out
 
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Mono, int | Fraction]]:
         """Terms in descending graded-lexicographic order (canonical)."""
         return sorted(self.terms.items(), key=_grlex_key, reverse=True)
 
@@ -454,7 +466,7 @@ def divided_diff(F: Poly, xfam, yfam) -> list[Poly]:
     for k in range(1, xfam.arity + 1):
         xg = reg.comm_gen(xfam, k)
         yg = reg.comm_gen(yfam, k)
-        quo: dict[Mono, Fraction] = {}
+        quo: dict[Mono, int | Fraction] = {}
         for m, c in cur.terms.items():
             a = mono_exponent(m, xg)
             if a == 0:
