@@ -1,106 +1,175 @@
 """Exact linear algebra over the rationals.
 
-``solve`` is the sparse solver behind the homotopy-witness search: its
-systems are a few hundred rows and columns at 0.2-5% fill, so it works on
-dict rows with a column index, picks fewest-nonzeros pivots (LaMacchia-
-Odlyzko, 1990) and eliminates fraction-free on integer rows (as in Bareiss,
-1968), with ``Fraction`` only in back-substitution.  ``inverse``, for the
-reduced Bezoutian of a quotient ring, pivots the same way over ``Fraction``.
-``charpoly`` works over ``Fraction`` on a small dense list of lists (a
-multiplication matrix of the quotient ring).
+``solve`` is the sparse solver behind the homotopy-witness search.  Its
+candidate columns come lazily, in order, and the witness usually lies in the
+span of a short prefix of them, so it eliminates left-looking (as in
+Gilbert-Peierls, 1988): each new column is reduced against the pivots found
+so far, the target is reduced by each new pivot, and the search stops as soon
+as the target's residue is empty.  Elimination is fraction-free on integer
+vectors (as in Bareiss, 1968), with ``Fraction`` only in back-substitution.
+``inverse``, for the reduced Bezoutian of a quotient ring, pivots on the
+fewest-nonzeros row over ``Fraction``.  ``charpoly`` works over ``Fraction``
+on a small dense list of lists (a multiplication matrix of the quotient ring).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import attrgetter
 
 from .ring import accumulate
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
-def solve(cols, rhs, nrows) -> list[Fraction] | None:
+
+def _cleared(vec):
+    """(ints, d): the nonzero entries of ``vec`` times d, the lcm of their denominators."""
+    if 0 in vec.values():
+        vec = {i: v for i, v in vec.items() if v}
+    d = lcm(*map(_denominator, vec.values()))
+    if d == 1:
+        return dict(zip(vec, map(_numerator, vec.values()))), 1
+    return {i: v.numerator * (d // v.denominator) for i, v in vec.items()}, d
+
+
+def solve(cols, rhs) -> list[Fraction] | None:
     """One exact solution x of sum_j x_j * cols[j] = rhs, or None if inconsistent.
 
-    ``cols`` is a list of sparse columns and ``rhs`` a sparse right-hand side,
-    each a dict from row index (below ``nrows``) to an ``int`` or ``Fraction``.
-    Columns are taken in order; each one that is independent of the columns
-    before it gets as pivot the active row with the fewest nonzeros (ties to
-    the lower index), and only the rows holding that column are eliminated.
-    Free variables are set to zero, so the solution is the unique one
-    supported on the greedy column-order basis, whichever pivot rows were
-    chosen.  The result has one ``Fraction`` per column.
+    ``cols`` is a sequence of sparse columns and ``rhs`` a sparse right-hand
+    side, each a dict from row number to an ``int`` or ``Fraction``.  Columns
+    are indexed in order, each once, and only until the target lies in the
+    span of the columns indexed so far.  A column that is independent of the
+    columns before it becomes a pivot: it is reduced against the earlier
+    pivots, visited in creation order through a heap of the pivot rows it
+    touches, and its pivot row is its highest-numbered row left.  Free
+    variables and every column after the stop get zero, so the solution is
+    the unique one supported on the greedy column-order basis, whichever
+    pivot rows were chosen.  The result has one ``Fraction`` per column.
 
-    Elimination is fraction-free.  Each row, its right-hand side included, is
-    scaled to integers by the lcm of its denominators; a row is updated as
-    a*row_i - f*row_p with f/a the elimination factor in lowest terms, then
-    divided by its content.  So every row stays a nonzero multiple of the
-    row elimination over the rationals would hold: the zero patterns, the
-    pivots and the solution are the same, and ``Fraction`` arithmetic is left
-    to back-substitution.
+    Elimination is fraction-free.  A column and the target are scaled to
+    integers by the lcm of their denominators; reducing v by a pivot p at its
+    row r is v <- a*v - f*p with f/a = v[r]/p[r] in lowest terms, and each
+    pivot is kept primitive with a positive pivot entry.  The multipliers are
+    recorded as f over the running scale of v, which is all back-substitution
+    needs to express the target in the original columns.
     """
-    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
-    # column -> active rows with a nonzero there; pivot rows leave it
-    holders: list[set[int]] = []
-    for j, col in enumerate(cols):
-        live = set()
-        for i, v in col.items():
-            if v:
-                rows[i][j] = v
-                live.add(i)
-        holders.append(live)
-    b = [0] * nrows
-    for i, row in enumerate(rows):
-        v = rhs.get(i, 0)
-        den = lcm(v.denominator, *(u.denominator for u in row.values()))
-        b[i] = v.numerator * (den // v.denominator)
-        for j, u in row.items():
-            row[j] = u.numerator * (den // u.denominator)
-    pivots: list[tuple[int, int]] = []
-    for c, live in enumerate(holders):
-        if not live:
-            continue
-        p = min(live, key=lambda i: (len(rows[i]), i))
-        row_p = rows[p]
-        for j in row_p:
-            holders[j].discard(p)
-        a, b_p = row_p[c], b[p]
-        for i in sorted(live):
-            row_i = rows[i]
-            f = row_i[c]
-            g = gcd(a, f)
-            a_i, f_i = a // g, f // g
-            if a_i != 1:
-                for j in row_i:
-                    row_i[j] *= a_i
-            for j, v in row_p.items():
-                s = row_i.get(j, 0) - f_i * v
-                if s:
-                    if j not in row_i:
-                        holders[j].add(i)
-                    row_i[j] = s
-                else:
-                    del row_i[j]
-                    holders[j].discard(i)
-            b_i = a_i * b[i] - f_i * b_p
-            content = gcd(b_i, *row_i.values())
-            if content > 1:
-                for j in row_i:
-                    row_i[j] //= content
-                b_i //= content
-            b[i] = b_i
-        pivots.append((p, c))
-    pivot_rows = {p for p, _ in pivots}
-    if any(b[i] for i in range(nrows) if i not in pivot_rows):
-        return None
+    res, res_den = _cleared(rhs)
     x = [Fraction(0)] * len(cols)
-    for p, c in reversed(pivots):
-        row_p = rows[p]
-        acc = b[p]
-        for j, v in row_p.items():
-            if j != c and x[j]:
-                acc -= v * x[j]
-        if acc:
-            x[c] = Fraction(acc, row_p[c])
+    if not res:
+        return x
+    pivot_of: dict = {}  # row -> pivot number
+    prow: list = []  # pivot number -> its row
+    pvec: list[dict] = []  # pivot number -> primitive integer vector
+    # pivot number -> (column, its diagonal as numerator and denominator,
+    # [(earlier pivot, multiplier numerator, denominator)]): column =
+    # (diag_num * pvec[k] + sum num/den * pvec[i]) / diag_den
+    ucol: list = []
+    y: list = []  # target = sum num/den * pvec[k] over (k, num, den)
+    res_scale = 1
+    for j in range(len(cols)):
+        # _cleared, inlined: this runs once per candidate column
+        col = cols[j]
+        vals = col.values()
+        if 0 in vals:
+            col = {i: v for i, v in col.items() if v}
+            vals = col.values()
+        if not col:
+            continue
+        d = lcm(*map(_denominator, vals))
+        if d == 1:
+            w = dict(zip(col, map(_numerator, vals)))
+        else:
+            w = {i: v.numerator * (d // v.denominator) for i, v in col.items()}
+        touched = [k for k in map(pivot_of.get, w) if k is not None]
+        scale = 1
+        comb = []
+        if touched:
+            heapify(touched)
+            while touched:
+                k = heappop(touched)
+                r = prow[k]
+                f = w.get(r)
+                if not f:  # a duplicate entry, or cancelled on the way
+                    continue
+                vec = pvec[k]
+                a = vec[r]
+                g = gcd(a, f)
+                if g != 1:
+                    a //= g
+                    f //= g
+                if a != 1:
+                    for i in w:
+                        w[i] *= a
+                    scale *= a
+                for i, v in vec.items():
+                    u = w.get(i)
+                    if u is None:
+                        w[i] = -f * v
+                        if i in pivot_of:
+                            heappush(touched, pivot_of[i])
+                    else:
+                        u -= f * v
+                        if u:
+                            w[i] = u
+                        else:
+                            del w[i]
+                comb.append((k, f, scale * d))
+            if not w:
+                continue
+        r = max(w)
+        content = gcd(*w.values())
+        if w[r] < 0:
+            content = -content
+        if content != 1:
+            for i in w:
+                w[i] //= content
+        k = len(pvec)
+        pivot_of[r] = k
+        prow.append(r)
+        pvec.append(w)
+        ucol.append((j, content, scale * d, comb))
+        f = res.get(r)
+        if f:
+            a = w[r]
+            g = gcd(a, f)
+            if g != 1:
+                a //= g
+                f //= g
+            if a != 1:
+                for i in res:
+                    res[i] *= a
+                res_scale *= a
+            for i, v in w.items():
+                u = res.get(i)
+                if u is None:
+                    res[i] = -f * v
+                else:
+                    u -= f * v
+                    if u:
+                        res[i] = u
+                    else:
+                        del res[i]
+            y.append((k, f, res_scale * res_den))
+            if not res:
+                return _back_substitute(x, ucol, y)
+    return None
+
+
+def _back_substitute(x, ucol, y):
+    """Fill ``x`` from the target's pivot coordinates ``y`` (see ``solve``)."""
+    z = {k: Fraction(num, den) for k, num, den in y}
+    for k in range(len(ucol) - 1, -1, -1):
+        zk = z.get(k)
+        if not zk:
+            continue
+        c, diag_num, diag_den, comb = ucol[k]
+        xc = zk * diag_den / diag_num
+        x[c] = xc
+        for i, num, den in comb:
+            z[i] = z.get(i, 0) - xc * Fraction(num, den)
     return x
 
 
@@ -108,8 +177,8 @@ def inverse(mat) -> list[list[Fraction]] | None:
     """Exact inverse of a square matrix, or None when it is singular.
 
     Gauss-Jordan elimination on dict rows carried alongside the identity;
-    each column pivots, as in ``solve``, on the remaining row with the fewest
-    nonzeros (ties to the lower index).
+    each column pivots on the remaining row with the fewest nonzeros (ties to
+    the lower index).
     """
     n = len(mat)
     rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in mat]

@@ -18,6 +18,8 @@ decides whether two cocycles differ by a boundary within a degree bound.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ._linalg import solve
@@ -658,6 +660,9 @@ def gradient(polys, reg) -> list:
 # ---------------------------------------------------------------------------
 # homotopy witnesses
 
+# the most candidate columns (words x monomials) a witness search may take
+WITNESS_COLUMN_LIMIT = 250_000
+
 
 def _monomials_upto(gens, bound):
     """All monomials in ``gens`` of total degree <= bound, ascending degree."""
@@ -680,43 +685,46 @@ def _monomials_upto(gens, bound):
     return out
 
 
-def _witness_system(ba: BoundaryAssignment, diff: Element, words, monos):
-    """The witness search's linear system: (columns, target, row_index).
+class _WitnessColumns(Sequence):
+    """The witness search's candidate columns, built on demand.
 
-    ``columns`` holds the sparse boundary of every basis element m*w, words
-    major and monomials minor, and ``target`` the sparse ``diff``; both are
-    keyed by the rows of ``row_index``, {(word, mono): row} in order of first
-    appearance.  The boundary is linear over the polynomial ring, so the
-    boundary of w is computed once per word and shifted by each monomial m.
+    Column ``k * len(monos) + i`` is the sparse boundary of monos[i] *
+    words[k] (words major, monomials minor), keyed by the row numbers of
+    ``rows``, {(word, mono): row} in order of first use.  The boundary is
+    linear over the polynomial ring, so a word's boundary is computed once,
+    the first time one of its columns is indexed, and each column is that
+    boundary with every monomial shifted by its own.
     """
-    reg = diff.reg
-    shifts: dict[tuple, list] = {}  # mono -> [mono * m for m in monos]
-    row_index: dict[tuple, int] = {}
-    columns: list[dict] = []
-    for w in words:
-        img = _element_boundary(ba, Element(reg, {w: Poly.const(reg, 1)}), frozenset())
-        pieces = []
-        for word, poly in img.terms.items():
-            for mono, c in poly.terms.items():
-                if mono not in shifts:
-                    shifts[mono] = [mono_mul(m, mono) for m in monos]
-                pieces.append((word, shifts[mono], c))
-        for k in range(len(monos)):
-            col = {}
-            for word, shifted, c in pieces:
-                key = (word, shifted[k])
-                if key not in row_index:
-                    row_index[key] = len(row_index)
-                col[row_index[key]] = c
-            columns.append(col)
-    target = {}
-    for word, poly in diff.terms.items():
-        for mono, c in poly.terms.items():
-            key = (word, mono)
-            if key not in row_index:
-                row_index[key] = len(row_index)
-            target[row_index[key]] = c
-    return columns, target, row_index
+
+    def __init__(self, ba: BoundaryAssignment, reg, words, monos):
+        self.ba, self.reg, self.words, self.monos = ba, reg, words, monos
+        self.rows: dict[tuple, int] = {}
+        self._pieces: dict[int, list] = {}  # word index -> [(word, mono, shifts, c)]
+        self._shifts: dict[tuple, list] = {}  # mono -> [monos[i] * mono for the i reached]
+
+    def __len__(self):
+        return len(self.words) * len(self.monos)
+
+    def __getitem__(self, j):
+        if not 0 <= j < len(self):
+            raise IndexError(j)
+        k, i = divmod(j, len(self.monos))
+        pieces = self._pieces.get(k)
+        if pieces is None:
+            word = Element(self.reg, {self.words[k]: Poly.const(self.reg, 1)})
+            img = _element_boundary(self.ba, word, frozenset())
+            pieces = self._pieces[k] = [
+                (word, mono, self._shifts.setdefault(mono, []), c)
+                for word, poly in img.terms.items()
+                for mono, c in poly.terms.items()
+            ]
+        monos, rows = self.monos, self.rows
+        col = {}
+        for word, mono, shifts, c in pieces:
+            while len(shifts) <= i:
+                shifts.append(mono_mul(monos[len(shifts)], mono))
+            col[rows.setdefault((word, shifts[i]), len(rows))] = c
+        return col
 
 
 def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_bound=None):
@@ -727,8 +735,10 @@ def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_
     families in every wedge degree one above a degree present in the
     difference; candidate coefficients run over monomials in the commuting
     generators appearing in the difference or in the assigned images, up to
-    the bound.  The system is solved exactly, and any solution is re-verified
-    before being returned.
+    the bound.  More than ``WITNESS_COLUMN_LIMIT`` candidates is an input
+    error (ValueError), raised before any is built.  The candidates are
+    solved for exactly, in order, up to the first prefix whose span holds the
+    difference, and any solution is re-verified before being returned.
     """
     reg = lhs.reg
     if rhs.reg is not reg:
@@ -760,18 +770,30 @@ def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_
         for k in sorted(degrees)
         for w in itertools.combinations(sorted(prim_ranks), k)
     ]
-    monos = _monomials_upto(gens, degree_bound)
-    basis = [(w, m) for w in words for m in monos]
-    if not basis:
+    if not words:
         return None
-    columns, target, row_index = _witness_system(ba, diff, words, monos)
-    sol = solve(columns, target, len(row_index))
+    count = len(words) * math.comb(degree_bound + len(gens), len(gens))
+    if count > WITNESS_COLUMN_LIMIT:
+        raise ValueError(
+            f"witness search at degree bound {degree_bound} has {count} candidates, "
+            f"more than {WITNESS_COLUMN_LIMIT}"
+        )
+    monos = _monomials_upto(gens, degree_bound)
+    columns = _WitnessColumns(ba, reg, words, monos)
+    rows = columns.rows
+    target = {
+        rows.setdefault((word, mono), len(rows)): c
+        for word, poly in diff.terms.items()
+        for mono, c in poly.terms.items()
+    }
+    sol = solve(columns, target)
     if sol is None:
         return None
     terms: dict[tuple, dict] = {}
-    for coeff, (word, mono) in zip(sol, basis):
+    for j, coeff in enumerate(sol):
         if coeff:
-            terms.setdefault(word, {})[mono] = coeff
+            k, i = divmod(j, len(monos))
+            terms.setdefault(words[k], {})[monos[i]] = coeff
     w = Element(reg, {word: Poly(reg, cs) for word, cs in terms.items()})
     check = _element_boundary(ba, w, frozenset())
     if check != diff:

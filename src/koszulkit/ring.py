@@ -366,10 +366,6 @@ class Poly:
         """Coefficient of ``m`` (0 when absent): an ``int`` when integral, else a Fraction."""
         return self.terms.get(m, 0)
 
-    def constant_term(self) -> int | Fraction:
-        """Coefficient of 1 (0 when absent): an ``int`` when integral, else a Fraction."""
-        return self.terms.get(MONO_ONE, 0)
-
     def support_gens(self) -> set[int]:
         gens: set[int] = set()
         for m in self.terms:

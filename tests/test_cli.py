@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit import cli
+from koszulkit import cli, koszul
 from koszulkit.dual_element import DIGIT_LIMIT, MEMO_LIMIT
 from koszulkit.cli import (
     main,
@@ -528,6 +528,41 @@ class TestHostileInput:
         assert code in (0, 1, 2, 3), err.getvalue()
         if code == 1:
             assert json.loads(out.getvalue())["summary"]["failed"] > 0, out.getvalue()
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_witness_search_past_the_column_limit_exits_2(
+        self, flag, capsys, monkeypatch, tmp_path
+    ):
+        """Degree bound 100 on ``thm3_b18.txt`` asks for 4 words x C(104, 4)
+        monomials, 18.4 million candidate columns; the search refuses them
+        before it builds a single monomial."""
+
+        def unbuilt(gens, bound):
+            raise AssertionError("monomials built past the column limit")
+
+        monkeypatch.setattr(koszul, "_monomials_upto", unbuilt)
+        text = (GOLDEN / "thm3_b18.txt").read_text()
+        if flag:
+            argv = ["--degree-bound", "100"]
+        else:
+            argv = []
+            text = text.replace("degree-bound: 18", "degree-bound: 100")
+        path = tmp_path / "sys.txt"
+        path.write_text(text)
+        code = main(["verify", "thm3", *argv, "--file", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: witness search at degree bound 100 has 18392504 candidates, "
+            f"more than {koszul.WITNESS_COLUMN_LIMIT}\n"
+        )
+
+    @pytest.mark.parametrize("limit, code", [(29_260, 0), (29_259, 2)])
+    def test_column_limit_is_inclusive(self, limit, code, capsys, monkeypatch):
+        # thm3_b18.txt has 4 words x C(22, 4) monomials: 29,260 candidates
+        monkeypatch.setattr(koszul, "WITNESS_COLUMN_LIMIT", limit)
+        assert main(["verify", "thm3", "--file", str(GOLDEN / "thm3_b18.txt")]) == code
+        capsys.readouterr()
 
 
 class TestDecimalRendering:

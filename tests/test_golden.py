@@ -4,8 +4,10 @@ The system files are the README examples (``sys.txt``, ``sq.txt``), two
 unscaled rungs of the benchmark's dual-element ladder (``cube3.txt``,
 ``cyclic3.txt``) and two systems past the old det G wall (``3var_d27.txt``,
 ``4var_d16.txt``), plus a positive-dimensional system whose Groebner basis
-the CLI fuzz found slow (``posdim3.txt``); the expected stdout of each
-command sits next to them in ``tests/golden``.  ``verify thm3 --seed 586795`` is pinned in full, since its
+the CLI fuzz found slow (``posdim3.txt``) and an embedded system whose
+theorem 3 witness lies at column 14,631 of 29,260 candidates
+(``thm3_b18.txt``, degree bound 18); the expected stdout of each command
+sits next to them in ``tests/golden``.  ``verify thm3 --seed 586795`` is pinned in full, since its
 seven ``homotopic`` reports render the witnesses the linear solver picks.
 The full ``verify all --seed 42`` report is pinned by its sha256, as are
 ``verify all`` at seeds 1, 7 and 201 and ``verify lemma1`` at n = s = t = 4,
@@ -89,4 +91,10 @@ def test_verify_thm3_witnesses_match_recording(capsys, monkeypatch):
     monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
     assert main(["verify", "thm3", "--seed", "586795"]) == 0
     expected = (GOLDEN / "thm3.seed586795.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+def test_verify_thm3_file_matches_recording(capsys):
+    assert main(["verify", "thm3", "--file", str(GOLDEN / "thm3_b18.txt")]) == 0
+    expected = (GOLDEN / "thm3_b18.verify-thm3.json").read_text()
     assert capsys.readouterr().out == expected

@@ -1,13 +1,14 @@
 """Boundary operator, chain maps, lemma and transgression verifiers.
 
-The witness search shifts each word's boundary by monomials; its system must
-equal, column for column and row for row, the one ``_per_basis_system`` builds
-from the boundary of every basis element m*w taken in full, the earlier
-column build kept here as an oracle.  Lemma 1's Laplace-form minor expansion
-must equal ``_permutation_minor_expansion``, the earlier expansion that
-wedged the leftover odd entries once per row permutation.
+The witness search shifts each word's boundary by monomials; its columns and
+target, every column materialised, must equal the ones ``_per_basis_system``
+builds from the boundary of every basis element m*w taken in full, the
+earlier column build kept here as an oracle.  Lemma 1's Laplace-form minor
+expansion must equal ``_permutation_minor_expansion``, the earlier expansion
+that wedged the leftover odd entries once per row permutation.
 """
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from koszulkit import koszul
+from koszulkit._linalg import solve
 from koszulkit.cli import main
 from koszulkit.grassmann import Element, dual_full_product, grassmann_exp
 from koszulkit.koszul import (
@@ -434,28 +436,21 @@ class TestTheorem2:
 def _per_basis_system(ba, diff, words, monos):
     """The witness system with one boundary per basis element m*w.
 
-    Returns (columns, target, row_index) with columns and target keyed by
-    (word, mono) and the row index in order of first appearance.
+    Returns (columns, target) with columns and target keyed by (word, mono).
     """
     reg = diff.reg
-    row_index = {}
     columns = []
     for w in words:
         for m in monos:
             elem = Element(reg, {w: Poly(reg, {m: Fraction(1)})})
             img = koszul._element_boundary(ba, elem, frozenset())
-            col = {}
-            for word, poly in img.terms.items():
-                for mono, c in poly.terms.items():
-                    row_index.setdefault((word, mono), len(row_index))
-                    col[word, mono] = c
-            columns.append(col)
-    target = {}
-    for word, poly in diff.terms.items():
-        for mono, c in poly.terms.items():
-            row_index.setdefault((word, mono), len(row_index))
-            target[word, mono] = c
-    return columns, target, row_index
+            columns.append(_keyed(img))
+    return columns, _keyed(diff)
+
+
+def _keyed(elem):
+    """An element's coefficients keyed by (word, mono)."""
+    return {(word, mono): c for word, poly in elem.terms.items() for mono, c in poly.terms.items()}
 
 
 class TestHomotopyWitness:
@@ -502,27 +497,33 @@ class TestHomotopyWitness:
 
     @pytest.mark.parametrize("seed", [42, 586795])
     def test_shifted_boundaries_match_per_basis_oracle(self, seed, monkeypatch, capsys):
-        real = koszul._witness_system
-        seen = []
+        """Every column of every witness system, materialised after the search."""
+        real = koszul.homotopy_witness
+        diffs, seen = [], []
 
-        def recorded(ba, diff, words, monos):
-            columns, target, row_index = real(ba, diff, words, monos)
-            keys = list(row_index)
-            keyed = (
-                keys,
-                [{keys[i]: v for i, v in col.items()} for col in columns],
-                {keys[i]: v for i, v in target.items()},
-            )
-            o_columns, o_target, o_index = _per_basis_system(ba, diff, words, monos)
-            seen.append((keyed, (list(o_index), o_columns, o_target)))
-            return columns, target, row_index
+        def witness(lhs, rhs, ba, degree_bound=None):
+            diffs.append(lhs - rhs)
+            return real(lhs, rhs, ba, degree_bound)
 
-        monkeypatch.setattr(koszul, "_witness_system", recorded)
+        def recorded(lazy, rhs):
+            x = solve(lazy, rhs)
+            seen.append((lazy, rhs, list(lazy)))
+            return x
+
+        # the package attribute dual_element is the function of that name
+        dual_element = importlib.import_module("koszulkit.dual_element")
+        monkeypatch.setattr(dual_element, "homotopy_witness", witness)
+        monkeypatch.setattr(koszul, "solve", recorded)
         code = main(["verify", "thm3", "--seed", str(seed)])
         capsys.readouterr()
-        assert seen
-        for keyed, oracle in seen:
-            assert keyed == oracle
+        assert seen and len(seen) == len(diffs)
+        for diff, (lazy, rhs, columns) in zip(diffs, seen):
+            keys = {row: key for key, row in lazy.rows.items()}
+            keyed = (
+                [{keys[i]: v for i, v in col.items()} for col in columns],
+                {keys[i]: v for i, v in rhs.items()},
+            )
+            assert keyed == _per_basis_system(lazy.ba, diff, lazy.words, lazy.monos)
         assert code == 0
 
 

@@ -2,17 +2,22 @@
 
 The determinant oracle is the Leibniz sum, and random charpoly checks compare
 against det(t*I - M) expanded symbolically through a one-variable registry.
-The sparse ``solve`` must return exactly what ``_dense_solve``, the earlier
-dense Gauss-Jordan solver kept here as an oracle, returns: both give the
-solution supported on the greedy column-order basis.  It must also return
+The left-looking ``solve`` must return exactly what ``_dense_solve``, the
+earlier dense Gauss-Jordan solver kept here as an oracle, returns: both give
+the solution supported on the greedy column-order basis.  It must also return
 exactly what ``_fraction_solve``, the earlier sparse solver that eliminated
-over ``Fraction`` with the same pivots, returns.  Property generation is
-derandomized, so every run gives the same verdict.
+over ``Fraction``, and ``_rightlooking_solve``, the earlier fraction-free
+sparse solver that took every column before eliminating, return.  On witness
+systems the oracles see every column of the lazy sequence, materialised after
+the search.  Property generation is derandomized, so every run gives the same
+verdict.
 """
 
 import itertools
 import random
+from collections.abc import Sequence
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +25,8 @@ from hypothesis import strategies as st
 
 from koszulkit import koszul
 from koszulkit._linalg import charpoly, inverse, solve
-from koszulkit.cli import main
+from koszulkit.cli import _pinned_thm3, main
+from koszulkit.dual_element import theorem3_compare
 
 from dense_matrices import identity_matrix, mat_mul, mat_vec, poly_at_matrix
 
@@ -122,6 +128,92 @@ def _fraction_solve(cols, rhs, nrows) -> list[Fraction] | None:
     return x
 
 
+def _rightlooking_solve(cols, rhs, nrows) -> list[Fraction] | None:
+    """One exact solution x of sum_j x_j * cols[j] = rhs, or None if inconsistent.
+
+    ``cols`` is a list of sparse columns and ``rhs`` a sparse right-hand side,
+    each a dict from row index (below ``nrows``) to an ``int`` or ``Fraction``.
+    Columns are taken in order; each one that is independent of the columns
+    before it gets as pivot the active row with the fewest nonzeros (ties to
+    the lower index), and only the rows holding that column are eliminated.
+    Free variables are set to zero, so the solution is the unique one
+    supported on the greedy column-order basis, whichever pivot rows were
+    chosen.  The result has one ``Fraction`` per column.
+
+    Elimination is fraction-free.  Each row, its right-hand side included, is
+    scaled to integers by the lcm of its denominators; a row is updated as
+    a*row_i - f*row_p with f/a the elimination factor in lowest terms, then
+    divided by its content.  So every row stays a nonzero multiple of the
+    row elimination over the rationals would hold: the zero patterns, the
+    pivots and the solution are the same, and ``Fraction`` arithmetic is left
+    to back-substitution.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    # column -> active rows with a nonzero there; pivot rows leave it
+    holders: list[set[int]] = []
+    for j, col in enumerate(cols):
+        live = set()
+        for i, v in col.items():
+            if v:
+                rows[i][j] = v
+                live.add(i)
+        holders.append(live)
+    b = [0] * nrows
+    for i, row in enumerate(rows):
+        v = rhs.get(i, 0)
+        den = lcm(v.denominator, *(u.denominator for u in row.values()))
+        b[i] = v.numerator * (den // v.denominator)
+        for j, u in row.items():
+            row[j] = u.numerator * (den // u.denominator)
+    pivots: list[tuple[int, int]] = []
+    for c, live in enumerate(holders):
+        if not live:
+            continue
+        p = min(live, key=lambda i: (len(rows[i]), i))
+        row_p = rows[p]
+        for j in row_p:
+            holders[j].discard(p)
+        a, b_p = row_p[c], b[p]
+        for i in sorted(live):
+            row_i = rows[i]
+            f = row_i[c]
+            g = gcd(a, f)
+            a_i, f_i = a // g, f // g
+            if a_i != 1:
+                for j in row_i:
+                    row_i[j] *= a_i
+            for j, v in row_p.items():
+                s = row_i.get(j, 0) - f_i * v
+                if s:
+                    if j not in row_i:
+                        holders[j].add(i)
+                    row_i[j] = s
+                else:
+                    del row_i[j]
+                    holders[j].discard(i)
+            b_i = a_i * b[i] - f_i * b_p
+            content = gcd(b_i, *row_i.values())
+            if content > 1:
+                for j in row_i:
+                    row_i[j] //= content
+                b_i //= content
+            b[i] = b_i
+        pivots.append((p, c))
+    pivot_rows = {p for p, _ in pivots}
+    if any(b[i] for i in range(nrows) if i not in pivot_rows):
+        return None
+    x = [Fraction(0)] * len(cols)
+    for p, c in reversed(pivots):
+        row_p = rows[p]
+        acc = b[p]
+        for j, v in row_p.items():
+            if j != c and x[j]:
+                acc -= v * x[j]
+        if acc:
+            x[c] = Fraction(acc, row_p[c])
+    return x
+
+
 def _columns(rows, ncols):
     """Sparse columns of a dense matrix with ``ncols`` columns."""
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
@@ -133,7 +225,27 @@ def _sparse(vec):
 
 def solve_rows(rows, rhs):
     """``solve`` on a dense matrix with at least one row."""
-    return solve(_columns(rows, len(rows[0])), _sparse(rhs), len(rows))
+    return solve(_columns(rows, len(rows[0])), _sparse(rhs))
+
+
+def _nrows(cols, rhs):
+    """One more than the highest row number of a sparse system."""
+    return 1 + max((i for vec in (*cols, rhs) for i in vec), default=-1)
+
+
+class _Indexed(Sequence):
+    """A column sequence that records which columns were indexed, in order."""
+
+    def __init__(self, cols):
+        self.cols = cols
+        self.seen = []
+
+    def __len__(self):
+        return len(self.cols)
+
+    def __getitem__(self, j):
+        self.seen.append(j)
+        return self.cols[j]
 
 
 def det_oracle(m):
@@ -300,15 +412,30 @@ class TestSolve:
         assert solve_rows(a, [Fraction(7)]) == [Fraction(0), Fraction(7)]
 
     def test_no_rows_gives_one_zero_per_column(self):
-        assert solve([{}, {}, {}], {}, 0) == [Fraction(0)] * 3
-        assert solve([], {}, 0) == []
+        assert solve([{}, {}, {}], {}) == [Fraction(0)] * 3
+        assert solve([], {}) == []
 
     def test_rhs_outside_every_column_is_inconsistent(self):
-        assert solve([{0: Fraction(1)}], {1: Fraction(1)}, 2) is None
-        assert solve([], {0: Fraction(2)}, 1) is None
+        assert solve([{0: Fraction(1)}], {1: Fraction(1)}) is None
+        assert solve([], {0: Fraction(2)}) is None
 
     def test_integer_entries_are_solved_exactly(self):
-        assert solve([{0: 2}, {0: 1, 1: 3}], {0: 1, 1: 1}, 2) == [Fraction(1, 3), Fraction(1, 3)]
+        assert solve([{0: 2}, {0: 1, 1: 3}], {0: 1, 1: 1}) == [Fraction(1, 3), Fraction(1, 3)]
+
+    def test_stops_at_the_first_prefix_whose_span_holds_the_target(self):
+        cols = _Indexed([{0: 2}, {0: 1, 1: 1}, {1: 5}, {2: 1}, {0: 3}])
+        assert solve(cols, {0: 4, 1: 1}) == [Fraction(3, 2), Fraction(1)] + [Fraction(0)] * 3
+        assert cols.seen == [0, 1]
+
+    def test_zero_target_indexes_no_column(self):
+        cols = _Indexed([{0: 1}, {1: 1}])
+        assert solve(cols, {0: 0}) == [Fraction(0)] * 2
+        assert cols.seen == []
+
+    def test_inconsistent_target_indexes_every_column_once(self):
+        cols = _Indexed([{0: 1}, {0: 2, 1: 1}, {}, {1: Fraction(1, 3)}])
+        assert solve(cols, {2: 1}) is None
+        assert cols.seen == [0, 1, 2, 3]
 
     @PROPERTY
     @given(systems())
@@ -325,10 +452,12 @@ class TestSolve:
     def test_matches_dense_oracle_on_witness_systems(self, monkeypatch, capsys):
         seen = []
 
-        def checked(cols, rhs, nrows):
+        def checked(lazy, rhs):
+            x = solve(lazy, rhs)
+            cols = list(lazy)
+            nrows = _nrows(cols, rhs)
             rows = [[col.get(i, Fraction(0)) for col in cols] for i in range(nrows)]
             vec = [rhs.get(i, Fraction(0)) for i in range(nrows)]
-            x = solve(cols, rhs, nrows)
             assert x == _dense_solve(rows, vec)
             seen.append(x is not None)
             return x
@@ -345,18 +474,50 @@ class TestSolve:
     @example(([{0: Fraction(0), 2: 4}, {1: 0, 2: Fraction(5, 7)}], {2: 1}, 3))
     def test_matches_fraction_oracle_exactly(self, system):
         cols, rhs, nrows = system
-        x = solve(cols, rhs, nrows)
+        x = solve(cols, rhs)
         assert x == _fraction_solve(cols, rhs, nrows)
         if x is not None:
             assert all(type(v) is Fraction for v in x)
+
+    @PROPERTY
+    @given(sparse_systems())
+    @example(([{}, {0: 0}, {0: 2, 1: 4}, {0: 1, 1: 2}], {0: 1}, 2))
+    @example(([{0: 3}, {0: 6, 1: 0}, {}], {1: Fraction(1, 2)}, 2))
+    @example(([{0: 1, 1: 1}, {0: 2, 2: 1}, {1: -2, 2: 1}], {0: 3, 1: 1, 2: 1}, 3))
+    def test_matches_rightlooking_oracle_exactly(self, system):
+        cols, rhs, nrows = system
+        assert solve(cols, rhs) == _rightlooking_solve(cols, rhs, nrows)
+
+    @pytest.mark.parametrize(
+        "fresh_row, status, indexed", [(False, "homotopic", 214), (True, "not_found", 840)]
+    )
+    def test_pinned_diag_search_indexes_a_prefix(self, fresh_row, status, indexed, monkeypatch):
+        """The witness of the pinned f=(x1,x2) F=(x1^2,x2^2) G=diag case lies
+        in the span of its first 214 candidate columns of 840; a target with a
+        row no column has is inconsistent, and every column is indexed."""
+        [(f, F, G)] = [(f, F, G) for f, F, G, label in _pinned_thm3() if label.endswith("G=diag")]
+        calls = []
+
+        def counted(lazy, rhs):
+            cols = _Indexed(lazy)
+            x = solve(cols, {**rhs, -1: 1} if fresh_row else rhs)
+            calls.append((len(cols), cols.seen))
+            return x
+
+        monkeypatch.setattr(koszul, "solve", counted)
+        assert theorem3_compare(f, F, G).status == status
+        assert calls == [(840, list(range(indexed)))]
 
     @pytest.mark.parametrize("seed", [42, 586795])
     def test_matches_fraction_oracle_on_witness_systems(self, seed, monkeypatch, capsys):
         seen = []
 
-        def recorded(cols, rhs, nrows):
-            x = solve(cols, rhs, nrows)
+        def recorded(lazy, rhs):
+            x = solve(lazy, rhs)
+            cols = list(lazy)
+            nrows = _nrows(cols, rhs)
             seen.append((x, _fraction_solve(cols, rhs, nrows)))
+            assert x == _rightlooking_solve(cols, rhs, nrows)
             return x
 
         monkeypatch.setattr(koszul, "solve", recorded)
