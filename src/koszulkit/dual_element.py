@@ -921,7 +921,7 @@ def theorem3_compare(f, F, G, bound=None) -> IdentityReport:
     gradF = gradient(FX, reg)
     gradf = gradient(fX, reg)
     fxgens = [gen(fx, i + 1) for i in range(s)]
-    fxG = [column(reg, fxgens, GX, j) for j in range(t)]
+    fxG = [column(reg, fx.primal_ranks(), GX, j) for j in range(t)]
 
     pairs = [(fxG[j], gen(Fx, j + 1, dual=True)) for j in range(t) if not fxG[j].is_zero]
     Fdiff = [gen(Fx, j + 1) - gen(Fy, j + 1) for j in range(t)]

@@ -27,9 +27,11 @@ family).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
-from .ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, mono_mul
+from .ring import MONO_ONE, PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, mono_mul
 
 Word = tuple  # tuple[int, ...], strictly ascending global ranks
 
@@ -75,6 +77,66 @@ def merge_words(w1: Word, w2: Word) -> tuple[int, Word | None]:
     out.extend(w1[i:])
     out.extend(w2[j:])
     return (-1 if inversions & 1 else 1), tuple(out)
+
+
+def _numerators(terms: dict) -> tuple[int, list] | None:
+    """``(d, [(word, n), ...])`` with each coefficient equal to n / d, where d
+    is the lcm of the coefficients' denominators; None unless every
+    coefficient is a nonzero constant."""
+    consts = []
+    den = 1
+    for w, c in terms.items():
+        t = c.terms
+        if len(t) != 1:
+            return None
+        v = t.get(MONO_ONE)
+        if v is None:
+            return None
+        d = v.denominator
+        if den % d:
+            den = lcm(den, d)
+        consts.append((w, v))
+    return den, [(w, v.numerator * (den // v.denominator)) for w, v in consts]
+
+
+def _constant_product(reg: FamilyRegistry, left, right) -> "Element":
+    """The product of two constant-coefficient elements given as
+    ``_numerators`` pairs, on integer numerators.
+
+    Words enter the result in the order the polynomial path gives them, and
+    each coefficient follows the coefficient rule: an ``int`` when integral,
+    else a Fraction.
+    """
+    den1, nums1 = left
+    den2, nums2 = right
+    acc: dict[Word, int] = {}
+    for w1, a in nums1:
+        n1 = len(w1)
+        for w2, b in nums2:
+            if len(w2) == 1:
+                # one rank: insert it by bisection, crossing the n1 - i
+                # larger ranks of w1
+                r = w2[0]
+                i = bisect_left(w1, r)
+                if i < n1 and w1[i] == r:
+                    continue
+                w = w1[:i] + w2 + w1[i:]
+                odd = (n1 - i) & 1
+            else:
+                sign, w = merge_words(w1, w2)
+                if w is None:
+                    continue
+                odd = sign < 0
+            # a word keeps its first position even when its sum passes
+            # through zero, as in the polynomial path
+            acc[w] = acc.get(w, 0) + (-a * b if odd else a * b)
+    den = den1 * den2
+    out = {}
+    for w, n in acc.items():
+        if n:
+            q, rem = divmod(n, den)
+            out[w] = Poly(reg, {MONO_ONE: Fraction(n, den) if rem else q})
+    return Element(reg, out)
 
 
 class Element:
@@ -142,15 +204,22 @@ class Element:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "Element":
-        if isinstance(other, (int, Fraction, Poly)):
-            factor = as_poly(self.reg, other)
-            if factor.is_zero:
-                return Element.zero(self.reg)
-            return Element(self.reg, {w: c * factor for w, c in self.terms.items()})
-        if not isinstance(other, Element):
-            return NotImplemented
+        # the exact type first: Fraction's ABC instance check is slow
+        if type(other) is not Element:
+            if isinstance(other, (int, Poly, Fraction)):
+                factor = as_poly(self.reg, other)
+                if factor.is_zero:
+                    return Element.zero(self.reg)
+                return Element(self.reg, {w: c * factor for w, c in self.terms.items()})
+            if not isinstance(other, Element):
+                return NotImplemented
         if other.reg is not self.reg:
             raise ValueError("elements built over different registries")
+        rnums = _numerators(other.terms)
+        if rnums is not None:
+            lnums = _numerators(self.terms)
+            if lnums is not None:
+                return _constant_product(self.reg, lnums, rnums)
         # every surviving word pair adds its signed coefficient products
         # straight into one {word: {monomial: coefficient}} map; Polys are
         # built once at the end, and words whose terms all cancelled are
@@ -175,7 +244,7 @@ class Element:
         return Element(reg, {w: Poly(reg, t) for w, t in acc.items() if t})
 
     def __rmul__(self, other) -> "Element":
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Poly, Fraction)):
             return self * other
         return NotImplemented
 
@@ -184,7 +253,7 @@ class Element:
             if other.reg is not self.reg:
                 raise ValueError("elements built over different registries")
             return other
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Poly, Fraction)):
             return Element.from_poly(as_poly(self.reg, other))
         raise TypeError(f"cannot combine Element with {type(other).__name__}")
 
@@ -339,12 +408,15 @@ def bot_contract(fam, e: Element) -> Element:
     return Element(reg, acc)
 
 
-def column(reg: FamilyRegistry, odd_rows, matrix, k) -> Element:
-    """sum_i odd_rows[i] * matrix[i][k] as a degree-1 element."""
-    col = Element.zero(reg)
-    for gen, row in zip(odd_rows, matrix):
-        col = col + gen * as_poly(reg, row[k])
-    return col
+def column(reg: FamilyRegistry, ranks, matrix, k) -> Element:
+    """sum_i g_i * matrix[i][k] as a degree-1 element, g_i the odd generator
+    of rank ``ranks[i]``; the ranks must be distinct."""
+    terms = {}
+    for rank, row in zip(ranks, matrix):
+        c = as_poly(reg, row[k])
+        if c:
+            terms[(rank,)] = c
+    return Element(reg, terms)
 
 
 def bordered_det(a, oddrow, rowfam) -> Element:
@@ -368,11 +440,11 @@ def bordered_det(a, oddrow, rowfam) -> Element:
     for row in a:
         if len(row) != n:
             raise ValueError("matrix rows and odd row must have equal length")
-    rowgens = [Element.generator(reg, r) for r in rowfam.primal_ranks()]
+    rowranks = rowfam.primal_ranks()
     product = dual_full_product(reg, rowfam)
     for k in range(n):
         _validate_linear(oddrow[k], f"bordered_det odd entry {k}")
-        product = product * (oddrow[k] + column(reg, rowgens, a, k))
+        product = product * (oddrow[k] + column(reg, rowranks, a, k))
     return bot_contract(rowfam, product)
 
 
@@ -399,7 +471,7 @@ def transgression_det(blocks, ufam) -> Element:
         raise ValueError("transgression_det needs at least one column")
     ufam = reg.odd_family(ufam)
     n = ufam.arity
-    ugens = [Element.generator(reg, reg.odd_rank(ufam, k)) for k in range(1, n + 1)]
+    uranks = ufam.primal_ranks()
     sign = -1 if n & 1 else 1
     product = dual_full_product(reg, ufam) * sign
     for grad, oddrow in blocks:
@@ -411,5 +483,5 @@ def transgression_det(blocks, ufam) -> Element:
                 raise ValueError("gradient block and odd row must have equal width")
         for j in range(t):
             _validate_linear(oddrow[j], f"transgression_det odd entry {j}")
-            product = product * (oddrow[j] - column(reg, ugens, grad, j))
+            product = product * (oddrow[j] - column(reg, uranks, grad, j))
     return top_contract(ufam, product)

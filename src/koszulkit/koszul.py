@@ -354,11 +354,12 @@ def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
         sum_C (-1)^(s*q + X) * (wedge_{k in L} oddrow[k])
               ^ sum_R (-1)^(inv + u(u-1)/2) * det a[R, C] * (survivor duals, ascending)
 
-    where det a[R, C] is the Leibniz sum over the orderings of R against the
-    ascending columns of C.  The leftover wedge is built once per column
-    set and the bracket once per column set, one term per row set.  No
-    contraction machinery is involved, which makes this a genuine
-    cross-check on the partial-contraction evaluation.
+    where det a[R, C] takes the rows of R against the ascending columns of
+    C.  Each minor is computed once, by expansion along the last column of C
+    over the (c-1)-minors; the wedge of each leftover set is built once, on
+    the wedge of its prefix; the bracket is built once per column set, one
+    term per row set.  No contraction machinery is involved, which makes
+    this a genuine cross-check on the partial-contraction evaluation.
     """
     if not oddrow:
         raise ValueError("bordered_minor_expansion needs at least one column")
@@ -367,39 +368,52 @@ def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
     s = fam.arity
     n = len(oddrow)
     entries = [[as_poly(reg, x) for x in row] for row in a]
-    duals = [reg.odd_rank(fam, i, dual=True) for i in range(1, s + 1)]
-    one = Poly.const(reg, 1)
-    total = Element.zero(reg)
+    duals = fam.dual_ranks()
+    minors = {((), ()): Poly.const(reg, 1)}
+    wedges = {(): Element.unit(reg)}
+
+    def minor(rows, cols):
+        m = minors.get((rows, cols))
+        if m is None:
+            # moving row j to the bottom crosses the c - 1 - j rows below it
+            m = Poly.zero(reg)
+            last, sub = cols[-1], cols[:-1]
+            for j, r in enumerate(rows):
+                e = entries[r][last]
+                if e:
+                    term = e * minor(rows[:j] + rows[j + 1 :], sub)
+                    m = m - term if (len(rows) - 1 - j) & 1 else m + term
+            minors[rows, cols] = m
+        return m
+
+    def wedge(ks):
+        w = wedges.get(ks)
+        if w is None:
+            w = wedges[ks] = wedge(ks[:-1]) * oddrow[ks[-1]]
+        return w
+
+    acc: dict = {}
     for csize in range(min(s, n) + 1):
         for cols in itertools.combinations(range(n), csize):
-            rest = [k for k in range(n) if k not in cols]
-            left = Element.unit(reg)
-            for k in rest:
-                left = left * oddrow[k]
+            rest = tuple(k for k in range(n) if k not in cols)
+            left = wedge(rest)
             if left.is_zero:
                 continue
             bracket = {}
             for rows in itertools.combinations(range(s), csize):
-                minor = Poly.zero(reg)
-                for perm in itertools.permutations(rows):
-                    scalar = one
-                    for r, k in zip(perm, cols):
-                        scalar = scalar * entries[r][k]
-                    asc = sum(
-                        1 for i in range(csize) for j in range(i + 1, csize) if perm[i] > perm[j]
-                    )
-                    minor = minor + (-scalar if asc & 1 else scalar)
-                if minor.is_zero:
+                m = minor(rows, cols)
+                if m.is_zero:
                     continue
                 survivors = [u for u in range(s) if u not in rows]
                 inv = sum(1 for u in survivors for v in rows if u < v)
                 u = len(survivors)
                 odd = (inv + u * (u - 1) // 2) & 1
-                bracket[tuple(duals[i] for i in survivors)] = -minor if odd else minor
-            part = left * Element(reg, bracket)
+                bracket[tuple(duals[i] for i in survivors)] = -m if odd else m
             inter = sum(1 for kp in cols for k in rest if kp < k)
-            total = total + (-part if (s * len(rest) + inter) & 1 else part)
-    return total
+            flip = (s * len(rest) + inter) & 1
+            for w, c in (left * Element(reg, bracket)).terms.items():
+                accumulate(acc, w, -c if flip else c)
+    return Element(reg, acc)
 
 
 def verify_lemma1(a, b, instance: str = "") -> IdentityReport:
@@ -415,14 +429,14 @@ def verify_lemma1(a, b, instance: str = "") -> IdentityReport:
     reg = FamilyRegistry()
     f = reg.odd("f", s)
     g = reg.odd("g", t) if t else None
-    fgens = [Element.generator(reg, reg.odd_rank(f, i)) for i in range(1, s + 1)]
-    ggens = [Element.generator(reg, reg.odd_rank(g, j)) for j in range(1, t + 1)] if t else []
+    franks = f.primal_ranks()
+    granks = g.primal_ranks() if t else []
     product = dual_full_product(reg, f)
     oddrow = []
     for k in range(n):
-        gpart = column(reg, ggens, b, k)
+        gpart = column(reg, granks, b, k)
         oddrow.append(gpart)
-        product = product * (column(reg, fgens, a, k) + gpart)
+        product = product * (column(reg, franks, a, k) + gpart)
     lhs = bot_contract(f, product)
     packaged = bordered_det(a, oddrow, f)
     expansion = bordered_minor_expansion(a, oddrow, f)
@@ -446,11 +460,11 @@ def verify_lemma2(b, instance: str = "") -> tuple[IdentityReport, IdentityReport
     reg = FamilyRegistry()
     f = reg.odd("f", s)
     g = reg.odd("g", t) if t else None
-    ggens = [Element.generator(reg, reg.odd_rank(g, j)) for j in range(1, t + 1)] if t else []
+    granks = g.primal_ranks() if t else []
     product = dual_full_product(reg, f)
     images = []
     for i in range(s):
-        gpart = column(reg, ggens, b, i)
+        gpart = column(reg, granks, b, i)
         images.append(gpart)
         product = product * (
             Element.generator(reg, reg.odd_rank(f, i + 1)) - gpart

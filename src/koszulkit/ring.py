@@ -307,16 +307,19 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            # a Fraction even when integral: Groebner's monic basis elements
-            # are built here, and quotient._reduce divides by their leading
-            # coefficients, which int / int would turn into a float
-            c = Fraction(other)
-            if not c:
-                return Poly.zero(self.reg)
-            return Poly(self.reg, {m: c * v for m, v in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
+        # the exact type first: Fraction's ABC instance check is slow
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                # a Fraction even when integral: Groebner's monic basis
+                # elements are built here, and quotient._reduce divides by
+                # their leading coefficients, which int / int would turn
+                # into a float
+                c = Fraction(other)
+                if not c:
+                    return Poly.zero(self.reg)
+                return Poly(self.reg, {m: c * v for m, v in self.terms.items()})
+            if not isinstance(other, Poly):
+                return NotImplemented
         acc: dict[Mono, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

@@ -10,8 +10,8 @@ theorem 3 witness lies at column 14,631 of 29,260 candidates
 sits next to them in ``tests/golden``.  ``verify thm3 --seed 586795`` is pinned in full, since its
 seven ``homotopic`` reports render the witnesses the linear solver picks.
 The full ``verify all --seed 42`` report is pinned by its sha256, as are
-``verify all`` at seeds 1, 7 and 201 and ``verify lemma1`` at n = s = t = 4,
-whose s = 4 lies outside ``verify all``.
+``verify all`` at seeds 1, 7 and 201, ``verify lemma1`` at n = s = t = 4
+and ``verify lemma2`` at s = t = 4, whose s = 4 lies outside ``verify all``.
 """
 
 import hashlib
@@ -33,6 +33,10 @@ VERIFY_STDOUT_SHA256 = [
     (
         ["lemma1", "--n", "4", "--s", "4", "--t", "4", "--count", "5", "--seed", "42"],
         "fde4bf5282efc1c0c362ae73946bd25ddbcd2cf91afb0b06471fd0d9ed183df1",
+    ),
+    (
+        ["lemma2", "--s", "4", "--t", "4", "--count", "5", "--seed", "42"],
+        "d4b71331d22e66f11f543581413b1bfcee4926482b3ac93d1f7a1d68311b44b8",
     ),
 ]
 

@@ -10,7 +10,9 @@ Oracles, defined before anything that uses them:
   partial contraction, for the closed-form ``bot_contract``;
 - ``koszul.bordered_minor_expansion`` for ``bordered_det`` on random shapes;
 - ``_pair_loop_mul``, the earlier ``Element.__mul__`` that built one ``Poly``
-  product per word pair, for the accumulating product kernel.
+  product per word pair, for the accumulating product kernel;
+- ``_monomial_map_mul``, the ``Element.__mul__`` of before the constant
+  path, for the integer-numerator product of constant-coefficient elements.
 """
 
 import itertools
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszulkit import grassmann
 from koszulkit.grassmann import (
     Element,
     bordered_det,
@@ -34,7 +37,7 @@ from koszulkit.grassmann import (
     transgression_det,
 )
 from koszulkit.koszul import bordered_minor_expansion
-from koszulkit.ring import FamilyRegistry, Poly, accumulate, as_poly, divided_diff
+from koszulkit.ring import FamilyRegistry, Poly, accumulate, as_poly, divided_diff, mono_mul
 
 
 ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -125,6 +128,31 @@ def _pair_loop_mul(self, other) -> Element:
             c = c1 * c2
             accumulate(acc, w, c if sign > 0 else -c)
     return Element(self.reg, acc)
+
+
+def _monomial_map_mul(self: Element, other: Element) -> Element:
+    """The ``Element x Element`` product of before the constant path, for
+    any coefficients: every surviving word pair adds its signed coefficient
+    products into one {word: {monomial: coefficient}} map, and each Poly is
+    built once at the end."""
+    acc: dict = {}
+    right = [(w2, c2.terms.items()) for w2, c2 in other.terms.items()]
+    for w1, c1 in self.terms.items():
+        left = c1.terms.items()
+        for w2, terms2 in right:
+            sign, w = merge_words(w1, w2)
+            if w is None:
+                continue
+            out = acc.get(w)
+            if out is None:
+                out = acc[w] = {}
+            for m1, a in left:
+                if sign < 0:
+                    a = -a
+                for m2, b in terms2:
+                    accumulate(out, mono_mul(m1, m2), a * b)
+    reg = self.reg
+    return Element(reg, {w: Poly(reg, t) for w, t in acc.items() if t})
 
 
 def setup_fg(arity_f=2, arity_g=2, nvars=2):
@@ -260,7 +288,84 @@ def product_cases(draw):
     return a, b
 
 
+@st.composite
+def constant_product_cases(draw):
+    """(a, b) with constant coefficients only, over f, g of arity 1 to 3.
+
+    A coefficient is an int, a Fraction, or an integral ``Fraction(k, 1)``
+    stored as it is, as scaling by a Fraction leaves it.  Words run from
+    the empty word to four ranks, so right words of length 0, 1 and more
+    all occur.  Half the time both operands carry one odd element z (or a
+    multiple), so z ^ z cancels words to zero."""
+    reg = FamilyRegistry()
+    reg.odd("f", draw(st.integers(1, 3)))
+    reg.odd("g", draw(st.integers(1, 3)))
+    ranks = list(range(reg.num_ranks))
+
+    def coeff():
+        k = draw(st.integers(-4, 4).filter(bool))
+        kind = draw(st.sampled_from(("int", "fraction", "integral fraction")))
+        if kind == "int":
+            return Poly(reg, {(): k})
+        if kind == "fraction":
+            return Poly(reg, {(): Fraction(k, draw(st.integers(2, 6)))})
+        return Poly(reg, {(): Fraction(k)})
+
+    def element(max_len):
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            word = draw(st.lists(st.sampled_from(ranks), unique=True, max_size=max_len))
+            terms[tuple(sorted(word))] = coeff()
+        return Element(reg, terms)
+
+    a, b = element(4), element(4)
+    if draw(st.booleans()):
+        z = element(1)
+        a = a + z
+        b = b + z * coeff()
+    return a, b
+
+
+def _follows_coefficient_rule(e: Element) -> bool:
+    return all(
+        type(v) is int or (type(v) is Fraction and v.denominator != 1)
+        for c in e.terms.values()
+        for v in c.terms.values()
+    )
+
+
 class TestElementProductOracle:
+    @ORACLE
+    @given(constant_product_cases())
+    def test_constant_path_matches_monomial_map(self, case):
+        a, b = case
+        for left, right in ((a, b), (b, a)):
+            got = left * right
+            want = _monomial_map_mul(left, right)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            assert render_element(got) == render_element(want)
+            assert _follows_coefficient_rule(got)
+
+    def test_constant_factors_select_the_constant_path(self, monkeypatch):
+        reg, x, f, g = setup_fg()
+        calls = []
+        real = grassmann._constant_product
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(grassmann, "_constant_product", counted)
+        a = Element.generator(reg, f.primal_ranks()[0]) * Fraction(1, 2)
+        b = Element.generator(reg, g.dual_ranks()[1]) * 3 + Element.unit(reg)
+        assert a * b == _monomial_map_mul(a, b)
+        assert len(calls) == 1
+        p = b * Poly.gen(reg, x, 1)
+        assert a * p == _monomial_map_mul(a, p)
+        assert p * a == _monomial_map_mul(p, a)
+        assert len(calls) == 1
+
     @ORACLE
     @given(product_cases())
     def test_kernel_matches_pair_loop(self, case):
