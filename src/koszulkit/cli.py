@@ -95,6 +95,23 @@ def _check_degree_bound(bound):
     return bound
 
 
+# the sweep-size flags of ``verify`` and the least value each may take
+_SIZE_FLAGS = (("n", 1), ("s", 1), ("t", 0), ("deg", 0), ("count", 1))
+
+
+def _size_kwargs(args) -> dict:
+    """The sweep-size flags that were given, as suite-runner keywords; a
+    value below its flag's least is an input error."""
+    out = {}
+    for name, least in _SIZE_FLAGS:
+        value = getattr(args, name)
+        if value is not None:
+            if value < least:
+                raise ValueError(f"--{name} must be >= {least}, got {value}")
+            out[name] = value
+    return out
+
+
 def parse_system_file(text: str) -> SystemFile:
     """Line-oriented grammar: ``vars:``, ``f:``, optional ``F:``, ``G:``,
     ``order:``, ``degree-bound:``, ``seed:``; ``_`` in a key reads as ``-``.
@@ -535,6 +552,7 @@ def _any_digits():
 
 def cmd_verify(args) -> int:
     _check_degree_bound(args.degree_bound)
+    sizes = _size_kwargs(args)
     seed = args.seed
     env = os.environ.get("KOSZULKIT_SEED")
     if env is not None:
@@ -563,16 +581,7 @@ def cmd_verify(args) -> int:
         certificates = None
         for name in suites:
             runner = _SUITE_RUNNERS[name]
-            kwargs = {"seed": seed, "degree_bound": args.degree_bound}
-            for field, value in (
-                ("n", args.n),
-                ("s", args.s),
-                ("t", args.t),
-                ("deg", args.deg),
-                ("count", args.count),
-            ):
-                if value is not None:
-                    kwargs[field] = value
+            kwargs = {"seed": seed, "degree_bound": args.degree_bound, **sizes}
             if name in _FILE_SUITES:
                 kwargs["system"] = system
             if name == "thm4":
@@ -582,6 +591,8 @@ def cmd_verify(args) -> int:
                 reps = runner(**kwargs)
             reports.extend(reps)
         elapsed = time.time() - t0
+        if not reports:
+            raise ValueError(f"verify {args.suite} made no report with these sizes")
         data = assemble_report(
             f"verify {args.suite}",
             digest,

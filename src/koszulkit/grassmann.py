@@ -130,13 +130,7 @@ def _constant_product(reg: FamilyRegistry, left, right) -> "Element":
             # a word keeps its first position even when its sum passes
             # through zero, as in the polynomial path
             acc[w] = acc.get(w, 0) + (-a * b if odd else a * b)
-    den = den1 * den2
-    out = {}
-    for w, n in acc.items():
-        if n:
-            q, rem = divmod(n, den)
-            out[w] = Poly(reg, {MONO_ONE: Fraction(n, den) if rem else q})
-    return Element(reg, out)
+    return Element.from_numerators(reg, acc, den1 * den2)
 
 
 class Element:
@@ -159,6 +153,18 @@ class Element:
     @classmethod
     def from_poly(cls, p: Poly) -> "Element":
         return cls(p.reg, {} if p.is_zero else {(): p})
+
+    @classmethod
+    def from_numerators(cls, reg: FamilyRegistry, nums: dict, den: int) -> "Element":
+        """The element with coefficient n / den at each word of ``nums``
+        ({word: int n}), zero numerators dropped; each coefficient follows
+        the coefficient rule: an ``int`` when integral, else a Fraction."""
+        out = {}
+        for w, n in nums.items():
+            if n:
+                q, rem = divmod(n, den)
+                out[w] = Poly(reg, {MONO_ONE: Fraction(n, den) if rem else q})
+        return cls(reg, out)
 
     @classmethod
     def generator(cls, reg: FamilyRegistry, rank: int) -> "Element":

@@ -30,11 +30,14 @@ from .grassmann import (
     column,
     dual_full_product,
     grassmann_exp,
+    merge_words,
     render_element,
+    sort_word,
     top_contract,
     transgression_det,
 )
 from .ring import (
+    MONO_ONE,
     PRIMAL,
     FamilyRegistry,
     Poly,
@@ -340,6 +343,46 @@ def lift(polys, dst: FamilyRegistry, fam) -> list[Poly]:
 # lemma verifiers
 
 
+def _constant(p: Poly):
+    """The value of a constant polynomial (0 when zero); None otherwise."""
+    t = p.terms
+    if not t:
+        return 0
+    return t.get(MONO_ONE) if len(t) == 1 else None
+
+
+def _integer_scalars(entries, odd):
+    """``(d, entries, odd)`` with each matrix entry and each odd-row
+    coefficient x replaced by the integer d * x, d the lcm of all their
+    denominators; None unless every one of them is a constant."""
+    vals = [[_constant(p) for p in row] for row in entries]
+    oddvals = [{w: _constant(c) for w, c in t.items()} for t in odd]
+    d = 1
+    for v in itertools.chain(*vals, *(t.values() for t in oddvals)):
+        if v is None:
+            return None
+        if d % v.denominator:
+            d = math.lcm(d, v.denominator)
+
+    def scale(v):
+        return v.numerator * (d // v.denominator)
+
+    return (
+        d,
+        [[scale(v) for v in row] for row in vals],
+        [{w: scale(v) for w, v in t.items()} for t in oddvals],
+    )
+
+
+def _wedge_into(acc: dict, left: dict, right: dict) -> None:
+    """Add the wedge product of two {word: scalar} maps into ``acc``."""
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            sign, w = merge_words(w1, w2)
+            if w is not None:
+                accumulate(acc, w, c1 * c2 if sign > 0 else -(c1 * c2))
+
+
 def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
     """Independent evaluation of the bordered determinant in Laplace form.
 
@@ -357,9 +400,16 @@ def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
     where det a[R, C] takes the rows of R against the ascending columns of
     C.  Each minor is computed once, by expansion along the last column of C
     over the (c-1)-minors; the wedge of each leftover set is built once, on
-    the wedge of its prefix; the bracket is built once per column set, one
-    term per row set.  No contraction machinery is involved, which makes
-    this a genuine cross-check on the partial-contraction evaluation.
+    the wedge of its prefix; every part is summed into one map.
+
+    The scalars are chosen once: when every entry of ``a`` and every
+    coefficient of the odd row is a constant, the expansion runs on the
+    integers d * x, d the lcm of all their denominators.  A c-minor then
+    carries d^c and a wedge of q odd entries d^q, so every part carries d^n,
+    and each coefficient is built once at the end as its sum over d^n.
+    Otherwise it runs on the polynomials themselves.  No contraction
+    machinery is involved, which makes this a genuine cross-check on the
+    partial-contraction evaluation.
     """
     if not oddrow:
         raise ValueError("bordered_minor_expansion needs at least one column")
@@ -368,52 +418,68 @@ def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
     s = fam.arity
     n = len(oddrow)
     entries = [[as_poly(reg, x) for x in row] for row in a]
+    odd = [e.terms for e in oddrow]
+    scalars = _integer_scalars(entries, odd)
+    if scalars is None:
+        one = Poly.const(reg, 1)
+    else:
+        den, entries, odd = scalars
+        one = 1
     duals = fam.dual_ranks()
-    minors = {((), ()): Poly.const(reg, 1)}
-    wedges = {(): Element.unit(reg)}
+    minors = {((), ()): one}
+    wedges = {(): {(): one}}
 
     def minor(rows, cols):
         m = minors.get((rows, cols))
         if m is None:
             # moving row j to the bottom crosses the c - 1 - j rows below it
-            m = Poly.zero(reg)
+            m = 0
             last, sub = cols[-1], cols[:-1]
             for j, r in enumerate(rows):
                 e = entries[r][last]
                 if e:
-                    term = e * minor(rows[:j] + rows[j + 1 :], sub)
-                    m = m - term if (len(rows) - 1 - j) & 1 else m + term
+                    sm = minor(rows[:j] + rows[j + 1 :], sub)
+                    if sm:
+                        term = e * sm
+                        m = m - term if (len(rows) - 1 - j) & 1 else m + term
             minors[rows, cols] = m
         return m
 
     def wedge(ks):
         w = wedges.get(ks)
         if w is None:
-            w = wedges[ks] = wedge(ks[:-1]) * oddrow[ks[-1]]
+            w = wedges[ks] = {}
+            _wedge_into(w, wedge(ks[:-1]), odd[ks[-1]])
         return w
 
     acc: dict = {}
     for csize in range(min(s, n) + 1):
+        # each row set with its survivor duals and their sign
+        # (-1)^(inv + u(u-1)/2)
+        row_sets = []
+        for rows in itertools.combinations(range(s), csize):
+            survivors = [u for u in range(s) if u not in rows]
+            inv = sum(1 for u in survivors for v in rows if u < v)
+            u = len(survivors)
+            row_sets.append(
+                (rows, tuple(duals[i] for i in survivors), (inv + u * (u - 1) // 2) & 1)
+            )
         for cols in itertools.combinations(range(n), csize):
             rest = tuple(k for k in range(n) if k not in cols)
             left = wedge(rest)
-            if left.is_zero:
+            if not left:
                 continue
-            bracket = {}
-            for rows in itertools.combinations(range(s), csize):
-                m = minor(rows, cols)
-                if m.is_zero:
-                    continue
-                survivors = [u for u in range(s) if u not in rows]
-                inv = sum(1 for u in survivors for v in rows if u < v)
-                u = len(survivors)
-                odd = (inv + u * (u - 1) // 2) & 1
-                bracket[tuple(duals[i] for i in survivors)] = -m if odd else m
             inter = sum(1 for kp in cols for k in rest if kp < k)
             flip = (s * len(rest) + inter) & 1
-            for w, c in (left * Element(reg, bracket)).terms.items():
-                accumulate(acc, w, -c if flip else c)
-    return Element(reg, acc)
+            bracket = {}
+            for rows, word, odd_sign in row_sets:
+                m = minor(rows, cols)
+                if m:
+                    bracket[word] = -m if odd_sign ^ flip else m
+            _wedge_into(acc, left, bracket)
+    if scalars is None:
+        return Element(reg, acc)
+    return Element.from_numerators(reg, acc, den**n)
 
 
 def verify_lemma1(a, b, instance: str = "") -> IdentityReport:
@@ -510,15 +576,21 @@ def verify_lemma3(f, instance: str = "") -> IdentityReport:
 
 
 def _random_words(rng, reg, ranks, gens, terms=3, deg=2) -> Element:
-    e = Element.zero(reg)
+    """1 to ``terms`` random words of at most three of ``ranks``, each with a
+    coefficient in [-3, 3] times 0 to ``deg`` random ``gens``, summed in one
+    map."""
+    acc: dict = {}
     for _ in range(rng.randrange(1, terms + 1)):
         k = rng.randrange(min(len(ranks), 3) + 1)
-        word = rng.sample(ranks, k)
-        coeff = Poly.const(reg, rng.randint(-3, 3))
+        sign, word = sort_word(rng.sample(ranks, k))
+        c = sign * rng.randint(-3, 3)
+        exps: dict = {}
         for _ in range(rng.randrange(deg + 1)):
-            coeff = coeff * Poly.variable(reg, rng.choice(gens))
-        e = e + Element.word(reg, word) * coeff
-    return e
+            g = rng.choice(gens)
+            exps[g] = exps.get(g, 0) + 1
+        if c:
+            accumulate(acc, word, Poly(reg, {tuple(sorted(exps.items())): c}))
+    return Element(reg, acc)
 
 
 def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:

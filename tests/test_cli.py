@@ -557,6 +557,46 @@ class TestHostileInput:
             f"more than {koszul.WITNESS_COLUMN_LIMIT}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lemma1", "--count", "-3"], "--count must be >= 1, got -3"),
+            (["lemma1", "--count", "0"], "--count must be >= 1, got 0"),
+            (["lemma1", "--n", "0"], "--n must be >= 1, got 0"),
+            (["lemma2", "--s", "0"], "--s must be >= 1, got 0"),
+            (["lemma2", "--t", "-1"], "--t must be >= 0, got -1"),
+            (["thm1", "--count", "0"], "--count must be >= 1, got 0"),
+            (["lemma3", "--deg", "-1"], "--deg must be >= 0, got -1"),
+            (["thm4", "--n", "-2"], "--n must be >= 1, got -2"),
+            (["lemma1", "--t", "0"], "verify lemma1 made no report with these sizes"),
+            (["thm1", "--t", "0"], "verify thm1 made no report with these sizes"),
+        ],
+    )
+    def test_sweep_size_below_its_least_exits_2(self, argv, message, capsys, monkeypatch):
+        """A sweep-size flag below its least value, or a sweep that makes no
+        report, is an input error: exit 2, nothing on stdout, and no suite
+        runs when the flag itself is out of range."""
+        monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
+        if "no report" not in message:
+            for name in cli._SUITE_RUNNERS:
+                monkeypatch.setitem(cli._SUITE_RUNNERS, name, None)
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thm2", "--t", "0", "--count", "1"],
+            ["lemma3", "--n", "1", "--s", "1", "--deg", "0", "--count", "1"],
+        ],
+    )
+    def test_least_sweep_sizes_run(self, argv, capsys, monkeypatch):
+        monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
+        assert main(["verify", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["total"] > 0
+
     @pytest.mark.parametrize("limit, code", [(29_260, 0), (29_259, 2)])
     def test_column_limit_is_inclusive(self, limit, code, capsys, monkeypatch):
         # thm3_b18.txt has 4 words x C(22, 4) monomials: 29,260 candidates

@@ -11,7 +11,9 @@ sits next to them in ``tests/golden``.  ``verify thm3 --seed 586795`` is pinned 
 seven ``homotopic`` reports render the witnesses the linear solver picks.
 The full ``verify all --seed 42`` report is pinned by its sha256, as are
 ``verify all`` at seeds 1, 7 and 201, ``verify lemma1`` at n = s = t = 4
-and ``verify lemma2`` at s = t = 4, whose s = 4 lies outside ``verify all``.
+and ``verify lemma2`` at s = t = 4, whose s = 4 lies outside ``verify all``,
+``verify lemma1 --seed 201`` (the benchmark's lemma 1 shapes) and ``verify
+thm1`` at n = s = t = 3.
 """
 
 import hashlib
@@ -37,6 +39,11 @@ VERIFY_STDOUT_SHA256 = [
     (
         ["lemma2", "--s", "4", "--t", "4", "--count", "5", "--seed", "42"],
         "d4b71331d22e66f11f543581413b1bfcee4926482b3ac93d1f7a1d68311b44b8",
+    ),
+    (["lemma1", "--seed", "201"], "504d9b1dfd630e122e212f64355ec11f52213db4f4bf8178129ca435f1eb5282"),
+    (
+        ["thm1", "--n", "3", "--s", "3", "--t", "3", "--count", "10", "--seed", "42"],
+        "ab9c9c68de08329bd1c55a23bb11d8368b514d7cc02a269d16f3fc95bb65b4c5",
     ),
 ]
 

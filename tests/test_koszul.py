@@ -5,7 +5,10 @@ target, every column materialised, must equal the ones ``_per_basis_system``
 builds from the boundary of every basis element m*w taken in full, the
 earlier column build kept here as an oracle.  Lemma 1's Laplace-form minor
 expansion must equal ``_permutation_minor_expansion``, the earlier expansion
-that wedged the leftover odd entries once per row permutation.
+that wedged the leftover odd entries once per row permutation, on polynomial
+and on constant entries (its integer path).  Theorem 1's random samples must
+equal those of ``rand_element``, the earlier one-sum-per-word builder, and
+leave the generator in the same state.
 """
 
 import importlib
@@ -14,6 +17,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulkit import koszul
 from koszulkit._linalg import solve
@@ -57,12 +62,14 @@ def simple_setup():
     return reg, ba
 
 
-def rand_element(rng, reg, ranks, gens, terms=3):
+def rand_element(rng, reg, ranks, gens, terms=3, deg=2):
+    """A random element built one product and one sum per word: the earlier
+    ``koszul._random_words``, kept as its oracle."""
     e = Element.zero(reg)
     for _ in range(rng.randrange(1, terms + 1)):
         word = rng.sample(ranks, rng.randrange(0, min(3, len(ranks)) + 1))
         coeff = Poly.const(reg, rng.randint(-3, 3))
-        for _ in range(rng.randrange(3)):
+        for _ in range(rng.randrange(deg + 1)):
             coeff = coeff * Poly.variable(reg, rng.choice(gens))
         e = e + Element.word(reg, word) * coeff
     return e
@@ -189,6 +196,32 @@ class TestKernelsAndMaps:
         retagged = ComplexElement(k2.element, k1.dual_families)
         assert boundary(ba, retagged).element == -(k1.element * F)
 
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.permutations(range(8)).flatmap(lambda p: st.integers(1, 8).map(lambda k: p[:k])),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 3),
+    )
+    def test_random_words_match_incremental_oracle(self, seed, ranks, ngens, terms, deg):
+        """``_random_words`` draws what the one-sum-per-word builder draws,
+        in the same order, and returns an equal element with its words and
+        monomials in the same order."""
+        reg = FamilyRegistry()
+        reg.commuting("x", 3)
+        reg.odd("a", 2)
+        reg.odd("b", 2)
+        gens = list(range(ngens))
+        fast, slow = random.Random(seed), random.Random(seed)
+        got = koszul._random_words(fast, reg, ranks, gens, terms, deg)
+        want = rand_element(slow, reg, ranks, gens, terms, deg)
+        assert got == want
+        assert [(w, list(c.terms.items())) for w, c in got.terms.items()] == [
+            (w, list(c.terms.items())) for w, c in want.terms.items()
+        ]
+        assert fast.getstate() == slow.getstate()
+
     def test_all_four_maps_commute(self):
         rng = random.Random(11)
         reg, f, F = self.build(["x"], ["x^2"])
@@ -308,6 +341,36 @@ def _expansion_inputs(rng, n, s, t, poly_entries):
     return a, oddrow, f
 
 
+@st.composite
+def constant_expansion_cases(draw):
+    """(a, oddrow, f) with constant entries: n, s, t <= 4 (t = 0: a zero odd
+    row), values with denominators up to 12, as ints, Fractions, integral
+    Fractions or constant Polys; zero entries, zero odd entries and repeated
+    rows of ``a`` are drawn on purpose."""
+    n, s, t = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    reg = FamilyRegistry()
+    f = reg.odd("f", s)
+    g = reg.odd("g", t) if t else None
+    value = st.one_of(
+        st.just(0),
+        st.integers(-5, 5),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    )
+    wrap = st.sampled_from((lambda v: v, Fraction, lambda v: Poly.const(reg, v)))
+    a = [[draw(wrap)(draw(value)) for _ in range(n)] for _ in range(s)]
+    if s > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(s)))[:2]
+        a[j] = list(a[i])
+    oddrow = []
+    for _ in range(n):
+        e = Element.zero(reg)
+        if t and draw(st.booleans()):
+            for j in range(1, t + 1):
+                e = e + Element.generator(reg, reg.odd_rank(g, j)) * as_poly(reg, draw(value))
+        oddrow.append(e)
+    return a, oddrow, f
+
+
 class TestMinorExpansionOracle:
     @pytest.mark.parametrize("poly_entries", [False, True])
     def test_laplace_form_matches_permutation_expansion(self, poly_entries):
@@ -329,7 +392,8 @@ class TestMinorExpansionOracle:
         assert all(len(w) == 2 for w in got.terms)
 
     def test_uses_no_contraction(self, monkeypatch):
-        """The oracle stays independent of the contraction route."""
+        """The oracle stays independent of the contraction route, on
+        polynomial scalars and on integer ones (constant entries)."""
         from koszulkit import grassmann
 
         def refuse(*args, **kwargs):
@@ -338,8 +402,34 @@ class TestMinorExpansionOracle:
         for mod in (koszul, grassmann):
             for name in ("bot_contract", "top_contract", "bordered_det"):
                 monkeypatch.setattr(mod, name, refuse)
-        a, oddrow, f = _expansion_inputs(random.Random(4116), 3, 3, 2, True)
-        assert bordered_minor_expansion(a, oddrow, f) == _permutation_minor_expansion(a, oddrow, f)
+        domains = []
+        real = koszul._integer_scalars
+
+        def recorded(*args):
+            out = real(*args)
+            domains.append(out is not None)
+            return out
+
+        monkeypatch.setattr(koszul, "_integer_scalars", recorded)
+        for poly_entries in (True, False):
+            a, oddrow, f = _expansion_inputs(random.Random(4116), 3, 3, 2, poly_entries)
+            got = bordered_minor_expansion(a, oddrow, f)
+            assert got == _permutation_minor_expansion(a, oddrow, f)
+        assert domains == [False, True]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(constant_expansion_cases())
+    def test_integer_scalars_match_permutation_expansion(self, case):
+        """Constant entries run on integer numerators; the value equals the
+        permutation oracle's, and each coefficient is an ``int`` when
+        integral and a Fraction otherwise."""
+        a, oddrow, f = case
+        got = bordered_minor_expansion(a, oddrow, f)
+        assert got == _permutation_minor_expansion(a, oddrow, f)
+        for c in got.terms.values():
+            [(mono, v)] = c.terms.items()
+            assert mono == ()
+            assert type(v) is (int if v.denominator == 1 else Fraction), repr(v)
 
     def test_empty_odd_row_is_a_value_error(self):
         reg = FamilyRegistry()
