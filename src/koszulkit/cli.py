@@ -589,10 +589,10 @@ def cmd_verify(args) -> int:
                 certificates = [_render_certificate(*c) for c in certs]
             else:
                 reps = runner(**kwargs)
+            if not reps:
+                raise ValueError(f"verify {name} made no report with these sizes")
             reports.extend(reps)
         elapsed = time.time() - t0
-        if not reports:
-            raise ValueError(f"verify {args.suite} made no report with these sizes")
         data = assemble_report(
             f"verify {args.suite}",
             digest,

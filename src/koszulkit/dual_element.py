@@ -125,12 +125,10 @@ class Functional1D:
         r = self.reduced_power(k)
         return sum((c * v for c, v in zip(r, self.initials) if c), Fraction(0))
 
-    def _power_by_squaring(self, k: int, capped: bool = True) -> list:
-        """Coefficients of x^k mod T, by left-to-right binary powering.
-
-        When ``capped``, raises ValueError once a coefficient passes
-        ``DIGIT_LIMIT`` digits.
-        """
+    def reduced_power(self, k: int) -> list:
+        """Coefficients of x^k mod T, by left-to-right binary powering; as for
+        ``eval``, only an index past ``MEMO_LIMIT`` is held to ``DIGIT_LIMIT``
+        digits (ValueError once a coefficient passes them)."""
         d, rec = self.degree, self.rec
         r = [Fraction(int(i == 0)) for i in range(d)]
         for bit in bin(k)[2:]:
@@ -147,17 +145,12 @@ class Functional1D:
                     for i in range(d):
                         full[top - d + i] -= c * rec[i]
             r = full
-            if capped and any(_too_long(c) for c in r):
+            if k >= MEMO_LIMIT and any(_too_long(c) for c in r):
                 raise ValueError(
                     f"power {k} of a variable, reduced modulo its annihilator, "
                     f"needs more than {DIGIT_LIMIT} digits"
                 )
         return r
-
-    def reduced_power(self, k: int) -> list:
-        """x^k mod T by square-and-multiply; as for ``eval``, only an index
-        past ``MEMO_LIMIT`` is held to ``DIGIT_LIMIT`` digits."""
-        return self._power_by_squaring(k, capped=k >= MEMO_LIMIT)
 
     def power(self, k: int) -> tuple:
         """Coefficients of x^k mod T on 1, x, ..., x^(d-1)."""

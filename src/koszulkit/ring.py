@@ -268,10 +268,6 @@ class Poly:
             raise IndexError(f"no commuting generator with index {gidx}")
         return cls(reg, {((gidx, 1),): 1})
 
-    @classmethod
-    def gen(cls, reg: FamilyRegistry, fam, i: int) -> "Poly":
-        return cls.variable(reg, reg.comm_gen(fam, i))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -359,11 +355,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(mono_degree(m) for m in self.terms)
-
-    def degree_in(self, gidx: int) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_exponent(m, gidx) for m in self.terms)
 
     def coeff(self, m: Mono) -> int | Fraction:
         """Coefficient of ``m`` (0 when absent): an ``int`` when integral, else a Fraction."""

@@ -193,13 +193,14 @@ def test_criterion_09_structural_properties():
         for _ in range(rng.randint(1, 5)):
             mono = Poly.const(reg2, rng.randint(-4, 4))
             for k in range(1, 4):
-                mono = mono * Poly.gen(reg2, xf, k) ** rng.randint(0, 3)
+                mono = mono * Poly.variable(reg2, reg2.comm_gen(xf, k)) ** rng.randint(0, 3)
             F = F + mono
         diffs = divided_diff(F, xf, yf)
-        swap = {reg2.comm_gen(xf, k): Poly.gen(reg2, yf, k) for k in range(1, 4)}
+        swap = {reg2.comm_gen(xf, k): Poly.variable(reg2, reg2.comm_gen(yf, k)) for k in range(1, 4)}
         lhs = Poly.zero(reg2)
         for k in range(1, 4):
-            lhs = lhs + (Poly.gen(reg2, xf, k) - Poly.gen(reg2, yf, k)) * diffs[k - 1]
+            xk = Poly.variable(reg2, reg2.comm_gen(xf, k))
+            lhs = lhs + (xk - swap[reg2.comm_gen(xf, k)]) * diffs[k - 1]
         ok = ok and lhs == F - F.subst(swap)
 
     _verdict(9, "boundary squares to zero; wedge laws; divided differences", ok,

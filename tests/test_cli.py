@@ -570,6 +570,7 @@ class TestHostileInput:
             (["thm4", "--n", "-2"], "--n must be >= 1, got -2"),
             (["lemma1", "--t", "0"], "verify lemma1 made no report with these sizes"),
             (["thm1", "--t", "0"], "verify thm1 made no report with these sizes"),
+            (["all", "--t", "0", "--count", "1"], "verify lemma1 made no report with these sizes"),
         ],
     )
     def test_sweep_size_below_its_least_exits_2(self, argv, message, capsys, monkeypatch):

@@ -243,7 +243,7 @@ class TestWedge:
 
     def test_poly_coefficients_are_central(self):
         reg, x, f, _ = setup_fg()
-        p = Poly.gen(reg, x, 1) + 2
+        p = Poly.variable(reg, reg.comm_gen(x, 1)) + 2
         a = Element.generator(reg, f.primal_ranks()[0])
         b = Element.generator(reg, f.dual_ranks()[1])
         assert (a * p) * b == p * (a * b)
@@ -269,7 +269,7 @@ def product_cases(draw):
         for _ in range(draw(st.integers(1, 3))):
             term = Poly.const(reg, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
             for i in (1, 2):
-                term = term * Poly.gen(reg, x, i) ** draw(st.integers(0, 2))
+                term = term * Poly.variable(reg, reg.comm_gen(x, i)) ** draw(st.integers(0, 2))
             c = c + term
         return c
 
@@ -361,7 +361,7 @@ class TestElementProductOracle:
         b = Element.generator(reg, g.dual_ranks()[1]) * 3 + Element.unit(reg)
         assert a * b == _monomial_map_mul(a, b)
         assert len(calls) == 1
-        p = b * Poly.gen(reg, x, 1)
+        p = b * Poly.variable(reg, reg.comm_gen(x, 1))
         assert a * p == _monomial_map_mul(a, p)
         assert p * a == _monomial_map_mul(p, a)
         assert len(calls) == 1
@@ -378,7 +378,7 @@ class TestElementProductOracle:
 
     def test_square_of_odd_element_cancels_every_word(self):
         reg, x, f, g = setup_fg()
-        p = Poly.gen(reg, x, 1) - Poly.gen(reg, x, 2) + 3
+        p = Poly.variable(reg, reg.comm_gen(x, 1)) - Poly.variable(reg, reg.comm_gen(x, 2)) + 3
         z = Element.generator(reg, f.primal_ranks()[0]) * p + Element.generator(
             reg, g.dual_ranks()[1]
         ) * (p * p)
@@ -424,7 +424,7 @@ class TestTopContract:
         b = reg.commuting("b", 1)
         f = reg.odd("f", 1)
         g = reg.odd("g", 1)
-        beta = Poly.gen(reg, b, 1)
+        beta = Poly.variable(reg, reg.comm_gen(b, 1))
         e = Element.generator(reg, f.dual_ranks()[0]) * (
             Element.generator(reg, f.primal_ranks()[0])
             - Element.generator(reg, g.primal_ranks()[0]) * beta
@@ -483,7 +483,7 @@ class TestBotContract:
         b = reg.commuting("b", 2)
         f = reg.odd("f", 2)
         g = reg.odd("g", 2)
-        b1, b2 = (Poly.gen(reg, b, i) for i in (1, 2))
+        b1, b2 = (Poly.variable(reg, reg.comm_gen(b, i)) for i in (1, 2))
         fp = [Element.generator(reg, reg.odd_rank(f, i)) for i in (1, 2)]
         fd = [Element.generator(reg, reg.odd_rank(f, i, dual=True)) for i in (1, 2)]
         gp = [Element.generator(reg, reg.odd_rank(g, i)) for i in (1, 2)]
@@ -516,7 +516,7 @@ class TestBotContract:
         b = reg.commuting("b", 1)
         f = reg.odd("f", 1)
         g = reg.odd("g", 1)
-        beta = Poly.gen(reg, b, 1)
+        beta = Poly.variable(reg, reg.comm_gen(b, 1))
         fd = Element.generator(reg, f.dual_ranks()[0])
         fp = Element.generator(reg, f.primal_ranks()[0])
         gp = Element.generator(reg, g.primal_ranks()[0])
@@ -575,7 +575,7 @@ def contraction_cases(draw):
                 rest = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
         coeff = Poly.const(reg, draw(st.integers(-2, 2)))
         if draw(st.booleans()):
-            coeff = coeff * Poly.gen(reg, x, draw(st.integers(1, 2)))
+            coeff = coeff * Poly.variable(reg, reg.comm_gen(x, draw(st.integers(1, 2))))
         term = Element.word(reg, duals + primals + rest) * coeff
         e = e + term
         free = [i for i in range(1, f.arity + 1) if reg.odd_rank(f, i, dual=True) not in duals]
@@ -632,7 +632,7 @@ class TestBorderedDetOracle:
             x = reg.commuting("x", 1)
             f = reg.odd("f", s)
             g = reg.odd("g", t)
-            xv = Poly.gen(reg, x, 1)
+            xv = Poly.variable(reg, reg.comm_gen(x, 1))
             a = [
                 [xv * rng.randint(-2, 2) + rng.randint(-2, 2) for _ in range(n)]
                 for _ in range(s)
@@ -701,7 +701,7 @@ class TestBorderedDet:
         x = reg.commuting("x", 1)
         f = reg.odd("f", 1)
         F = reg.odd("F", 1)
-        G = Poly.gen(reg, x, 1) ** 2 + 1
+        G = Poly.variable(reg, reg.comm_gen(x, 1)) ** 2 + 1
         got = bordered_det([[G]], [-Element.generator(reg, F.primal_ranks()[0])], f)
         expected = Element.from_poly(G) + Element.generator(
             reg, F.primal_ranks()[0]
@@ -760,14 +760,15 @@ class TestTransgressionDet:
         fx = reg.odd("fx", 1)
         fy = reg.odd("fy", 1)
         u = reg.odd("u", 1)
-        F = Poly.gen(reg, x, 1) ** 2
+        F = Poly.variable(reg, reg.comm_gen(x, 1)) ** 2
         grad = [divided_diff(F, x, y)]
         oddrow = [
             Element.generator(reg, fx.primal_ranks()[0])
             - Element.generator(reg, fy.primal_ranks()[0])
         ]
         got = transgression_det([(grad, oddrow)], u)
-        assert got == Element.from_poly(Poly.gen(reg, x, 1) + Poly.gen(reg, y, 1))
+        xp, yp = Poly.variable(reg, reg.comm_gen(x, 1)), Poly.variable(reg, reg.comm_gen(y, 1))
+        assert got == Element.from_poly(xp + yp)
 
     def test_pinned_unit_jacobian(self):
         """For f = (x1, x2) the value is exactly +1."""
@@ -792,7 +793,7 @@ class TestTransgressionDet:
         fx = reg.odd("fx", 2)
         fy = reg.odd("fy", 2)
         u = reg.odd("u", 1)
-        xp, yp = Poly.gen(reg, x, 1), Poly.gen(reg, y, 1)
+        xp, yp = Poly.variable(reg, reg.comm_gen(x, 1)), Poly.variable(reg, reg.comm_gen(y, 1))
         grad = [[Poly.const(reg, 1), xp + yp]]
         diffs = [
             Element.generator(reg, reg.odd_rank(fx, j)) - Element.generator(reg, reg.odd_rank(fy, j))
@@ -820,7 +821,7 @@ class TestTransgressionDet:
         x = reg.commuting("x", 1)
         fx = reg.odd("fx", 3)
         u = reg.odd("u", 1)
-        p = Poly.gen(reg, x, 1)
+        p = Poly.variable(reg, reg.comm_gen(x, 1))
         grads = [[Poly.const(reg, 1), p, p**2]]
         rows = [Element.generator(reg, reg.odd_rank(fx, j)) for j in (1, 2, 3)]
         whole = transgression_det([(grads, rows)], u)
@@ -844,7 +845,7 @@ class TestRendering:
         reg = FamilyRegistry()
         x = reg.commuting("x", 1)
         f = reg.odd("f", 2)
-        p = Poly.gen(reg, x, 1)
+        p = Poly.variable(reg, reg.comm_gen(x, 1))
         e = Element.generator(reg, f.primal_ranks()[0]) * (p + 1) - Element.unit(reg) * 2
         s = render_element(e)
         assert "f1" in s and "x" in s

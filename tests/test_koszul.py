@@ -329,7 +329,8 @@ def _expansion_inputs(rng, n, s, t, poly_entries):
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         if not poly_entries:
             return c
-        return c + Poly.gen(reg, x, 1) * rng.randint(-2, 2) + Poly.gen(reg, x, 2) * rng.randint(-1, 1)
+        x1, x2 = (Poly.variable(reg, reg.comm_gen(x, i)) for i in (1, 2))
+        return c + x1 * rng.randint(-2, 2) + x2 * rng.randint(-1, 1)
 
     a = [[entry() for _ in range(n)] for _ in range(s)]
     oddrow = []
@@ -455,6 +456,14 @@ class TestLemmaVerifiers:
                         b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(t)]
                         r = verify_lemma1(a, b, instance=f"n={n} s={s} t={t}")
                         assert r.status == "equal", f"{r.instance}: {r.detail}"
+
+    @pytest.mark.parametrize("route", ["bordered_det", "bordered_minor_expansion"])
+    def test_lemma1_fails_on_a_fault_in_either_route(self, route, monkeypatch):
+        honest = getattr(koszul, route)
+        monkeypatch.setattr(koszul, route, lambda *args: -honest(*args))
+        r = verify_lemma1([[2, 1]], [[Fraction(3, 2), -1]])
+        assert r.status == "failed"
+        assert r.detail.startswith("contraction ") and "; expansion " in r.detail
 
     def test_lemma2_pinned_and_random(self):
         r1, r2 = verify_lemma2([[5]])

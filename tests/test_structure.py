@@ -1,16 +1,20 @@
-"""Structure of the package: no module-level code that nothing uses.
+"""Structure of the package: no code that nothing uses.
 
 Every module-level function or class in ``src/koszulkit`` must be referenced
 by name somewhere in ``src/`` outside its own definition, or be exported in
-the package's ``__all__``.
+the package's ``__all__``.  Every public method, classmethod or property of a
+class there must be referenced as an attribute somewhere in ``src/`` outside
+its own body, or be named in the benchmark harness under ``perfbench/``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import koszulkit
 
 SRC = Path(koszulkit.__file__).parent
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _used_names(node) -> set[str]:
@@ -23,8 +27,29 @@ def _used_names(node) -> set[str]:
     return out
 
 
+def _attribute_counts(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def _perfbench_names() -> set[str]:
+    """Names, attributes and dotted string parts (such as the span table's
+    ``"FunctionalElement.boundary"``) in the benchmark harness."""
+    out = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        out |= _used_names(tree)
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                out.update(sub.value.split("."))
+    return out
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_module_level_definition_is_used_or_exported():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     unused = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -40,4 +65,24 @@ def test_every_module_level_definition_is_used_or_exported():
                         used |= _used_names(top)
             if node.name not in used:
                 unused.append(f"{name}:{node.name}")
+    assert unused == []
+
+
+def test_every_public_method_is_used():
+    trees = _trees()
+    bench = _perfbench_names()
+    everywhere = sum((_attribute_counts(tree) for tree in trees.values()), Counter())
+    unused = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("_") or node.name in bench:
+                    continue
+                # references from all of src/, this method's own body left out
+                if everywhere[node.name] == _attribute_counts(node)[node.name]:
+                    unused.append(f"{name}:{cls.name}.{node.name}")
     assert unused == []
