@@ -25,6 +25,7 @@ from .grassmann import (
     bordered_det,
     column,
     grassmann_exp,
+    odd_gen,
     render_element,
     top_contract,
     transgression_det,
@@ -715,7 +716,7 @@ def _det_g_element(Gmat, l: ProductFunctional) -> FunctionalElement:
     fx, Fx = reg.odd_family("fx"), reg.odd_family("Fx")
     # the kernel route: the full contraction over Fx against l's unit on the
     # empty word keeps exactly the terms of det(G bordered by -Fx) free of Fx
-    oddrow = [-Element.generator(reg, reg.odd_rank(Fx, j)) for j in range(1, Fx.arity + 1)]
+    oddrow = [-odd_gen(reg, Fx, j) for j in range(1, Fx.arity + 1)]
     kernel = bordered_det(Gmat, oddrow, fx).terms
     free = {w: c for w, c in kernel.items() if not any(Fx.owns_rank(r) for r in w)}
     e = FunctionalElement(l, "fx", free)
@@ -817,10 +818,7 @@ def transgression_pairing(f, e: FunctionalElement) -> Element:
     grad = gradient(lift(f, reg, "x"), reg)
     fx = reg.odd_family("fx")
     fy = reg.odd_family("fy")
-    diffs = [
-        Element.generator(reg, reg.odd_rank(fx, i)) - Element.generator(reg, reg.odd_rank(fy, i))
-        for i in range(1, s + 1)
-    ]
+    diffs = [odd_gen(reg, fx, i) - odd_gen(reg, fy, i) for i in range(1, s + 1)]
     tdet = transgression_det([(grad, diffs)], "u")
     if isinstance(e.functional, StaircaseFunctional) and tdet != Element.from_poly(
         e.functional.bezoutian
@@ -908,20 +906,17 @@ def theorem3_compare(f, F, G, bound=None) -> IdentityReport:
     GX = [lift(row, reg, "x") for row in G]
     GY = [lift(row, reg, "y") for row in G]
 
-    def gen(fam, i, dual=False):
-        return Element.generator(reg, reg.odd_rank(fam, i, dual=dual))
-
     gradF = gradient(FX, reg)
     gradf = gradient(fX, reg)
-    fxgens = [gen(fx, i + 1) for i in range(s)]
+    fxgens = [odd_gen(reg, fx, i + 1) for i in range(s)]
     fxG = [column(reg, fx.primal_ranks(), GX, j) for j in range(t)]
 
-    pairs = [(fxG[j], gen(Fx, j + 1, dual=True)) for j in range(t) if not fxG[j].is_zero]
-    Fdiff = [gen(Fx, j + 1) - gen(Fy, j + 1) for j in range(t)]
+    pairs = [(fxG[j], odd_gen(reg, Fx, j + 1, dual=True)) for j in range(t) if not fxG[j].is_zero]
+    Fdiff = [odd_gen(reg, Fx, j + 1) - odd_gen(reg, Fy, j + 1) for j in range(t)]
     tdetF = transgression_det([(gradF, Fdiff)], "u")
     kernel = grassmann_exp(pairs) if pairs else Element.unit(reg)
     lhs_a = top_contract(Fx, kernel * tdetF)
-    mixed = [fxG[j] - gen(Fy, j + 1) for j in range(t)]
+    mixed = [fxG[j] - odd_gen(reg, Fy, j + 1) for j in range(t)]
     rhs_a = transgression_det([(gradF, mixed)], "u")
     parts = []
     if lhs_a != rhs_a:
@@ -930,14 +925,14 @@ def theorem3_compare(f, F, G, bound=None) -> IdentityReport:
     ba = BoundaryAssignment(reg, {"fx": fX, "fy": fY, "Fx": FX, "Fy": FY})
     if not boundary(ba, ComplexElement(rhs_a)).element.is_zero:
         parts.append("mixed determinant is not closed")
-    bb = bordered_det(GY, [-gen(Fy, j + 1) for j in range(t)], fy)
+    bb = bordered_det(GY, [-odd_gen(reg, Fy, j + 1) for j in range(t)], fy)
     if not boundary(ba, ComplexElement(bb, frozenset({"fy"}))).element.is_zero:
         parts.append("bordered determinant is not closed")
 
     if parts:
         return IdentityReport("theorem3", "", "failed", detail="; ".join(parts))
 
-    fdiffs = [fxgens[i] - gen(fy, i + 1) for i in range(s)]
+    fdiffs = [fxgens[i] - odd_gen(reg, fy, i + 1) for i in range(s)]
     tdetf = transgression_det([(gradf, fdiffs)], "u")
     cform = top_contract(fy, tdetf * bb)
     if rhs_a == cform:

@@ -22,11 +22,19 @@ contract the copy) without building that kernel.
 On top of the contractions sit the two determinant kernels used throughout
 the package: ``bordered_det`` (a scalar matrix bordered by an odd row) and
 ``transgression_det`` (column differences contracted through an auxiliary
-family).
+family).  ``bordered_det`` multiplies out the columns and partially
+contracts.  Its value also has a Laplace form, summed over the column sets
+that take matrix entries (``_minor_expansion``): all of it is
+``bordered_minor_expansion``, lemma 1's contraction-free check on
+``bordered_det``.  ``transgression_det`` is evaluated as the part that
+takes every row, since the full contraction keeps only the terms holding
+every primal of the auxiliary family; the tests keep its
+multiply-and-contract evaluation as the oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
@@ -336,6 +344,11 @@ def grassmann_exp(pairs) -> Element:
     return out
 
 
+def odd_gen(reg: FamilyRegistry, fam, i: int, dual: bool = False) -> Element:
+    """Odd generator ``i`` (1-based) of ``fam``, primal or dual, as an element."""
+    return Element.generator(reg, reg.odd_rank(fam, i, dual))
+
+
 def dual_full_product(reg: FamilyRegistry, fam) -> Element:
     """The full dual word of a family, duals ascending, coefficient +1."""
     fam = reg.odd_family(fam)
@@ -454,6 +467,200 @@ def bordered_det(a, oddrow, rowfam) -> Element:
     return bot_contract(rowfam, product)
 
 
+def _constant(p: Poly):
+    """The value of a constant polynomial (0 when zero); None otherwise."""
+    t = p.terms
+    if not t:
+        return 0
+    return t.get(MONO_ONE) if len(t) == 1 else None
+
+
+def _integer_scalars(entries, odd):
+    """``(d, entries, odd)`` with each matrix entry and each odd-row
+    coefficient x replaced by the integer d * x, d the lcm of all their
+    denominators; None unless every one of them is a constant."""
+    d = 1
+    vals = []
+    for row in entries:
+        vrow = []
+        for p in row:
+            v = _constant(p)
+            if v is None:
+                return None
+            if d % v.denominator:
+                d = lcm(d, v.denominator)
+            vrow.append(v)
+        vals.append(vrow)
+    oddvals = []
+    for t in odd:
+        vt = {}
+        for w, c in t.items():
+            v = _constant(c)
+            if v is None:
+                return None
+            if d % v.denominator:
+                d = lcm(d, v.denominator)
+            vt[w] = v
+        oddvals.append(vt)
+
+    def scale(v):
+        return v.numerator * (d // v.denominator)
+
+    return (
+        d,
+        [[scale(v) for v in row] for row in vals],
+        [{w: scale(v) for w, v in t.items()} for t in oddvals],
+    )
+
+
+def _wedge_into(acc: dict, left: dict, right: dict) -> None:
+    """Add the wedge product of two {word: scalar} maps into ``acc``."""
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            sign, w = merge_words(w1, w2)
+            if w is not None:
+                accumulate(acc, w, c1 * c2 if sign > 0 else -(c1 * c2))
+
+
+def _minor_expansion(reg: FamilyRegistry, a, oddrow, duals, sizes) -> Element:
+    """The Laplace parts of a bordered determinant whose column sets have a
+    size in ``sizes``.
+
+    ``a`` has s rows and n columns, ``oddrow`` n entries of wedge degree at
+    most 1, and ``duals`` the dual ranks that label the rows (unread when
+    only the size s, all rows, is asked for).  A set C of columns takes
+    entries of ``a`` from a set R of rows of the same size c, the leftover
+    columns L (ascending) take their odd-row entries, and the rows outside R
+    (the survivors, u = s - c of them) leave their duals.  With inv the
+    number of (survivor, chosen) row pairs with the survivor first, the part
+    of C is
+
+        (wedge_{l in L} e_l)
+            ^ sum_R (-1)^(inv + u(u-1)/2) * det a[R, C] * (survivor duals, ascending)
+
+    where det a[R, C] takes the rows of R against the ascending columns of
+    C, and e_l is oddrow[l] with its degree-1 part signed by (-1)^(s + b),
+    b the number of chosen columns before l.  For entries of pure degree 1
+    these signs multiply to (-1)^(s*q + X), with q = |L| and X the number
+    of (chosen, leftover) column pairs with the chosen column first.  Each
+    minor is computed once, by expansion along the last column of C over
+    the (c-1)-minors; the wedge of each leftover set is built once, on the
+    wedge of its prefix; every part is summed into one map.
+
+    The scalars are chosen once: when every entry of ``a`` and every
+    coefficient of the odd row is a constant, the expansion runs on the
+    integers d * x, d the lcm of all their denominators.  A c-minor then
+    carries d^c and a wedge of q odd entries d^q, so every part carries d^n,
+    and each coefficient is built once at the end as its sum over d^n.
+    Otherwise it runs on the polynomials themselves.  No contraction
+    machinery is involved.
+    """
+    s, n = len(a), len(oddrow)
+    entries = [[as_poly(reg, x) for x in row] for row in a]
+    odd = [e.terms for e in oddrow]
+    scalars = _integer_scalars(entries, odd)
+    if scalars is None:
+        one = Poly(reg, {MONO_ONE: 1})
+    else:
+        den, entries, odd = scalars
+        one = 1
+    minors = {((), ()): one}
+    # the empty wedge is the unit; it only ever marks the all-chosen part
+    wedges = {(): {(): 1}}
+
+    def minor(rows, cols):
+        m = minors.get((rows, cols))
+        if m is None:
+            # moving row j to the bottom crosses the c - 1 - j rows below it
+            m = 0
+            last, sub = cols[-1], cols[:-1]
+            for j, r in enumerate(rows):
+                term = entries[r][last]
+                if term and sub:
+                    sm = minor(rows[:j] + rows[j + 1 :], sub)
+                    term = term * sm if sm else 0
+                if term:
+                    if (len(rows) - 1 - j) & 1:
+                        term = -term
+                    m = m + term if m else term
+            minors[rows, cols] = m
+        return m
+
+    def wedge(ks):
+        w = wedges.get(ks)
+        if w is None:
+            # the last leftover column l has l - (len(ks) - 1) chosen ones
+            # before it; its degree-1 part takes their sign and s's
+            last = ks[-1]
+            entry = odd[last]
+            if (s + last - len(ks) + 1) & 1:
+                entry = {word: -c if word else c for word, c in entry.items()}
+            if len(ks) == 1:
+                w = wedges[ks] = entry
+            else:
+                w = wedges[ks] = {}
+                _wedge_into(w, wedge(ks[:-1]), entry)
+        return w
+
+    acc: dict = {}
+    for csize in sizes:
+        # each row set with its survivor duals and their sign
+        # (-1)^(inv + u(u-1)/2); taking every row leaves none
+        row_sets = [(tuple(range(s)), (), 0)]
+        if csize < s:
+            row_sets = []
+            for rows in itertools.combinations(range(s), csize):
+                survivors = [u for u in range(s) if u not in rows]
+                inv = sum(1 for u in survivors for v in rows if u < v)
+                u = len(survivors)
+                row_sets.append(
+                    (rows, tuple(duals[i] for i in survivors), (inv + u * (u - 1) // 2) & 1)
+                )
+        for cols in itertools.combinations(range(n), csize):
+            rest = tuple(k for k in range(n) if k not in cols)
+            left = wedge(rest)
+            if not left:
+                continue
+            bracket = {}
+            for rows, word, odd_sign in row_sets:
+                m = minor(rows, cols)
+                if m:
+                    bracket[word] = -m if odd_sign else m
+            if not rest:
+                # no leftover columns: the wedge is the unit
+                for word, m in bracket.items():
+                    accumulate(acc, word, m)
+            elif bracket.keys() == {()}:
+                # no survivor duals: the part is the wedge times the minor
+                m = bracket[()]
+                for word, c in left.items():
+                    accumulate(acc, word, c * m)
+            else:
+                _wedge_into(acc, left, bracket)
+    if scalars is None:
+        return Element(reg, acc)
+    return Element.from_numerators(reg, acc, den**n)
+
+
+def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
+    """The value of ``bordered_det``, by Laplace expansion.
+
+    Sums the parts of ``_minor_expansion`` over column sets of every size,
+    the rows labelled by ``rowfam``'s duals.  No contraction machinery is
+    involved, which makes this a genuine cross-check on the
+    partial-contraction evaluation.
+    """
+    if not oddrow:
+        raise ValueError("bordered_minor_expansion needs at least one column")
+    reg = oddrow[0].reg
+    fam = reg.odd_family(rowfam)
+    s = fam.arity
+    if len(a) != s:
+        raise ValueError(f"matrix has {len(a)} rows, family arity is {s}")
+    sizes = range(min(s, len(oddrow)) + 1)
+    return _minor_expansion(reg, a, oddrow, fam.dual_ranks(), sizes)
+
+
 def transgression_det(blocks, ufam) -> Element:
     """Berezin determinant of difference columns through an auxiliary family.
 
@@ -462,32 +669,36 @@ def transgression_det(blocks, ufam) -> Element:
     family of arity n.  The value is the full contraction over ufam of
     det(-ufam duals) wedged with the product over all columns of
     (oddrow[j] - sum_k ufam_k grad[k][j]), taken in the given order.
+
+    A term survives that contraction only when it holds all n primals of
+    ufam, and the 2n ranks of ufam are contiguous, so their crossings are
+    even and the value is the part of ``_minor_expansion`` that takes every
+    row, over the blocks' columns side by side: the sum over the n-sets C
+    of those columns of (-1)^(n*q + X) det grad[:, C] times the q leftover
+    odd entries (ascending), X the number of (chosen, leftover) column
+    pairs with the chosen column first (for entries of pure degree 1;
+    ``_minor_expansion`` gives the sign of a degree-0 part).  It is zero
+    when there are fewer than n columns.  The tests keep the product and
+    its contraction as the oracle.
     """
     blocks = list(blocks)
     if not blocks:
         raise ValueError("transgression_det needs at least one block")
-    reg = blocks[0][1][0].reg if blocks[0][1] else None
-    for grad, oddrow in blocks:
-        for e in oddrow:
-            reg = e.reg
-            break
-        if reg is not None:
-            break
+    reg = next((e.reg for _, oddrow in blocks for e in oddrow), None)
     if reg is None:
         raise ValueError("transgression_det needs at least one column")
-    ufam = reg.odd_family(ufam)
-    n = ufam.arity
-    uranks = ufam.primal_ranks()
-    sign = -1 if n & 1 else 1
-    product = dual_full_product(reg, ufam) * sign
+    n = reg.odd_family(ufam).arity
+    rows = [[] for _ in range(n)]
+    odd = []
     for grad, oddrow in blocks:
         t = len(oddrow)
         if len(grad) != n:
             raise ValueError(f"gradient block has {len(grad)} rows, family arity is {n}")
-        for row in grad:
-            if len(row) != t:
+        for row, grow in zip(rows, grad):
+            if len(grow) != t:
                 raise ValueError("gradient block and odd row must have equal width")
+            row.extend(grow)
         for j in range(t):
             _validate_linear(oddrow[j], f"transgression_det odd entry {j}")
-            product = product * (oddrow[j] - column(reg, uranks, grad, j))
-    return top_contract(ufam, product)
+        odd.extend(oddrow)
+    return _minor_expansion(reg, rows, odd, (), (n,))

@@ -26,18 +26,18 @@ from ._linalg import solve
 from .grassmann import (
     Element,
     bordered_det,
+    bordered_minor_expansion,
     bot_contract,
     column,
     dual_full_product,
     grassmann_exp,
-    merge_words,
+    odd_gen,
     render_element,
     sort_word,
     top_contract,
     transgression_det,
 )
 from .ring import (
-    MONO_ONE,
     PRIMAL,
     FamilyRegistry,
     Poly,
@@ -173,9 +173,7 @@ def _dual_multiplier(ba: BoundaryAssignment, reg, dual_families) -> Element:
         for name in sorted(key):
             fam = reg.odd_family(name)
             for i in range(1, fam.arity + 1):
-                m = m + Element.generator(reg, reg.odd_rank(fam, i, dual=True)) * ba.image(
-                    name, i
-                )
+                m = m + odd_gen(reg, fam, i, dual=True) * ba.image(name, i)
         ba._multipliers[key] = m
     return m
 
@@ -242,10 +240,7 @@ def theorem1_kernels(reg, ffam, fpfam, Fpfam) -> tuple[ComplexElement, ComplexEl
     if ffam.arity != fpfam.arity:
         raise ValueError("paired families must have equal arity")
     pairs = [
-        (
-            Element.generator(reg, reg.odd_rank(ffam, i)),
-            Element.generator(reg, reg.odd_rank(fpfam, i, dual=True)),
-        )
+        (odd_gen(reg, ffam, i), odd_gen(reg, fpfam, i, dual=True))
         for i in range(1, ffam.arity + 1)
     ]
     pairing = grassmann_exp(pairs)
@@ -343,145 +338,6 @@ def lift(polys, dst: FamilyRegistry, fam) -> list[Poly]:
 # lemma verifiers
 
 
-def _constant(p: Poly):
-    """The value of a constant polynomial (0 when zero); None otherwise."""
-    t = p.terms
-    if not t:
-        return 0
-    return t.get(MONO_ONE) if len(t) == 1 else None
-
-
-def _integer_scalars(entries, odd):
-    """``(d, entries, odd)`` with each matrix entry and each odd-row
-    coefficient x replaced by the integer d * x, d the lcm of all their
-    denominators; None unless every one of them is a constant."""
-    vals = [[_constant(p) for p in row] for row in entries]
-    oddvals = [{w: _constant(c) for w, c in t.items()} for t in odd]
-    d = 1
-    for v in itertools.chain(*vals, *(t.values() for t in oddvals)):
-        if v is None:
-            return None
-        if d % v.denominator:
-            d = math.lcm(d, v.denominator)
-
-    def scale(v):
-        return v.numerator * (d // v.denominator)
-
-    return (
-        d,
-        [[scale(v) for v in row] for row in vals],
-        [{w: scale(v) for w, v in t.items()} for t in oddvals],
-    )
-
-
-def _wedge_into(acc: dict, left: dict, right: dict) -> None:
-    """Add the wedge product of two {word: scalar} maps into ``acc``."""
-    for w1, c1 in left.items():
-        for w2, c2 in right.items():
-            sign, w = merge_words(w1, w2)
-            if w is not None:
-                accumulate(acc, w, c1 * c2 if sign > 0 else -(c1 * c2))
-
-
-def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
-    """Independent evaluation of the bordered determinant in Laplace form.
-
-    Expands along complementary minors: a set C of columns takes scalar-row
-    entries from a set R of rows of the same size c, the leftover columns L
-    (q = n - c of them, ascending) take their odd-row entries, and the rows
-    outside R (the survivors, u = s - c of them) leave their duals.  With
-    X the number of (chosen, leftover) column pairs with the chosen column
-    first and inv the number of (survivor, chosen) row pairs with the
-    survivor first, the value is
-
-        sum_C (-1)^(s*q + X) * (wedge_{k in L} oddrow[k])
-              ^ sum_R (-1)^(inv + u(u-1)/2) * det a[R, C] * (survivor duals, ascending)
-
-    where det a[R, C] takes the rows of R against the ascending columns of
-    C.  Each minor is computed once, by expansion along the last column of C
-    over the (c-1)-minors; the wedge of each leftover set is built once, on
-    the wedge of its prefix; every part is summed into one map.
-
-    The scalars are chosen once: when every entry of ``a`` and every
-    coefficient of the odd row is a constant, the expansion runs on the
-    integers d * x, d the lcm of all their denominators.  A c-minor then
-    carries d^c and a wedge of q odd entries d^q, so every part carries d^n,
-    and each coefficient is built once at the end as its sum over d^n.
-    Otherwise it runs on the polynomials themselves.  No contraction
-    machinery is involved, which makes this a genuine cross-check on the
-    partial-contraction evaluation.
-    """
-    if not oddrow:
-        raise ValueError("bordered_minor_expansion needs at least one column")
-    reg = oddrow[0].reg
-    fam = reg.odd_family(rowfam)
-    s = fam.arity
-    n = len(oddrow)
-    entries = [[as_poly(reg, x) for x in row] for row in a]
-    odd = [e.terms for e in oddrow]
-    scalars = _integer_scalars(entries, odd)
-    if scalars is None:
-        one = Poly.const(reg, 1)
-    else:
-        den, entries, odd = scalars
-        one = 1
-    duals = fam.dual_ranks()
-    minors = {((), ()): one}
-    wedges = {(): {(): one}}
-
-    def minor(rows, cols):
-        m = minors.get((rows, cols))
-        if m is None:
-            # moving row j to the bottom crosses the c - 1 - j rows below it
-            m = 0
-            last, sub = cols[-1], cols[:-1]
-            for j, r in enumerate(rows):
-                e = entries[r][last]
-                if e:
-                    sm = minor(rows[:j] + rows[j + 1 :], sub)
-                    if sm:
-                        term = e * sm
-                        m = m - term if (len(rows) - 1 - j) & 1 else m + term
-            minors[rows, cols] = m
-        return m
-
-    def wedge(ks):
-        w = wedges.get(ks)
-        if w is None:
-            w = wedges[ks] = {}
-            _wedge_into(w, wedge(ks[:-1]), odd[ks[-1]])
-        return w
-
-    acc: dict = {}
-    for csize in range(min(s, n) + 1):
-        # each row set with its survivor duals and their sign
-        # (-1)^(inv + u(u-1)/2)
-        row_sets = []
-        for rows in itertools.combinations(range(s), csize):
-            survivors = [u for u in range(s) if u not in rows]
-            inv = sum(1 for u in survivors for v in rows if u < v)
-            u = len(survivors)
-            row_sets.append(
-                (rows, tuple(duals[i] for i in survivors), (inv + u * (u - 1) // 2) & 1)
-            )
-        for cols in itertools.combinations(range(n), csize):
-            rest = tuple(k for k in range(n) if k not in cols)
-            left = wedge(rest)
-            if not left:
-                continue
-            inter = sum(1 for kp in cols for k in rest if kp < k)
-            flip = (s * len(rest) + inter) & 1
-            bracket = {}
-            for rows, word, odd_sign in row_sets:
-                m = minor(rows, cols)
-                if m:
-                    bracket[word] = -m if odd_sign ^ flip else m
-            _wedge_into(acc, left, bracket)
-    if scalars is None:
-        return Element(reg, acc)
-    return Element.from_numerators(reg, acc, den**n)
-
-
 def verify_lemma1(a, b, instance: str = "") -> IdentityReport:
     """The contraction route and the minor-expansion route agree.
 
@@ -523,14 +379,12 @@ def verify_lemma2(b, instance: str = "") -> tuple[IdentityReport, IdentityReport
     for i in range(s):
         gpart = column(reg, granks, b, i)
         images.append(gpart)
-        product = product * (
-            Element.generator(reg, reg.odd_rank(f, i + 1)) - gpart
-        )
+        product = product * (odd_gen(reg, f, i + 1) - gpart)
     lhs1 = bot_contract(f, product)
     rhs1 = Element.unit(reg)
     if s:
         pairs = [
-            (images[i], Element.generator(reg, reg.odd_rank(f, i + 1, dual=True)))
+            (images[i], odd_gen(reg, f, i + 1, dual=True))
             for i in range(s)
         ]
         live = [(u, v) for u, v in pairs if not u.is_zero]
@@ -654,8 +508,30 @@ def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:
 # theorem 2: the two transgression identities
 
 
+def _renaming_orientation(e: Element, fam) -> Element:
+    """``e`` with each term signed by (-1)^(m(m-1)/2), m the number of
+    ``fam``'s generators in its word: the sign that reverses an m-word."""
+    fam = e.reg.odd_family(fam)
+    terms = {}
+    for w, c in e.terms.items():
+        m = sum(1 for r in w if fam.owns_rank(r))
+        terms[w] = -c if m * (m - 1) // 2 & 1 else c
+    return Element(e.reg, terms)
+
+
 def verify_theorem2(f, F, instance: str = "") -> tuple[IdentityReport, IdentityReport]:
-    """Both displayed identities, evaluated exactly on each side."""
+    """Both displayed identities, evaluated exactly on each side.
+
+    Each side renames one family through an exponential kernel: contracting
+    prod_i (1 + a_i b_i*) against a word holding b_i1 .. b_im (ascending)
+    leaves a_i1 .. a_im in their place times (-1)^(m(m-1)/2), because the
+    anchor pairs the dual word against the primal word with both ascending,
+    so the kernel's interleaved pairs come out reversed.  The identities
+    read the kernel as the renaming itself, so each side is compared in
+    the orientation that undoes this sign in its renamed family
+    (``_renaming_orientation``); words with at most one renamed generator
+    keep their sign.
+    """
     if not f:
         raise ValueError("need at least one polynomial in f")
     n = f[0].reg.num_comm
@@ -675,29 +551,29 @@ def verify_theorem2(f, F, instance: str = "") -> tuple[IdentityReport, IdentityR
     gradf = gradient(lift(f, reg, "x"), reg)
     gradF = gradient(lift(F, reg, "x"), reg)
 
-    def gen(fam, i, dual=False):
-        return Element.generator(reg, reg.odd_rank(fam, i, dual=dual))
+    def diffs(famx, famy, k):
+        return [odd_gen(reg, famx, i) - odd_gen(reg, famy, i) for i in range(1, k + 1)]
 
-    fdiff = [gen(fx, i) - gen(fy, i) for i in range(1, s + 1)]
-    fpdiff = [gen(fpx, i) - gen(fpy, i) for i in range(1, s + 1)]
+    def exp_pairs(primal, dual, k):
+        return grassmann_exp(
+            [(odd_gen(reg, primal, i), odd_gen(reg, dual, i, dual=True)) for i in range(1, k + 1)]
+        )
+
+    fdiff, fpdiff = diffs(fx, fy, s), diffs(fpx, fpy, s)
+    tdetf = transgression_det([(gradf, fdiff)], u)
     if t:
-        Fdiff = [gen(Fx, j) - gen(Fy, j) for j in range(1, t + 1)]
-        Fpdiff = [gen(Fpx, j) - gen(Fpy, j) for j in range(1, t + 1)]
+        Fdiff, Fpdiff = diffs(Fx, Fy, t), diffs(Fpx, Fpy, t)
         bigdet = transgression_det([(gradF, Fdiff), (gradf, fdiff)], u)
     else:
-        bigdet = transgression_det([(gradf, fdiff)], u)
+        bigdet = tdetf
 
     # identity 1
     lhs1 = bigdet * dual_full_product(reg, fy)
     if t:
-        lhs1 = lhs1 * grassmann_exp(
-            [(gen(Fpy, j), gen(Fy, j, dual=True)) for j in range(1, t + 1)]
-        )
-        lhs1 = top_contract(fy, top_contract(Fy, lhs1))
-        rhs1 = grassmann_exp(
-            [(gen(Fx, j), gen(Fpx, j, dual=True)) for j in range(1, t + 1)]
-        ) * transgression_det([(gradF, Fpdiff)], u)
-        rhs1 = top_contract(Fpx, rhs1)
+        lhs1 = lhs1 * exp_pairs(Fpy, Fy, t)
+        lhs1 = _renaming_orientation(top_contract(fy, top_contract(Fy, lhs1)), Fpy)
+        rhs1 = exp_pairs(Fx, Fpx, t) * transgression_det([(gradF, Fpdiff)], u)
+        rhs1 = _renaming_orientation(top_contract(Fpx, rhs1), Fx)
     else:
         # With no F block the right side is a determinant with zero columns,
         # which vanishes for n >= 1; the identity degenerates to lhs = 0.
@@ -705,13 +581,8 @@ def verify_theorem2(f, F, instance: str = "") -> tuple[IdentityReport, IdentityR
         rhs1 = Element.zero(reg)
 
     # identity 2
-    lhs2 = transgression_det([(gradf, fdiff)], u) * grassmann_exp(
-        [(gen(fpy, i), gen(fy, i, dual=True)) for i in range(1, s + 1)]
-    )
-    lhs2 = top_contract(fy, lhs2)
-    core = grassmann_exp(
-        [(gen(fx, i), gen(fpx, i, dual=True)) for i in range(1, s + 1)]
-    )
+    lhs2 = _renaming_orientation(top_contract(fy, tdetf * exp_pairs(fpy, fy, s)), fpy)
+    core = exp_pairs(fx, fpx, s)
     if t:
         bigdetp = transgression_det([(gradF, Fpdiff), (gradf, fpdiff)], u)
         core = dual_full_product(reg, Fpx) * core * bigdetp
@@ -720,7 +591,7 @@ def verify_theorem2(f, F, instance: str = "") -> tuple[IdentityReport, IdentityR
         bigdetp = transgression_det([(gradf, fpdiff)], u)
         core = top_contract(fpx, core * bigdetp)
     sign = -1 if (t * n) & 1 else 1
-    rhs2 = core * sign
+    rhs2 = _renaming_orientation(core, fx) * sign
     return (
         sides_verdict("theorem2.1", instance, lhs1, rhs1),
         sides_verdict("theorem2.2", instance, lhs2, rhs2),

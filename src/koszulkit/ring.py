@@ -366,23 +366,6 @@ class Poly:
             gens.update(g for g, _ in m)
         return gens
 
-    def subst(self, images: dict[int, "Poly"]) -> "Poly":
-        """Substitute polynomials for generators (ring homomorphism).
-
-        ``images`` maps global commuting indices to replacement polynomials;
-        unmapped generators are left alone.
-        """
-        out = Poly.zero(self.reg)
-        for m, c in self.terms.items():
-            term = Poly.const(self.reg, c)
-            for g, e in m:
-                img = images.get(g)
-                if img is None:
-                    img = Poly.variable(self.reg, g)
-                term = term * img**e
-            out = out + term
-        return out
-
     def sorted_terms(self) -> list[tuple[Mono, int | Fraction]]:
         """Terms in descending graded-lexicographic order (canonical)."""
         return sorted(self.terms.items(), key=_grlex_key, reverse=True)
@@ -452,14 +435,17 @@ def divided_diff(F: Poly, xfam, yfam) -> list[Poly]:
     if xfam.name == yfam.name:
         raise ValueError("divided_diff needs two distinct families")
     out: list[Poly] = []
-    cur = F
+    cur = F.terms
     for k in range(1, xfam.arity + 1):
         xg = reg.comm_gen(xfam, k)
         yg = reg.comm_gen(yfam, k)
+        # D_k, and the next stage: cur with x_k renamed to y_k
         quo: dict[Mono, int | Fraction] = {}
-        for m, c in cur.terms.items():
+        nxt: dict[Mono, int | Fraction] = {}
+        for m, c in cur.items():
             a = mono_exponent(m, xg)
             if a == 0:
+                accumulate(nxt, m, c)
                 continue
             rest = tuple(pair for pair in m if pair[0] != xg)
             for i in range(a):
@@ -469,8 +455,9 @@ def divided_diff(F: Poly, xfam, yfam) -> list[Poly]:
                 if a - 1 - i:
                     extra.append((yg, a - 1 - i))
                 accumulate(quo, mono_mul(rest, tuple(sorted(extra))), c)
+            accumulate(nxt, mono_mul(rest, ((yg, a),)), c)
         out.append(Poly(reg, quo))
-        cur = cur.subst({xg: Poly.variable(reg, yg)})
+        cur = nxt
     return out
 
 

@@ -27,6 +27,8 @@ from koszulkit.dual_element import (
     verify_theorem4,
 )
 
+from substitution import subst
+
 # the package re-exports the function dual_element under the module's name
 dual_module = importlib.import_module("koszulkit.dual_element")
 
@@ -192,7 +194,7 @@ class TestFunctionalEval:
         y = Poly.variable(reg, 1)
         for d in (1, 2, 3, 4):
             T = x**d
-            nabla = divided_diff(T.subst({}), "x", "y")[0]
+            nabla = divided_diff(T, "x", "y")[0]
             ly = ProductFunctional(
                 reg, "y", (Functional1D(1, (Fraction(0),) * d, (0,) * (d - 1) + (1,)),)
             )
@@ -300,7 +302,7 @@ def _ladder(seed):
         for g in range(len(sf.labels)):
             c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3))
             images[g] = c * Poly.variable(sf.reg, g)
-        yield [p.subst(images) for p in sf.f] if seed is not None else sf.f
+        yield [subst(p, images) for p in sf.f] if seed is not None else sf.f
 
 
 def _pairing_arguments(monkeypatch, f):

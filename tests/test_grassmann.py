@@ -8,7 +8,11 @@ Oracles, defined before anything that uses them:
   transgression_det;
 - ``_renaming_bot_contract``, the earlier renaming-kernel evaluation of the
   partial contraction, for the closed-form ``bot_contract``;
-- ``koszul.bordered_minor_expansion`` for ``bordered_det`` on random shapes;
+- ``bordered_minor_expansion`` for ``bordered_det`` on random shapes, odd
+  entries with scalar parts included;
+- ``_product_transgression_det``, the earlier evaluation of
+  ``transgression_det`` that multiplied out every column and fully
+  contracted the auxiliary family, for the Laplace expansion;
 - ``_pair_loop_mul``, the earlier ``Element.__mul__`` that built one ``Poly``
   product per word pair, for the accumulating product kernel;
 - ``_monomial_map_mul``, the ``Element.__mul__`` of before the constant
@@ -27,16 +31,18 @@ from koszulkit import grassmann
 from koszulkit.grassmann import (
     Element,
     bordered_det,
+    bordered_minor_expansion,
     bot_contract,
+    column,
     dual_full_product,
     grassmann_exp,
     merge_words,
+    odd_gen,
     render_element,
     sort_word,
     top_contract,
     transgression_det,
 )
-from koszulkit.koszul import bordered_minor_expansion
 from koszulkit.ring import FamilyRegistry, Poly, accumulate, as_poly, divided_diff, mono_mul
 
 
@@ -153,6 +159,21 @@ def _monomial_map_mul(self: Element, other: Element) -> Element:
                     accumulate(out, mono_mul(m1, m2), a * b)
     reg = self.reg
     return Element(reg, {w: Poly(reg, t) for w, t in acc.items() if t})
+
+
+def _product_transgression_det(blocks, ufam) -> Element:
+    """The earlier ``transgression_det``: (-1)^n times the full dual word of
+    the auxiliary family, wedged with every column
+    (oddrow[j] - sum_k u_k grad[k][j]) in order, fully contracted over that
+    family."""
+    reg = next(e.reg for _, oddrow in blocks for e in oddrow)
+    ufam = reg.odd_family(ufam)
+    uranks = ufam.primal_ranks()
+    product = dual_full_product(reg, ufam) * (-1 if ufam.arity & 1 else 1)
+    for grad, oddrow in blocks:
+        for j in range(len(oddrow)):
+            product = product * (oddrow[j] - column(reg, uranks, grad, j))
+    return top_contract(ufam, product)
 
 
 def setup_fg(arity_f=2, arity_g=2, nvars=2):
@@ -648,6 +669,115 @@ class TestBorderedDetOracle:
                 for _ in range(n)
             ]
             assert bordered_det(a, oddrow, f) == bordered_minor_expansion(a, oddrow, f)
+
+    def test_odd_entries_with_scalar_parts(self):
+        rng = random.Random(20017)
+        for _ in range(60):
+            s, n = rng.randint(1, 3), rng.randint(1, 4)
+            reg = FamilyRegistry()
+            x = reg.commuting("x", 1)
+            f = reg.odd("f", s)
+            g = reg.odd("g", 2)
+            xv = Poly.variable(reg, reg.comm_gen(x, 1))
+            a = [
+                [xv * rng.randint(-2, 2) + rng.randint(-2, 2) for _ in range(n)]
+                for _ in range(s)
+            ]
+            oddrow = _odd_entries(rng, reg, g.primal_ranks(), n, list(x.gens()), True)
+            assert bordered_det(a, oddrow, f) == bordered_minor_expansion(a, oddrow, f)
+
+
+def _odd_entries(rng, reg, ranks, count, gens, scalar_parts=False, coeffs="poly"):
+    """``count`` random elements of wedge degree 1 over ``ranks`` (and, with
+    ``scalar_parts``, often a degree-0 part); some entries are zero.  The
+    coefficients are integers (``coeffs="int"``), rationals (``"fraction"``)
+    or polynomials in ``gens`` (``"poly"``)."""
+    out = []
+    for _ in range(count):
+        terms = {}
+        words = [(r,) for r in ranks] + ([()] if scalar_parts else [])
+        for w in words:
+            if rng.random() < 0.6:
+                c = Poly.const(reg, rng.randint(-2, 2))
+                if coeffs == "fraction":
+                    c = c * Fraction(1, rng.randint(1, 3))
+                elif coeffs == "poly":
+                    for _ in range(rng.randrange(2)):
+                        c = c * Poly.variable(reg, rng.choice(gens))
+                if c:
+                    terms[w] = c
+        out.append(Element(reg, terms))
+    return out
+
+
+class TestTransgressionDetOracle:
+    """The Laplace expansion against the product-and-contract route."""
+
+    @staticmethod
+    def _case(rng, n, widths, scalar_parts=False, coeffs="poly"):
+        reg = FamilyRegistry()
+        x = reg.commuting("x", 2)
+        g = reg.odd("g", 3)
+        u = reg.odd("u", n)
+        gens = list(x.gens())
+
+        def entry():
+            p = Poly.const(reg, rng.randint(-3, 3))
+            for _ in range(rng.randrange(3)):
+                p = p + Poly.variable(reg, rng.choice(gens)) * rng.randint(-2, 2)
+            return p * Poly.variable(reg, rng.choice(gens)) if rng.random() < 0.3 else p
+
+        blocks = [
+            (
+                [[entry() for _ in range(t)] for _ in range(n)],
+                _odd_entries(rng, reg, g.primal_ranks(), t, gens, scalar_parts, coeffs),
+            )
+            for t in widths
+        ]
+        return blocks, u
+
+    @pytest.mark.parametrize("coeffs", ["int", "fraction", "poly"])
+    @pytest.mark.parametrize("nblocks", [1, 2])
+    def test_polynomial_entries_every_width(self, nblocks, coeffs):
+        """t < n (zero), t = n and t > n columns, in one block or split in
+        two; odd coefficients that are integers, rationals or polynomials."""
+        rng = random.Random(f"20031:{nblocks}:{coeffs}")
+        for n in (1, 2, 3):
+            for t in range(1, n + 3):
+                for _ in range(3):
+                    cut = rng.randint(0, t)
+                    widths = [t] if nblocks == 1 else [cut, t - cut]
+                    blocks, u = self._case(rng, n, widths, coeffs=coeffs)
+                    got = transgression_det(blocks, u)
+                    assert got == _product_transgression_det(blocks, u), (n, widths)
+                    if t < n:
+                        assert got.is_zero
+
+    def test_odd_entries_with_scalar_parts(self):
+        """Entries of wedge degree 0 and 1 mixed: only the degree-1 parts
+        cross the chosen columns with a sign."""
+        rng = random.Random(20033)
+        for n in (1, 2, 3):
+            for t in range(n, n + 3):
+                for _ in range(3):
+                    blocks, u = self._case(rng, n, [t], scalar_parts=True)
+                    got = transgression_det(blocks, u)
+                    assert got == _product_transgression_det(blocks, u), (n, t)
+
+    def test_pinned_difference_columns(self):
+        """The divided differences of f = (x^2, x^3) against fx - fy."""
+        reg = FamilyRegistry()
+        x = reg.commuting("x", 1)
+        y = reg.commuting("y", 1)
+        fx = reg.odd("fx", 2)
+        fy = reg.odd("fy", 2)
+        u = reg.odd("u", 1)
+        xp = Poly.variable(reg, reg.comm_gen(x, 1))
+        grad = [[divided_diff(xp**k, x, y)[0] for k in (2, 3)]]
+        diffs = [odd_gen(reg, fx, j) - odd_gen(reg, fy, j) for j in (1, 2)]
+        got = transgression_det([(grad, diffs)], u)
+        assert got == _product_transgression_det([(grad, diffs)], u)
+        assert got == diffs[1] * grad[0][0] - diffs[0] * grad[0][1]
 
 
 class TestExpAndRowDet:

@@ -20,17 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit import koszul
+from koszulkit import grassmann, koszul
 from koszulkit._linalg import solve
 from koszulkit.cli import main
-from koszulkit.grassmann import Element, dual_full_product, grassmann_exp
+from koszulkit.grassmann import (
+    Element,
+    bordered_minor_expansion,
+    dual_full_product,
+    grassmann_exp,
+)
 from koszulkit.koszul import (
     BoundaryAssignment,
     ComplexElement,
     DomainError,
     NotCocycleError,
     UnassignedFamilyError,
-    bordered_minor_expansion,
     boundary,
     homotopy_witness,
     infer_dual_families,
@@ -395,8 +399,6 @@ class TestMinorExpansionOracle:
     def test_uses_no_contraction(self, monkeypatch):
         """The oracle stays independent of the contraction route, on
         polynomial scalars and on integer ones (constant entries)."""
-        from koszulkit import grassmann
-
         def refuse(*args, **kwargs):
             raise AssertionError("contraction called")
 
@@ -404,14 +406,14 @@ class TestMinorExpansionOracle:
             for name in ("bot_contract", "top_contract", "bordered_det"):
                 monkeypatch.setattr(mod, name, refuse)
         domains = []
-        real = koszul._integer_scalars
+        real = grassmann._integer_scalars
 
         def recorded(*args):
             out = real(*args)
             domains.append(out is not None)
             return out
 
-        monkeypatch.setattr(koszul, "_integer_scalars", recorded)
+        monkeypatch.setattr(grassmann, "_integer_scalars", recorded)
         for poly_entries in (True, False):
             a, oddrow, f = _expansion_inputs(random.Random(4116), 3, 3, 2, poly_entries)
             got = bordered_minor_expansion(a, oddrow, f)
@@ -518,13 +520,15 @@ class TestTheorem2:
         assert r2.status == "equal", r2.detail
 
     def test_random_instances(self):
+        """Up to three equations a side, so k = s - n and k = t - n reach 2,
+        where a renamed word holds two generators of one family."""
         rng = random.Random(53)
         for n in (1, 2):
             reg = FamilyRegistry()
             x = reg.commuting("x", n)
             gens = list(x.gens())
-            for s in (1, 2):
-                for t in (1, 2):
+            for s in (1, 2, 3):
+                for t in (1, 2, 3):
                     f = [rand_poly(rng, reg, gens, 2) for _ in range(s)]
                     F = [rand_poly(rng, reg, gens, 2) for _ in range(t)]
                     r1, r2 = verify_theorem2(f, F, instance=f"n={n} s={s} t={t}")

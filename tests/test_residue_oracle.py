@@ -26,6 +26,7 @@ from koszulkit.dual_element import (
 from koszulkit.grassmann import Element
 from koszulkit.ring import FamilyRegistry, Poly
 
+from substitution import subst
 from test_dual_element import _ladder, det_g_dual_element
 
 # the package re-exports the function dual_element under the module's name
@@ -121,7 +122,7 @@ def square_systems(draw):
         g: x[g] + sum((small() * x[k] for k in range(g + 1, n)), Poly.zero(reg))
         for g in range(n)
     }
-    return [(x[j] ** a + lower(a)).subst(images) for j, a in enumerate(degrees)]
+    return [subst(x[j] ** a + lower(a), images) for j, a in enumerate(degrees)]
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)

@@ -25,6 +25,8 @@ from koszulkit.ring import (
     render_poly,
 )
 
+from substitution import subst
+
 
 def evaluate(p, point):
     """Independent evaluation oracle: sum over raw terms, no Poly arithmetic."""
@@ -171,27 +173,6 @@ class TestPolyArithmetic:
         assert Poly.zero(reg).total_degree() == -1
 
 
-class TestSubstitution:
-    def test_subst_is_ring_homomorphism(self):
-        rng = random.Random(12003)
-        reg, x, y = fresh_xy(2)
-        gens = list(x.gens()) + list(y.gens())
-        for _ in range(60):
-            p = rand_poly(rng, reg, gens)
-            q = rand_poly(rng, reg, gens)
-            images = {g: rand_poly(rng, reg, gens, max_deg=2, max_terms=3) for g in x.gens()}
-            assert (p + q).subst(images) == p.subst(images) + q.subst(images)
-            assert (p * q).subst(images) == p.subst(images) * q.subst(images)
-
-    def test_subst_identity_and_constants(self):
-        reg, x, _ = fresh_xy(2)
-        g1, g2 = x.gens()
-        p = parse_poly(reg, "x1^2*x2 - 3*x1 + 1/2")
-        assert p.subst({}) == p
-        collapsed = p.subst({g1: Poly.const(reg, 2), g2: Poly.const(reg, Fraction(1, 2))})
-        assert collapsed == Poly.const(reg, Fraction(4, 2) - 6 + Fraction(1, 2))
-
-
 class TestParser:
     def test_pinned_expressions(self):
         reg, x, _ = fresh_xy(2)
@@ -257,7 +238,28 @@ class TestDividedDiff:
             for k in range(1, n + 1):
                 xk = Poly.variable(reg, reg.comm_gen(x, k))
                 lhs = lhs + (xk - swap[reg.comm_gen(x, k)]) * diffs[k - 1]
-            assert lhs == F - F.subst(swap)
+            assert lhs == F - subst(F, swap)
+
+    def test_defining_identity_with_both_families(self):
+        """The identity also holds for an F that already holds y terms: x_k
+        renamed to y_k must merge with the y terms present.  F leads with
+        -H(y_1, x_2, ...), so the terms of H(x_1, x_2, ...) renamed at the
+        first stage meet their partners there while x_2 .. x_n are live."""
+        rng = random.Random(12007)
+        for _ in range(100):
+            n = rng.randint(1, 3)
+            reg, x, y = fresh_xy(n)
+            gens = list(x.gens()) + list(y.gens())
+            swap = {reg.comm_gen(x, k): Poly.variable(reg, reg.comm_gen(y, k)) for k in range(1, n + 1)}
+            H = rand_poly(rng, reg, gens, max_deg=4, max_terms=6)
+            first = {reg.comm_gen(x, 1): swap[reg.comm_gen(x, 1)]}
+            F = -subst(H, first) + H + rand_poly(rng, reg, gens, max_deg=3, max_terms=3)
+            diffs = divided_diff(F, x, y)
+            lhs = Poly.zero(reg)
+            for k in range(1, n + 1):
+                xk = Poly.variable(reg, reg.comm_gen(x, k))
+                lhs = lhs + (xk - swap[reg.comm_gen(x, k)]) * diffs[k - 1]
+            assert lhs == F - subst(F, swap)
 
     def test_variable_window(self):
         """D_k may involve x_k..x_n and y_1..y_k but nothing outside."""
