@@ -7,9 +7,10 @@ Gilbert-Peierls, 1988): each new column is reduced against the pivots found
 so far, the target is reduced by each new pivot, and the search stops as soon
 as the target's residue is empty.  Elimination is fraction-free on integer
 vectors (as in Bareiss, 1968), with ``Fraction`` only in back-substitution.
-``inverse``, for the reduced Bezoutian of a quotient ring, pivots on the
-fewest-nonzeros row over ``Fraction``.  ``charpoly`` works over ``Fraction``
-on a small dense list of lists (a multiplication matrix of the quotient ring).
+The same solver gives the Grothendieck residue of a square system from one
+right-hand side against the rows of its reduced Bezoutian.  ``charpoly``
+works over ``Fraction`` on a small dense list of lists (a multiplication
+matrix of the quotient ring).
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import attrgetter
-
-from .ring import accumulate
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -171,42 +170,6 @@ def _back_substitute(x, ucol, y):
         for i, num, den in comb:
             z[i] = z.get(i, 0) - xc * Fraction(num, den)
     return x
-
-
-def inverse(mat) -> list[list[Fraction]] | None:
-    """Exact inverse of a square matrix, or None when it is singular.
-
-    Gauss-Jordan elimination on dict rows carried alongside the identity;
-    each column pivots on the remaining row with the fewest nonzeros (ties to
-    the lower index).
-    """
-    n = len(mat)
-    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in mat]
-    inv_rows = [{i: Fraction(1)} for i in range(n)]
-    free = set(range(n))
-    pivots = []
-    for c in range(n):
-        live = [i for i in free if c in rows[i]]
-        if not live:
-            return None
-        p = min(live, key=lambda i: (len(rows[i]), i))
-        free.discard(p)
-        scale = 1 / rows[p][c]
-        rows[p] = {j: v * scale for j, v in rows[p].items()}
-        inv_rows[p] = {j: v * scale for j, v in inv_rows[p].items()}
-        for i in range(n):
-            f = rows[i].get(c)
-            if f and i != p:
-                for src, dst in ((rows[p], rows[i]), (inv_rows[p], inv_rows[i])):
-                    for j, v in src.items():
-                        accumulate(dst, j, -f * v)
-        pivots.append((p, c))
-    # row p of the eliminated matrix is the unit row c, so the row carried
-    # along with it is row c of the inverse
-    out = [None] * n
-    for p, c in pivots:
-        out[c] = [inv_rows[p].get(j, Fraction(0)) for j in range(n)]
-    return out
 
 
 def charpoly(mat) -> list[Fraction]:

@@ -492,6 +492,16 @@ def _render_certificate(label, e, cert) -> dict:
     }
 
 
+def _header(command, digest) -> dict:
+    """The fields every report opens with."""
+    return {
+        "tool": "koszulkit",
+        "version": __version__,
+        "command": command,
+        "input_digest": digest,
+    }
+
+
 def assemble_report(command, digest, seed, reports, certificates=None, timing=None):
     counts = {"equal": 0, "homotopic": 0, "failed": 0, "not_found": 0}
     first_failure = None
@@ -500,10 +510,7 @@ def assemble_report(command, digest, seed, reports, certificates=None, timing=No
         if first_failure is None and not r.ok:
             first_failure = r.to_dict()
     return {
-        "tool": "koszulkit",
-        "version": __version__,
-        "command": command,
-        "input_digest": digest,
+        **_header(command, digest),
         "seed": seed,
         "summary": {"total": len(reports), **counts},
         "first_failure": first_failure,
@@ -523,6 +530,14 @@ def _emit(data, out_path=None) -> None:
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _read_system(path):
+    """(system, digest): the system file at ``path``, parsed, and the sha256
+    of its text."""
+    with open(path) as fh:
+        text = fh.read()
+    return parse_system_file(text), _digest(text.encode())
 
 
 @contextlib.contextmanager
@@ -563,10 +578,7 @@ def cmd_verify(args) -> int:
             raise ValueError(
                 f"--file applies only to suites {', '.join(_FILE_SUITES)}"
             )
-        with open(args.file) as fh:
-            text = fh.read()
-        system = parse_system_file(text)
-        digest = _digest(text.encode())
+        system, digest = _read_system(args.file)
     else:
         key = (
             f"{args.suite} n={args.n} s={args.s} t={args.t} deg={args.deg} "
@@ -606,14 +618,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dual_element(args) -> int:
-    with open(args.file) as fh:
-        text = fh.read()
-    system = parse_system_file(text)
+    system, digest = _read_system(args.file)
     with _any_digits():
         reports, e, cert = verify_theorem4(system.f, bound=system.degree_bound, instance="file")
         data = assemble_report(
             "dual-element",
-            _digest(text.encode()),
+            digest,
             system.seed,
             reports,
             certificates=[_render_certificate("file", e, cert)],
@@ -623,18 +633,13 @@ def cmd_dual_element(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    with open(args.file) as fh:
-        text = fh.read()
-    system = parse_system_file(text)
+    system, digest = _read_system(args.file)
     p = parse_poly(system.reg, args.poly)
     with _any_digits():
         e, cert = dual_element(system.f)
         pX = lift([p], e.reg, "x")[0]
         data = {
-            "tool": "koszulkit",
-            "version": __version__,
-            "command": "pair",
-            "input_digest": _digest(text.encode()),
+            **_header("pair", digest),
             "poly": str(p),
             "pair_with_e": _frac_str(e.pair_poly(pX)),
             "pair_with_l": _frac_str(cert["functional"].eval_poly(pX)),
@@ -644,9 +649,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_groebner(args) -> int:
-    with open(args.file) as fh:
-        text = fh.read()
-    system = parse_system_file(text)
+    system, digest = _read_system(args.file)
     with _any_digits():
         gb = groebner(system.f, order=system.order, family="x")
         try:
@@ -657,10 +660,7 @@ def cmd_groebner(args) -> int:
             dimension = None
             staircase = None
         data = {
-            "tool": "koszulkit",
-            "version": __version__,
-            "command": "groebner",
-            "input_digest": _digest(text.encode()),
+            **_header("groebner", digest),
             "order": gb.order,
             "basis": [str(p) for p in gb.basis],
             "cofactors": [[str(c) for c in row] for row in gb.cofactors],

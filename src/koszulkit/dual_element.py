@@ -41,7 +41,7 @@ from .koszul import (
     transport,
     verdict,
 )
-from ._linalg import inverse
+from ._linalg import solve
 from .quotient import charpoly_T, groebner, mul_matrix, quotient_basis
 from .ring import FamilyRegistry, Poly, accumulate, as_poly, mono_mul
 
@@ -305,18 +305,17 @@ class Staircase:
     """The quotient algebra A = k[x]/(f) in its staircase basis.
 
     ``exponents`` are the exponent vectors of the standard monomials,
-    ascending in the monomial order; ``mats[j]`` and ``mat_rows[j]`` hold
-    the columns and the rows of the multiplication matrix M_j of the j-th
-    variable as sparse dicts; and ``funcs[j]`` carries the annihilator T_j
-    of that variable, the characteristic polynomial of M_j.  Nothing here
-    names a generator, so the same algebra serves the x and the y copies of
-    the variables.
+    ascending in the monomial order; ``mats[j]`` holds the columns of the
+    multiplication matrix M_j of the j-th variable as sparse dicts, column c
+    being the coordinates of x_j times the c-th standard monomial; and
+    ``funcs[j]`` carries the annihilator T_j of that variable, the
+    characteristic polynomial of M_j.  Nothing here names a generator, so the
+    same algebra serves the x and the y copies of the variables.
     """
 
-    def __init__(self, exponents: tuple, mats: tuple, mat_rows: tuple, funcs: tuple):
+    def __init__(self, exponents: tuple, mats: tuple, funcs: tuple):
         self.exponents = exponents
         self.mats = mats
-        self.mat_rows = mat_rows
         self.funcs = funcs
         self._memo: dict = {}
         self._remainders: dict = {}
@@ -332,8 +331,7 @@ class Staircase:
             tuple({i: row[c] for i, row in enumerate(mat) if row[c]} for c in range(len(qb)))
             for mat in mats
         )
-        rows = tuple(tuple({c: v for c, v in enumerate(row) if v} for row in mat) for mat in mats)
-        return cls(exponents, columns, rows, tuple(funcs))
+        return cls(exponents, columns, tuple(funcs))
 
     def coords(self, b: tuple) -> dict:
         """Coordinates {staircase index: c} of the normal form of x^b.
@@ -389,8 +387,9 @@ class Staircase:
     def gram(self, values) -> tuple:
         """The Gram matrix [tau(x^beta x^gamma)] over the staircase of the
         functional tau with the given staircase values, row by row: row
-        beta + e_j is row beta times M_j, starting from row 0 = ``values``."""
-        d = len(self.exponents)
+        beta + e_j is row beta times M_j, entry c the row dotted with column
+        c of M_j, starting from row 0 = ``values``."""
+        zero = Fraction(0)
         rows = {}
         for beta in sorted(self.exponents, key=sum):
             if not any(beta):
@@ -398,12 +397,10 @@ class Staircase:
                 continue
             j = next(j for j, e in enumerate(beta) if e)
             prev = rows[beta[:j] + (beta[j] - 1,) + beta[j + 1 :]]
-            row = [Fraction(0)] * d
-            for i, p in enumerate(prev):
-                if p:
-                    for c, v in self.mat_rows[j][i].items():
-                        row[c] += p * v
-            rows[beta] = tuple(row)
+            rows[beta] = tuple(
+                sum((prev[i] * v for i, v in col.items() if prev[i]), zero)
+                for col in self.mats[j]
+            )
         return tuple(rows[beta] for beta in self.exponents)
 
 
@@ -658,14 +655,16 @@ def _residue(reg, fX, qb, mats, l: ProductFunctional) -> StaircaseFunctional:
     The Bezoutian Theta(x, y), the determinant of the divided-difference
     matrix, is reduced modulo the Groebner basis, first in x and then in y
     moved onto x, into the d x d matrix B with Theta = sum B[a][b] x^a y^b
-    on A (x) A.  Theta splits into dual bases under tau (Becker, Cardinal,
-    Roy and Szafraniec 1996; Elkadi and Mourrain 2007), so B^-1 is tau's
-    Gram matrix [tau(x^a x^b)] and tau is its row at the monomial 1.  Exact
-    checks, each raising AssertionError: B is invertible; B^-1 equals the
-    Gram matrix rebuilt from tau's values and the multiplication matrices;
-    and tau takes the value d on the Jacobian determinant of f, computed
-    from partial derivatives (the trace formula tau(J g) = trace of g on A,
-    at g = 1), which fixes the sign and scale of Theta.
+    on A (x) A, kept as sparse rows.  Theta splits into dual bases under tau
+    (Becker, Cardinal, Roy and Szafraniec 1996; Elkadi and Mourrain 2007), so
+    B^-1 is tau's Gram matrix G = [tau(x^a x^b)] and tau, its row at the
+    monomial 1, solves B^T tau = e_1 (one ``solve`` over B's rows).  Exact
+    checks, each raising AssertionError: that system is solvable; G, rebuilt
+    from tau's values and the multiplication matrices, has G B = I, which
+    for square matrices proves B invertible with G = B^-1; and tau takes the
+    value d on the Jacobian determinant of f, computed from partial
+    derivatives (the trace formula tau(J g) = trace of g on A, at g = 1),
+    which fixes the sign and scale of Theta.
     """
     n = len(fX)
     fxfam = reg.odd_family("fx")
@@ -676,7 +675,7 @@ def _residue(reg, fX, qb, mats, l: ProductFunctional) -> StaircaseFunctional:
     algebra = Staircase.of(reg.comm_family("x"), qb, mats, l.funcs)
     d = len(qb)
     ybase = reg.comm_family("y").base
-    B = [[Fraction(0)] * d for _ in range(d)]
+    B = [{} for _ in range(d)]
     for ymono, xterms in l.by_exponent(theta, passthrough=True).items():
         left = algebra.reduce(xterms)
         b = [0] * n
@@ -685,19 +684,25 @@ def _residue(reg, fX, qb, mats, l: ProductFunctional) -> StaircaseFunctional:
         right = algebra.coords(tuple(b))
         for i, u in left.items():
             for j, v in right.items():
-                B[i][j] += u * v
-    Binv = inverse(B)
-    if Binv is None:
+                accumulate(B[i], j, u * v)
+    tau = solve(B, {algebra.exponents.index((0,) * n): 1}) if d else ()
+    if tau is None:
         raise AssertionError("the reduced Bezoutian is singular")
-    gram = algebra.gram(Binv[algebra.exponents.index((0,) * n)] if d else ())
-    if [list(row) for row in gram] != Binv:
-        raise AssertionError("the reduced Bezoutian's inverse is not the residue's Gram matrix")
+    gram = algebra.gram(tau)
+    for a, grow in enumerate(gram):
+        prod: dict = {}
+        for i, g in enumerate(grow):
+            if g:
+                for j, v in B[i].items():
+                    accumulate(prod, j, g * v)
+        if prod != {a: 1}:
+            raise AssertionError("the Gram matrix times the reduced Bezoutian is not I")
     if d:
         xgens = reg.comm_family("x").gens()
         jac = [[_derivative(fi, g) for g in xgens] for fi in fX]
         J = bordered_det(jac, zero_row, fxfam).terms.get((), Poly.zero(reg))
         coords = algebra.reduce(l.by_exponent(J)[()]) if J else {}
-        if sum((c * gram[0][i] for i, c in coords.items()), Fraction(0)) != d:
+        if sum((c * tau[i] for i, c in coords.items()), Fraction(0)) != d:
             raise AssertionError("the residue of the Jacobian is not the quotient dimension")
     return StaircaseFunctional(reg, "x", algebra, gram, theta)
 

@@ -35,7 +35,8 @@ from test_dual_element import det_g_dual_element
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# every zero-dimensional system file in tests/golden but 4var_d81, for time
+# every zero-dimensional system file in tests/golden but 4var_d81 and
+# 3var_d125, for time
 ZERO_DIMENSIONAL = [
     "sys",
     "sq",

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszulkit import koszul
-from koszulkit._linalg import charpoly, inverse, solve
+from koszulkit._linalg import charpoly, solve
 from koszulkit.cli import _pinned_thm3, main
 from koszulkit.dual_element import theorem3_compare
 
@@ -527,29 +527,6 @@ class TestSolve:
         for x, oracle in seen:
             assert x == oracle and x is not None
         assert code == 0
-
-
-class TestInverse:
-    def test_random_matrices_invert_exactly_or_are_singular(self):
-        rng = random.Random(707)
-        for n in range(0, 7):
-            for _ in range(15):
-                m = rand_matrix(rng, n, -2, 2)
-                inv = inverse(m)
-                if det_oracle(m):
-                    assert mat_mul(m, inv) == identity_matrix(n)
-                    assert mat_mul(inv, m) == identity_matrix(n)
-                else:
-                    assert inv is None
-
-    def test_permutation_needs_row_pivoting(self):
-        m = [[0, 2, 0], [0, 0, 3], [5, 0, 0]]
-        expected = [
-            [0, 0, Fraction(1, 5)],
-            [Fraction(1, 2), 0, 0],
-            [0, Fraction(1, 3), 0],
-        ]
-        assert inverse(m) == expected
 
 
 class TestCharpoly:

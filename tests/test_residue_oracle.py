@@ -1,12 +1,13 @@
 """The residue route for square systems against the det G route.
 
 For s = n, ``dual_element`` computes e as the Grothendieck residue tau of f:
-the reduced Bezoutian B is inverted and tau is stored by its staircase
-values.  The det G * l route it replaced survives as the oracle here, as the
-box evaluator and the dense solver did before it: tau must equal the det G
-element value for value on the staircase, and the transgression pairing P
-must come out as the same element either way.  Generation is derandomized,
-so every run gives the same verdict.
+tau solves B^T tau = e_1 for the reduced Bezoutian B, its Gram matrix G must
+satisfy G B = I, and tau is stored by its staircase values.  The det G * l
+route it replaced survives as the oracle here, as the box evaluator and the
+dense solver did before it: tau must equal the det G element value for value
+on the staircase, and the transgression pairing P must come out as the same
+element either way.  Generation is derandomized, so every run gives the same
+verdict.
 """
 
 import importlib
@@ -133,7 +134,7 @@ def test_random_square_systems(f):
 
 class TestRuntimeGates:
     """Each exact check of the residue route raises AssertionError on a
-    broken input; cube3 has a nonsymmetric entry pair to perturb."""
+    broken input."""
 
     def setup_method(self):
         self.f = cli.parse_system_file("vars: a b c\nf: a^2-b, b^2-c, c^2\n").f
@@ -145,15 +146,27 @@ class TestRuntimeGates:
         with pytest.raises(AssertionError, match="singular"):
             dual_element(self.f)
 
-    def test_perturbed_inverse(self, monkeypatch):
-        real = dual_module.inverse
+    def test_perturbed_residue(self, monkeypatch):
+        # B is invertible, so tau is the only solution of B^T tau = e_1 and
+        # any other values give a Gram matrix G with G B != I
+        real = dual_module.solve
 
-        def perturbed(mat):
-            out = real(mat)
-            out[1][2] += 1
+        def perturbed(rows, rhs):
+            out = real(rows, rhs)
+            out[2] += 1
             return out
 
-        monkeypatch.setattr(dual_module, "inverse", perturbed)
+        monkeypatch.setattr(dual_module, "solve", perturbed)
+        with pytest.raises(AssertionError, match="Gram matrix"):
+            dual_element(self.f)
+
+    def test_singular_bezoutian_with_solvable_residue(self, monkeypatch):
+        # Theta = 1 reduces to a B of rank 1 whose row at the monomial 1 is
+        # e_1, so B^T tau = e_1 is solvable; only G B = I sees that B is
+        # singular
+        monkeypatch.setattr(
+            dual_module, "bordered_det", lambda a, oddrow, fam: Element.unit(oddrow[0].reg)
+        )
         with pytest.raises(AssertionError, match="Gram matrix"):
             dual_element(self.f)
 
