@@ -9,8 +9,8 @@ as the target's residue is empty.  Elimination is fraction-free on integer
 vectors (as in Bareiss, 1968), with ``Fraction`` only in back-substitution.
 The same solver gives the Grothendieck residue of a square system from one
 right-hand side against the rows of its reduced Bezoutian.  ``charpoly``
-works over ``Fraction`` on a small dense list of lists (a multiplication
-matrix of the quotient ring).
+takes the sparse columns of a multiplication matrix of the quotient ring and
+works over ``Fraction`` on one dense copy of it.
 """
 
 from __future__ import annotations
@@ -172,17 +172,22 @@ def _back_substitute(x, ucol, y):
     return x
 
 
-def charpoly(mat) -> list[Fraction]:
+def charpoly(cols) -> list[Fraction]:
     """Monic characteristic polynomial det(t*I - M), ascending coefficients.
 
-    The matrix is first brought to Hessenberg form by exact similarity
-    operations (a row operation below the subdiagonal paired with the
-    compensating column operation), then the determinant is expanded by the
+    ``cols`` are M's sparse columns, each a dict from row number to entry
+    (``quotient.mul_matrix``).  They fill one dense working copy, which is
+    brought to Hessenberg form by exact similarity operations (a row
+    operation below the subdiagonal paired with the compensating column
+    operation); then the determinant is expanded by the
     leading-principal-minor recurrence, which only ever multiplies along the
     subdiagonal.
     """
-    n = len(mat)
-    h = [[Fraction(x) for x in row] for row in mat]
+    n = len(cols)
+    h = [[Fraction(0)] * n for _ in range(n)]
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            h[r][c] = Fraction(v)
     for c in range(n - 2):
         p = next((i for i in range(c + 1, n) if h[i][c]), None)
         if p is None:

@@ -42,7 +42,7 @@ from .koszul import (
     verdict,
 )
 from ._linalg import solve
-from .quotient import charpoly_T, groebner, mul_matrix, quotient_basis
+from .quotient import charpoly_T, expvec, groebner, mul_matrix, quotient_basis
 from .ring import FamilyRegistry, Poly, accumulate, as_poly, mono_mul
 
 
@@ -305,9 +305,9 @@ class Staircase:
     """The quotient algebra A = k[x]/(f) in its staircase basis.
 
     ``exponents`` are the exponent vectors of the standard monomials,
-    ascending in the monomial order; ``mats[j]`` holds the columns of the
-    multiplication matrix M_j of the j-th variable as sparse dicts, column c
-    being the coordinates of x_j times the c-th standard monomial; and
+    ascending in the monomial order; ``mats[j]`` is the multiplication matrix
+    M_j of the j-th variable as ``mul_matrix`` returns it, sparse columns
+    with column c the coordinates of x_j times the c-th standard monomial; and
     ``funcs[j]`` carries the annihilator T_j of that variable, the
     characteristic polynomial of M_j.  Nothing here names a generator, so the
     same algebra serves the x and the y copies of the variables.
@@ -319,19 +319,6 @@ class Staircase:
         self.funcs = funcs
         self._memo: dict = {}
         self._remainders: dict = {}
-
-    @classmethod
-    def of(cls, fam, qb, mats, funcs) -> "Staircase":
-        """From the quotient basis over the commuting family ``fam`` and the
-        dense multiplication matrices of its variables (``mul_matrix``)."""
-        exponents = tuple(
-            tuple(dict(m).get(g, 0) for g in fam.gens()) for m in qb.monomials
-        )
-        columns = tuple(
-            tuple({i: row[c] for i, row in enumerate(mat) if row[c]} for c in range(len(qb)))
-            for mat in mats
-        )
-        return cls(exponents, columns, tuple(funcs))
 
     def coords(self, b: tuple) -> dict:
         """Coordinates {staircase index: c} of the normal form of x^b.
@@ -361,7 +348,8 @@ class Staircase:
         cur = (0,) * len(b)
         vec = memo.get(cur)
         if vec is None:
-            vec = memo[cur] = {self.exponents.index(cur): Fraction(1)}
+            # 1 is the least monomial in every supported order: index 0
+            vec = memo[cur] = {0: Fraction(1)}
         for j, e in enumerate(b):
             for _ in range(e):
                 cur = cur[:j] + (cur[j] + 1,) + cur[j + 1 :]
@@ -505,21 +493,11 @@ class FunctionalElement:
         )
 
     def boundary(self, ba: BoundaryAssignment) -> "FunctionalElement":
-        """Dual-side boundary: left multiplication by minus the image row."""
-        reg = self.reg
-        fam = reg.odd_family(self.odd_family)
-        out: dict[tuple, Poly] = {}
-        for w, m in self.comps.items():
-            for i in range(1, fam.arity + 1):
-                rank = reg.odd_rank(fam, i, dual=True)
-                if rank in w:
-                    continue
-                pos = sum(1 for r in w if r < rank)
-                word = tuple(sorted(w + (rank,)))
-                piece = ba.image(fam.name, i) * m
-                if piece:
-                    accumulate(out, word, piece if pos & 1 else -piece)
-        return FunctionalElement(self.functional, self.odd_family, out)
+        """Dual-side boundary: the Koszul boundary with the odd family in the
+        dual role, left multiplication by minus the image row."""
+        elem = ComplexElement(Element(self.reg, self.comps), {self.odd_family})
+        out = boundary(ba, elem).element
+        return FunctionalElement(self.functional, self.odd_family, out.terms)
 
     def is_zero(self) -> bool:
         """Exact zero test: every m_w * l vanishes.  Raises ValueError when a
@@ -672,20 +650,18 @@ def _residue(reg, fX, qb, mats, l: ProductFunctional) -> StaircaseFunctional:
     grad = gradient(fX, reg)
     rows = [[grad[k][i] for k in range(n)] for i in range(n)]
     theta = bordered_det(rows, zero_row, fxfam).terms.get((), Poly.zero(reg))
-    algebra = Staircase.of(reg.comm_family("x"), qb, mats, l.funcs)
+    xfam, yfam = reg.comm_family("x"), reg.comm_family("y")
+    algebra = Staircase(tuple(expvec(xfam, m) for m in qb.monomials), mats, l.funcs)
     d = len(qb)
-    ybase = reg.comm_family("y").base
     B = [{} for _ in range(d)]
     for ymono, xterms in l.by_exponent(theta, passthrough=True).items():
         left = algebra.reduce(xterms)
-        b = [0] * n
-        for g, e in ymono:
-            b[g - ybase] = e
-        right = algebra.coords(tuple(b))
+        right = algebra.coords(expvec(yfam, ymono))
         for i, u in left.items():
             for j, v in right.items():
                 accumulate(B[i], j, u * v)
-    tau = solve(B, {algebra.exponents.index((0,) * n): 1}) if d else ()
+    # 1 is the least monomial in every supported order: staircase index 0
+    tau = solve(B, {0: 1}) if d else ()
     if tau is None:
         raise AssertionError("the reduced Bezoutian is singular")
     gram = algebra.gram(tau)
@@ -698,8 +674,7 @@ def _residue(reg, fX, qb, mats, l: ProductFunctional) -> StaircaseFunctional:
         if prod != {a: 1}:
             raise AssertionError("the Gram matrix times the reduced Bezoutian is not I")
     if d:
-        xgens = reg.comm_family("x").gens()
-        jac = [[_derivative(fi, g) for g in xgens] for fi in fX]
+        jac = [[_derivative(fi, g) for g in xfam.gens()] for fi in fX]
         J = bordered_det(jac, zero_row, fxfam).terms.get((), Poly.zero(reg))
         coords = algebra.reduce(l.by_exponent(J)[()]) if J else {}
         if sum((c * tau[i] for i, c in coords.items()), Fraction(0)) != d:
@@ -761,7 +736,7 @@ def dual_element(f):
     gb = groebner(fX, family="x")
     qb = quotient_basis(gb)
     d = len(qb)
-    mats = [mul_matrix(gb, qb, j) for j in range(1, n + 1)]
+    mats = tuple(mul_matrix(gb, qb, j) for j in range(1, n + 1))
     T = []
     Gcols = []
     funcs = []

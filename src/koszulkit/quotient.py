@@ -3,8 +3,9 @@
 Everything downstream of a polynomial system funnels through here: a reduced
 Groebner basis whose elements carry exact cofactor certificates over the
 input system, the staircase basis of the quotient ring (finite exactly when
-the system is zero dimensional), multiplication matrices in that basis, and
-monic annihilators of each coordinate with their own cofactor certificates.
+the system is zero dimensional), multiplication matrices in that basis as
+sparse columns, and monic annihilators of each coordinate with their own
+cofactor certificates.
 
 All arithmetic is exact.  Division is heap division (Monagan and Pearce,
 CASC 2007): the remainder is one dict updated in place, its monomials wait in
@@ -40,7 +41,8 @@ class NotZeroDimensional(ValueError):
     """The quotient ring is not a finite-dimensional vector space."""
 
 
-def _expvec(fam, mono: Mono) -> tuple:
+def expvec(fam, mono: Mono) -> tuple:
+    """The exponent vector of ``mono`` over the commuting family ``fam``."""
     vec = [0] * fam.arity
     for g, e in mono:
         vec[g - fam.base] = e
@@ -51,11 +53,11 @@ def order_key(order: str, fam):
     """Key function on monomials for the supported orders."""
     if order == "grevlex":
         def key(m: Mono):
-            vec = _expvec(fam, m)
+            vec = expvec(fam, m)
             return (sum(vec), tuple(-e for e in reversed(vec)))
     elif order == "lex":
         def key(m: Mono):
-            return _expvec(fam, m)
+            return expvec(fam, m)
     else:
         raise ValueError(f"unknown monomial order {order!r}")
     return key
@@ -87,9 +89,6 @@ class QuotientBasis:
 
     def __len__(self) -> int:
         return len(self.monomials)
-
-    def index(self, m: Mono) -> int:
-        return self.monomials.index(m)
 
 
 def _heap_key(k: tuple) -> tuple:
@@ -374,24 +373,24 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
     return QuotientBasis(tuple(monos))
 
 
-def mul_matrix(gb: GroebnerBasis, qb: QuotientBasis, j: int):
-    """Matrix of multiplication by the j-th variable (1-based) on the quotient."""
+def mul_matrix(gb: GroebnerBasis, qb: QuotientBasis, j: int) -> tuple:
+    """Multiplication by the j-th variable (1-based) on the quotient, as
+    sparse columns: column c is {row: coefficient} of the normal form of x_j
+    times the c-th standard monomial, with no zero stored."""
     reg = gb.reg
     fam = reg.comm_family(gb.family)
     g = reg.comm_gen(fam, j)
-    d = len(qb)
     index = {m: i for i, m in enumerate(qb.monomials)}
-    mat = [[Fraction(0)] * d for _ in range(d)]
-    for col, m in enumerate(qb.monomials):
+    cols = []
+    for m in qb.monomials:
         shifted = mono_mul(m, ((g, 1),))
         if shifted in index:
             # a staircase monomial is its own normal form: a unit column
-            mat[index[shifted]][col] = Fraction(1)
+            cols.append({index[shifted]: Fraction(1)})
             continue
         nf, _ = reduce_with_cofactors(Poly(reg, {shifted: Fraction(1)}), gb)
-        for mono, c in nf.terms.items():
-            mat[index[mono]][col] = c
-    return mat
+        cols.append({index[mono]: c for mono, c in nf.terms.items()})
+    return tuple(cols)
 
 
 def charpoly_T(gb: GroebnerBasis, j: int, mat=None) -> tuple[Poly, list[Poly]]:
@@ -400,7 +399,8 @@ def charpoly_T(gb: GroebnerBasis, j: int, mat=None) -> tuple[Poly, list[Poly]]:
     T is the characteristic polynomial of the multiplication matrix, of
     degree the quotient dimension, so T(x_j) lies in the ideal; the returned
     list G satisfies T(x_j) = sum_i source[i] * G[i] exactly.  ``mat`` is
-    that matrix when the caller already has it (``mul_matrix``).
+    that matrix's sparse columns when the caller already has them
+    (``mul_matrix``).
     """
     reg = gb.reg
     fam = reg.comm_family(gb.family)

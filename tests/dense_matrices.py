@@ -1,9 +1,20 @@
 """Dense matrix helpers over ``Fraction`` that tests check results with:
-products, matrix-vector products, and a polynomial evaluated at a matrix
-(Cayley-Hamilton checks).  The package itself needs none of them.
+products, matrix-vector products, a polynomial evaluated at a matrix
+(Cayley-Hamilton checks), and the dense form of the sparse columns that
+``mul_matrix`` returns.  The package itself needs none of them.
 """
 
 from fractions import Fraction
+
+
+def dense(cols) -> list[list[Fraction]]:
+    """The square matrix whose column c is the sparse column cols[c]."""
+    n = len(cols)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            out[r][c] = Fraction(v)
+    return out
 
 
 def identity_matrix(n: int) -> list[list[Fraction]]:

@@ -27,7 +27,7 @@ from koszulkit.cli import (
     _pinned_thm4,
 )
 
-from dense_matrices import poly_at_matrix
+from dense_matrices import dense, poly_at_matrix
 from substitution import subst
 
 SEED = 12042
@@ -125,7 +125,7 @@ def test_criterion_08_cofactor_reexpansion_and_cayley_hamilton():
         gb = groebner(fX, family="x")
         qb = quotient_basis(gb)
         for j in range(1, n + 1):
-            M = mul_matrix(gb, qb, j)
+            M = dense(mul_matrix(gb, qb, j))
             T = cert["annihilators"][j - 1]
             coeffs = [Fraction(0)] * (T.total_degree() + 1)
             for mono, c in T.terms.items():

@@ -1,6 +1,7 @@
 """Recurrent functionals, the dual-element pipeline, and the pairing checks."""
 
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from koszulkit import cli
 from koszulkit.ring import FamilyRegistry, Poly, accumulate, divided_diff
 from koszulkit.grassmann import Element, render_element, top_contract
-from koszulkit.koszul import BoundaryAssignment, boundary, lift
+from koszulkit.koszul import BoundaryAssignment, UnassignedFamilyError, boundary, lift
 from koszulkit.quotient import NotZeroDimensional
 from koszulkit.dual_element import (
     Functional1D,
@@ -475,6 +476,25 @@ class TestZeroTestFamily:
             check(e)
 
 
+def _parity_boundary(e: FunctionalElement, ba: BoundaryAssignment) -> dict:
+    """Oracle: the dual-side boundary as written before it went through
+    ``koszul.boundary``; each missing dual is inserted into the word with
+    the sign of its position's parity, times minus its image."""
+    reg = e.reg
+    fam = reg.odd_family(e.odd_family)
+    out: dict = {}
+    for w, m in e.comps.items():
+        for i in range(1, fam.arity + 1):
+            rank = reg.odd_rank(fam, i, dual=True)
+            if rank in w:
+                continue
+            pos = sum(1 for r in w if r < rank)
+            piece = ba.image(fam.name, i) * m
+            if piece:
+                accumulate(out, tuple(sorted(w + (rank,))), piece if pos & 1 else -piece)
+    return out
+
+
 class TestFunctionalElementBoundary:
     def setup_method(self):
         self.reg = FamilyRegistry()
@@ -508,6 +528,28 @@ class TestFunctionalElementBoundary:
             e = FunctionalElement(self.l, "fx", comps)
             dde = e.boundary(self.ba).boundary(self.ba)
             assert dde.comps == {}
+
+    def test_boundary_matches_position_parity_oracle(self):
+        rng = random.Random(504)
+        reg = FamilyRegistry()
+        reg.commuting("x", 2)
+        fam = reg.odd("fx", 3)
+        x1, x2 = Poly.variable(reg, 0), Poly.variable(reg, 1)
+        l = ProductFunctional(
+            reg, "x", (recurrent_functional(x1, (1,)), recurrent_functional(x2, (1,)))
+        )
+        ba = BoundaryAssignment(reg, {"fx": [x1 - x2, x1 * x2, x2 * x2 - 3]})
+        duals = [reg.odd_rank(fam, i, dual=True) for i in (1, 2, 3)]
+        words = [w for k in range(4) for w in itertools.combinations(duals, k)]
+        for _ in range(20):
+            comps = {w: rand_poly(rng, reg, (0, 1), 2) for w in words if rng.random() < 0.5}
+            e = FunctionalElement(l, "fx", comps)
+            assert e.boundary(ba).comps == _parity_boundary(e, ba)
+
+    def test_boundary_needs_the_odd_family_assigned(self):
+        e = FunctionalElement(self.l, "fx", {(): Poly.const(self.reg, 1)})
+        with pytest.raises(UnassignedFamilyError):
+            e.boundary(BoundaryAssignment(self.reg, {}))
 
     def test_module_boundary_rejects_functional_elements(self):
         e = FunctionalElement(self.l, "fx", {(self.d2,): Poly.const(self.reg, 1)})

@@ -6,7 +6,10 @@ unscaled rungs of the benchmark's dual-element ladder (``cube3.txt``,
 ``4var_d16.txt``), plus a positive-dimensional system whose Groebner basis
 the CLI fuzz found slow (``posdim3.txt``) and an embedded system whose
 theorem 3 witness lies at column 14,631 of 29,260 candidates
-(``thm3_b18.txt``, degree bound 18); the expected stdout of each command
+(``thm3_b18.txt``, degree bound 18), and ``surplus3.txt``, cube3 plus a
+redundant equation, the one recorded ``dual-element`` case with more
+equations than variables (the det G route, whose cocycle test takes the
+boundary of nonempty dual words); the expected stdout of each command
 sits next to them in ``tests/golden``.  ``verify thm3 --seed 586795`` is pinned in full, since its
 seven ``homotopic`` reports render the witnesses the linear solver picks.
 The full ``verify all --seed 42`` report is pinned by its sha256, as are
@@ -58,6 +61,7 @@ CASES = [
     ("cyclic3", ["dual-element"], "cyclic3.dual-element.json"),
     ("3var_d27", ["dual-element"], "3var_d27.dual-element.json"),
     ("4var_d16", ["dual-element"], "4var_d16.dual-element.json"),
+    ("surplus3", ["dual-element"], "surplus3.dual-element.json"),
     ("posdim3", ["groebner"], "posdim3.groebner.json"),
 ]
 

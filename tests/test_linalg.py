@@ -1,7 +1,8 @@
 """Tests for the exact linear algebra helper.
 
-The determinant oracle is the Leibniz sum, and random charpoly checks compare
-against det(t*I - M) expanded symbolically through a one-variable registry.
+The determinant oracle is the Leibniz sum, and random charpoly checks feed
+sparse columns and compare against det(t*I - M) interpolated from n + 1 of
+those determinants.
 The left-looking ``solve`` must return exactly what ``_dense_solve``, the
 earlier dense Gauss-Jordan solver kept here as an oracle, returns: both give
 the solution supported on the greedy column-order basis.  It must also return
@@ -28,7 +29,7 @@ from koszulkit._linalg import charpoly, solve
 from koszulkit.cli import _pinned_thm3, main
 from koszulkit.dual_element import theorem3_compare
 
-from dense_matrices import identity_matrix, mat_mul, mat_vec, poly_at_matrix
+from dense_matrices import dense, identity_matrix, mat_mul, mat_vec, poly_at_matrix
 
 
 def _dense_solve(rows, rhs) -> list[Fraction] | None:
@@ -529,35 +530,46 @@ class TestSolve:
         assert code == 0
 
 
+def rand_columns(rng, n, lo, hi):
+    """An n x n matrix as sparse columns, entries drawn from lo..hi."""
+    cols = []
+    for _ in range(n):
+        draws = [Fraction(rng.randint(lo, hi)) for _ in range(n)]
+        cols.append({r: v for r, v in enumerate(draws) if v})
+    return tuple(cols)
+
+
 class TestCharpoly:
     def test_empty_matrix(self):
-        assert charpoly([]) == [Fraction(1)]
+        assert charpoly(()) == [Fraction(1)]
 
     def test_one_by_one(self):
-        assert charpoly([[Fraction(5)]]) == [Fraction(-5), Fraction(1)]
+        assert charpoly(({0: Fraction(5)},)) == [Fraction(-5), Fraction(1)]
+
+    def test_zero_column(self):
+        assert charpoly(({},)) == [Fraction(0), Fraction(1)]
+        assert charpoly(({1: 1}, {})) == [Fraction(0), Fraction(0), Fraction(1)]
+        cols = ({0: 3, 1: 1}, {}, {0: 1, 2: Fraction(-2, 3)})
+        assert charpoly(cols) == charpoly_oracle(dense(cols))
 
     def test_companion_matrix_recovers_coefficients(self):
         # companion of t^3 - 2t + 7
-        c = [
-            [Fraction(0), Fraction(0), Fraction(-7)],
-            [Fraction(1), Fraction(0), Fraction(2)],
-            [Fraction(0), Fraction(1), Fraction(0)],
-        ]
+        c = ({1: Fraction(1)}, {2: Fraction(1)}, {0: Fraction(-7), 1: Fraction(2)})
         assert charpoly(c) == [Fraction(7), Fraction(-2), Fraction(0), Fraction(1)]
 
     def test_matches_interpolation_oracle(self):
         rng = random.Random(30003)
         for _ in range(30):
             n = rng.randint(1, 5)
-            m = rand_matrix(rng, n, -3, 3)
-            assert charpoly(m) == charpoly_oracle(m)
+            cols = rand_columns(rng, n, -3, 3)
+            assert charpoly(cols) == charpoly_oracle(dense(cols))
 
     def test_cayley_hamilton(self):
         rng = random.Random(30004)
         for _ in range(20):
             n = rng.randint(1, 4)
-            m = rand_matrix(rng, n, -3, 3)
-            zero = poly_at_matrix(charpoly(m), m)
+            cols = rand_columns(rng, n, -3, 3)
+            zero = poly_at_matrix(charpoly(cols), dense(cols))
             assert zero == [[Fraction(0)] * n for _ in range(n)]
 
     def test_poly_at_matrix_constant_and_identity(self):

@@ -31,7 +31,7 @@ from koszulkit.ring import (
     parse_poly,
 )
 
-from dense_matrices import poly_at_matrix
+from dense_matrices import dense, poly_at_matrix
 
 
 def setup(n=2):
@@ -210,6 +210,20 @@ class TestQuotientBasis:
         qb = quotient_basis(gb)
         assert qb.monomials == ((), ((1, 1),), ((0, 1),), ((0, 1), (1, 1)))
 
+    def test_one_is_the_first_standard_monomial(self):
+        """1 is the least monomial in grevlex and lex, so every nonzero
+        quotient lists it first: staircase index 0 is the monomial 1."""
+        rng = random.Random(1403)
+        reg, _ = setup()
+        nonzero = 0
+        for order in ("grevlex", "lex"):
+            for _ in range(6):
+                qb = quotient_basis(groebner(rand_zero_dim_system(rng, reg, [0, 1]), order))
+                if qb.monomials:
+                    nonzero += 1
+                    assert qb.monomials[0] == ()
+        assert nonzero
+
     def test_unit_ideal_gives_empty_basis(self):
         reg, names = setup(1)
         gb = groebner(polys(reg, names, ["x", "x - 1"]))
@@ -228,12 +242,12 @@ class TestMulMatrixAndAnnihilators:
         gb = groebner(polys(reg, names, ["x^2"]))
         qb = quotient_basis(gb)
         m = mul_matrix(gb, qb, 1)
-        assert m == [[0, 0], [1, 0]]
+        assert m == ({1: 1}, {})
 
     def test_columns_are_normal_forms_of_shifted_staircase(self):
         """Column m holds NF(x_j * m), reduced in full for every monomial:
         unit columns for shifts that stay on the staircase, reduced border
-        monomials otherwise."""
+        monomials otherwise; no column stores a zero."""
         rng = random.Random(1402)
         reg, _ = setup()
         units = border = 0
@@ -242,15 +256,14 @@ class TestMulMatrixAndAnnihilators:
             qb = quotient_basis(gb)
             index = {m: i for i, m in enumerate(qb.monomials)}
             for j in (1, 2):
-                mat = mul_matrix(gb, qb, j)
+                cols = mul_matrix(gb, qb, j)
+                assert len(cols) == len(qb)
                 g = reg.comm_gen("x", j)
-                for col, m in enumerate(qb.monomials):
+                for col, m in zip(cols, qb.monomials):
                     shifted = mono_mul(m, ((g, 1),))
                     nf, _ = reduce_with_cofactors(Poly(reg, {shifted: Fraction(1)}), gb)
-                    want = [Fraction(0)] * len(qb)
-                    for mono, c in nf.terms.items():
-                        want[index[mono]] = c
-                    assert [row[col] for row in mat] == want
+                    assert col == {index[mono]: c for mono, c in nf.terms.items()}
+                    assert all(col.values())
                     if shifted in index:
                         units += 1
                     else:
@@ -300,7 +313,7 @@ class TestMulMatrixAndAnnihilators:
             gb = groebner(f)
             qb = quotient_basis(gb)
             for j in (1, 2):
-                mat = mul_matrix(gb, qb, j)
+                mat = dense(mul_matrix(gb, qb, j))
                 T, G = charpoly_T(gb, j)
                 coeffs = [Fraction(0)] * (T.total_degree() + 1)
                 g = reg.comm_gen("x", j)
