@@ -61,8 +61,8 @@ CASES = [
     ("cyclic3", ["dual-element"], "cyclic3.dual-element.json"),
     ("3var_d27", ["dual-element"], "3var_d27.dual-element.json"),
     ("4var_d16", ["dual-element"], "4var_d16.dual-element.json"),
-    ("surplus3", ["dual-element"], "surplus3.dual-element.json"),
     ("posdim3", ["groebner"], "posdim3.groebner.json"),
+    ("surplus3", ["dual-element"], "surplus3.dual-element.json"),
 ]
 
 
