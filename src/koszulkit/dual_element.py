@@ -416,11 +416,6 @@ class StaircaseFunctional(_PairedFamily):
         self._family_gens = frozenset(fam.gens())
 
     @property
-    def values(self) -> tuple:
-        """tau on the staircase; empty for the unit ideal."""
-        return self.rows[0] if self.rows else ()
-
-    @property
     def degrees(self) -> tuple:
         return tuple(f.degree for f in self.algebra.funcs)
 

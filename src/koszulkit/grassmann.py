@@ -30,11 +30,18 @@ that take matrix entries (``_minor_expansion``): all of it is
 takes every row, since the full contraction keeps only the terms holding
 every primal of the auxiliary family; the tests keep its
 multiply-and-contract evaluation as the oracle.
+
+A product of elements whose coefficients are all constants runs on integer
+numerators over one common denominator (``wedge_chain``; ``Element.__mul__``
+for two factors), and its coefficients are built once, at the end.
+``bordered_det`` contracts such a product before building them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
@@ -107,38 +114,71 @@ def _numerators(terms: dict) -> tuple[int, list] | None:
     return den, [(w, v.numerator * (den // v.denominator)) for w, v in consts]
 
 
-def _constant_product(reg: FamilyRegistry, left, right) -> "Element":
-    """The product of two constant-coefficient elements given as
-    ``_numerators`` pairs, on integer numerators.
+def _integer_chain(chain) -> tuple[int, dict]:
+    """The ordered product of constant elements given as ``(d, [(word, n),
+    ...])`` pairs, each coefficient n / d, on integer numerators: ``(d,
+    {word: n})`` with d the product of the factors' d and no n zero.
 
-    Words enter the result in the order the polynomial path gives them, and
-    each coefficient follows the coefficient rule: an ``int`` when integral,
-    else a Fraction.
+    Zero numerators are dropped after every factor, so the words come out in
+    the order the pairwise fold of ``Element.__mul__`` gives them: a word
+    keeps its first position within one factor's step even when its sum
+    passes through zero.
     """
-    den1, nums1 = left
-    den2, nums2 = right
-    acc: dict[Word, int] = {}
-    for w1, a in nums1:
-        n1 = len(w1)
-        for w2, b in nums2:
-            if len(w2) == 1:
-                # one rank: insert it by bisection, crossing the n1 - i
-                # larger ranks of w1
-                r = w2[0]
-                i = bisect_left(w1, r)
-                if i < n1 and w1[i] == r:
-                    continue
-                w = w1[:i] + w2 + w1[i:]
-                odd = (n1 - i) & 1
-            else:
-                sign, w = merge_words(w1, w2)
-                if w is None:
-                    continue
-                odd = sign < 0
-            # a word keeps its first position even when its sum passes
-            # through zero, as in the polynomial path
-            acc[w] = acc.get(w, 0) + (-a * b if odd else a * b)
-    return Element.from_numerators(reg, acc, den1 * den2)
+    den, first = chain[0]
+    acc = {w: n for w, n in first if n}
+    for den2, nums2 in chain[1:]:
+        den *= den2
+        out: dict[Word, int] = {}
+        for w1, a in acc.items():
+            n1 = len(w1)
+            for w2, b in nums2:
+                if len(w2) == 1:
+                    # one rank: insert it by bisection, crossing the n1 - i
+                    # larger ranks of w1
+                    r = w2[0]
+                    i = bisect_left(w1, r)
+                    if i < n1 and w1[i] == r:
+                        continue
+                    w = w1[:i] + w2 + w1[i:]
+                    odd = (n1 - i) & 1
+                else:
+                    sign, w = merge_words(w1, w2)
+                    if w is None:
+                        continue
+                    odd = sign < 0
+                out[w] = out.get(w, 0) + (-a * b if odd else a * b)
+        acc = {w: n for w, n in out.items() if n}
+    return den, acc
+
+
+def _constant_chain(factors) -> tuple[int, dict] | None:
+    """``_integer_chain`` of the elements ``factors``; None unless they share
+    one registry and every coefficient of every one is a constant."""
+    reg = factors[0].reg
+    chain = []
+    for e in factors:
+        nums = _numerators(e.terms)
+        if nums is None or e.reg is not reg:
+            return None
+        chain.append(nums)
+    return _integer_chain(chain)
+
+
+def wedge_chain(factors) -> "Element":
+    """The ordered product of one or more elements.
+
+    When every coefficient of every factor is a constant, the product runs
+    on integer numerators over one common denominator and each coefficient
+    is built once, by the coefficient rule (an ``int`` when integral, else a
+    Fraction); otherwise it is the fold of ``Element.__mul__``.  The words
+    come out in the fold's order either way.
+    """
+    factors = list(factors)
+    consts = _constant_chain(factors)
+    if consts is None:
+        return functools.reduce(operator.mul, factors)
+    den, acc = consts
+    return Element.from_numerators(factors[0].reg, acc, den)
 
 
 class Element:
@@ -229,11 +269,28 @@ class Element:
                 return NotImplemented
         if other.reg is not self.reg:
             raise ValueError("elements built over different registries")
-        rnums = _numerators(other.terms)
-        if rnums is not None:
-            lnums = _numerators(self.terms)
-            if lnums is not None:
-                return _constant_product(self.reg, lnums, rnums)
+        reg = self.reg
+        consts = _constant_chain((self, other))
+        if consts is not None:
+            den, acc = consts
+            return Element.from_numerators(reg, acc, den)
+        if len(other.terms) == 1:
+            ((w2, c2),) = other.terms.items()
+            v = _constant(c2)
+            if v:
+                # one constant word on the right: each left coefficient is
+                # scaled, as the polynomial path would, with no monomial
+                # products
+                out = {}
+                for w1, c1 in self.terms.items():
+                    sign, w = merge_words(w1, w2)
+                    if w is None:
+                        continue
+                    b = v if sign > 0 else -v
+                    t = {m: a * b for m, a in c1.terms.items()}
+                    if t:
+                        out[w] = Poly(reg, t)
+                return Element(reg, out)
         # every surviving word pair adds its signed coefficient products
         # straight into one {word: {monomial: coefficient}} map; Polys are
         # built once at the end, and words whose terms all cancelled are
@@ -254,7 +311,6 @@ class Element:
                         a = -a
                     for m2, b in terms2:
                         accumulate(out, mono_mul(m1, m2), a * b)
-        reg = self.reg
         return Element(reg, {w: Poly(reg, t) for w, t in acc.items() if t})
 
     def __rmul__(self, other) -> "Element":
@@ -336,12 +392,12 @@ def grassmann_exp(pairs) -> Element:
     if not pairs:
         raise ValueError("grassmann_exp needs at least one pair")
     reg = pairs[0][0].reg
-    out = Element.unit(reg)
+    factors = []
     for k, (a, b) in enumerate(pairs):
         _validate_strictly_linear(a, f"grassmann_exp pair {k} left factor")
         _validate_strictly_linear(b, f"grassmann_exp pair {k} right factor")
-        out = out * (Element.unit(reg) + a * b)
-    return out
+        factors.append(Element.unit(reg) + a * b)
+    return wedge_chain(factors)
 
 
 def odd_gen(reg: FamilyRegistry, fam, i: int, dual: bool = False) -> Element:
@@ -400,10 +456,16 @@ def bot_contract(fam, e: Element) -> Element:
     generators of the family pass through unchanged.
     """
     reg = e.reg
-    fam = reg.odd_family(fam)
+    return Element(reg, _bot_contract_terms(reg.odd_family(fam), e.terms))
+
+
+def _bot_contract_terms(fam, terms: dict) -> dict:
+    """``bot_contract`` over the family ``fam`` on a {word: coefficient}
+    map whose coefficients negate and add: Polys, or the integer numerators
+    of a constant element."""
     lo, hi = fam.base, fam.base + 2 * fam.arity
-    acc: dict[Word, Poly] = {}
-    for word, c in e.terms.items():
+    acc: dict = {}
+    for word, c in terms.items():
         rest = []
         k = p = 0
         i, n = 0, len(word)
@@ -424,7 +486,7 @@ def bot_contract(fam, e: Element) -> Element:
         else:
             odd = (k * (k - 1) // 2 + p) & 1
             accumulate(acc, tuple(rest), -c if odd else c)
-    return Element(reg, acc)
+    return acc
 
 
 def column(reg: FamilyRegistry, ranks, matrix, k) -> Element:
@@ -446,7 +508,10 @@ def bordered_det(a, oddrow, rowfam) -> Element:
     scalar rows.  Column k carries sum_i rowfam_i a[i][k] + oddrow[k]; the
     value is the partial contraction of the full rowfam dual word wedged with
     the ordered column product, so surviving terms trade rowfam duals against
-    entries of ``oddrow``.
+    entries of ``oddrow``.  With constant entries throughout, the columns
+    are read as integers over one common denominator, and their product
+    (``wedge_chain``'s integer route) is contracted on those integers and
+    wrapped once.
     """
     if not oddrow:
         raise ValueError("bordered_det needs at least one column")
@@ -459,12 +524,27 @@ def bordered_det(a, oddrow, rowfam) -> Element:
     for row in a:
         if len(row) != n:
             raise ValueError("matrix rows and odd row must have equal length")
-    rowranks = rowfam.primal_ranks()
-    product = dual_full_product(reg, rowfam)
     for k in range(n):
         _validate_linear(oddrow[k], f"bordered_det odd entry {k}")
-        product = product * (oddrow[k] + column(reg, rowranks, a, k))
-    return bot_contract(rowfam, product)
+    rowranks = rowfam.primal_ranks()
+    scalars = _integer_scalars(reg, a, [e.terms for e in oddrow])
+    if scalars is None:
+        product = dual_full_product(reg, rowfam)
+        for k in range(n):
+            product = product * (oddrow[k] + column(reg, rowranks, a, k))
+        return bot_contract(rowfam, product)
+    # column k is oddrow[k] + sum_i rowfam_i a[i][k], every coefficient over
+    # the one denominator d
+    d, entries, odd = scalars
+    chain = [(1, [(tuple(rowfam.dual_ranks()), 1)])]
+    for k in range(n):
+        col = dict(odd[k])
+        for rank, row in zip(rowranks, entries):
+            if row[k]:
+                accumulate(col, (rank,), row[k])
+        chain.append((d, list(col.items())))
+    den, acc = _integer_chain(chain)
+    return Element.from_numerators(reg, _bot_contract_terms(rowfam, acc), den)
 
 
 def _constant(p: Poly):
@@ -475,16 +555,17 @@ def _constant(p: Poly):
     return t.get(MONO_ONE) if len(t) == 1 else None
 
 
-def _integer_scalars(entries, odd):
+def _integer_scalars(reg: FamilyRegistry, entries, odd) -> tuple | None:
     """``(d, entries, odd)`` with each matrix entry and each odd-row
     coefficient x replaced by the integer d * x, d the lcm of all their
-    denominators; None unless every one of them is a constant."""
+    denominators; None unless every one of them is a constant.  An ``int``
+    or Fraction entry is read as it is, with no Poly built for it."""
     d = 1
     vals = []
     for row in entries:
         vrow = []
-        for p in row:
-            v = _constant(p)
+        for x in row:
+            v = x if type(x) is int or type(x) is Fraction else _constant(as_poly(reg, x))
             if v is None:
                 return None
             if d % v.denominator:
@@ -522,6 +603,34 @@ def _wedge_into(acc: dict, left: dict, right: dict) -> None:
                 accumulate(acc, w, c1 * c2 if sign > 0 else -(c1 * c2))
 
 
+# shapes whose row-set and column-set plans _minor_expansion keeps
+PLAN_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _row_plan(s: int, c: int) -> tuple:
+    """Each c-set R of the rows 0 .. s-1 with its survivors (the rows outside
+    R, ascending) and the bit (inv + u(u-1)/2) & 1, u the number of
+    survivors and inv the number of (survivor, chosen) row pairs with the
+    survivor first."""
+    out = []
+    for rows in itertools.combinations(range(s), c):
+        survivors = tuple(u for u in range(s) if u not in rows)
+        inv = sum(1 for u in survivors for v in rows if u < v)
+        u = len(survivors)
+        out.append((rows, survivors, (inv + u * (u - 1) // 2) & 1))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _column_plan(n: int, c: int) -> tuple:
+    """Each c-set of the columns 0 .. n-1 with its leftover columns, ascending."""
+    return tuple(
+        (cols, tuple(k for k in range(n) if k not in cols))
+        for cols in itertools.combinations(range(n), c)
+    )
+
+
 def _minor_expansion(reg: FamilyRegistry, a, oddrow, duals, sizes) -> Element:
     """The Laplace parts of a bordered determinant whose column sets have a
     size in ``sizes``.
@@ -556,10 +665,10 @@ def _minor_expansion(reg: FamilyRegistry, a, oddrow, duals, sizes) -> Element:
     machinery is involved.
     """
     s, n = len(a), len(oddrow)
-    entries = [[as_poly(reg, x) for x in row] for row in a]
     odd = [e.terms for e in oddrow]
-    scalars = _integer_scalars(entries, odd)
+    scalars = _integer_scalars(reg, a, odd)
     if scalars is None:
+        entries = [[as_poly(reg, x) for x in row] for row in a]
         one = Poly(reg, {MONO_ONE: 1})
     else:
         den, entries, odd = scalars
@@ -604,20 +713,13 @@ def _minor_expansion(reg: FamilyRegistry, a, oddrow, duals, sizes) -> Element:
 
     acc: dict = {}
     for csize in sizes:
-        # each row set with its survivor duals and their sign
-        # (-1)^(inv + u(u-1)/2); taking every row leaves none
-        row_sets = [(tuple(range(s)), (), 0)]
-        if csize < s:
-            row_sets = []
-            for rows in itertools.combinations(range(s), csize):
-                survivors = [u for u in range(s) if u not in rows]
-                inv = sum(1 for u in survivors for v in rows if u < v)
-                u = len(survivors)
-                row_sets.append(
-                    (rows, tuple(duals[i] for i in survivors), (inv + u * (u - 1) // 2) & 1)
-                )
-        for cols in itertools.combinations(range(n), csize):
-            rest = tuple(k for k in range(n) if k not in cols)
+        # each row set with its survivor duals and their sign bit; taking
+        # every row leaves none, so no dual is read
+        row_sets = [
+            (rows, tuple(duals[i] for i in survivors), odd_sign)
+            for rows, survivors, odd_sign in _row_plan(s, csize)
+        ]
+        for cols, rest in _column_plan(n, csize):
             left = wedge(rest)
             if not left:
                 continue

@@ -36,6 +36,7 @@ from .grassmann import (
     sort_word,
     top_contract,
     transgression_det,
+    wedge_chain,
 )
 from .ring import (
     PRIMAL,
@@ -67,8 +68,10 @@ class BoundaryAssignment:
     reg: FamilyRegistry
     images: dict
     # dual-family set -> its dual multiplier, built on first use by
-    # _dual_multiplier; not part of equality or repr
+    # _dual_multiplier, and -> {primal rank: nonzero image} of the families
+    # in the primal role, built by _rank_images; not part of equality or repr
     _multipliers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _rank_images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         clean = {}
@@ -164,8 +167,9 @@ def infer_dual_families(e: Element) -> frozenset:
 
 
 def _dual_multiplier(ba: BoundaryAssignment, reg, dual_families) -> Element:
-    """sum over the dual-role families of their duals times their images,
-    built once per family set and cached on ``ba``."""
+    """Minus the sum over the dual-role families of their duals times their
+    images, the left factor of the dual-role boundary; built once per family
+    set and cached on ``ba``."""
     key = frozenset(dual_families)
     m = ba._multipliers.get(key)
     if m is None:
@@ -174,41 +178,56 @@ def _dual_multiplier(ba: BoundaryAssignment, reg, dual_families) -> Element:
             fam = reg.odd_family(name)
             for i in range(1, fam.arity + 1):
                 m = m + odd_gen(reg, fam, i, dual=True) * ba.image(name, i)
-        ba._multipliers[key] = m
+        ba._multipliers[key] = m = -m
     return m
+
+
+def _rank_images(ba: BoundaryAssignment, dual_families) -> dict:
+    """{rank: image} over the primal ranks of the assigned families outside
+    ``dual_families`` whose image is nonzero, built once per family set and
+    cached on ``ba``."""
+    key = frozenset(dual_families)
+    table = ba._rank_images.get(key)
+    if table is None:
+        table = ba._rank_images[key] = {}
+        for name, polys in ba.images.items():
+            if name in key:
+                continue
+            for rank, p in zip(ba.reg.odd_family(name).primal_ranks(), polys):
+                if p:
+                    table[rank] = p
+    return table
 
 
 def _element_boundary(ba: BoundaryAssignment, elem: Element, dual_families) -> Element:
     reg = elem.reg
     if ba.reg is not reg:
         raise ValueError("assignment built over a different registry")
-    present = {reg.rank_info(r)[0] for r in elem.support_ranks()}
+    infos = [reg.rank_info(r) for r in elem.support_ranks()]
+    present = {name for name, _, _ in infos}
     for name in present | set(dual_families):
         if not ba.assigned(name):
             raise UnassignedFamilyError(f"odd family {name!r} has no assigned image")
+    with_primals = {name for name, _, pol in infos if pol == PRIMAL}
     for name in dual_families:
-        fam = reg.odd_family(name)
-        for rank in elem.support_ranks():
-            if fam.owns_rank(rank) and reg.rank_info(rank)[2] == PRIMAL:
-                raise ValueError(
-                    f"dual-role family {name!r} carries primal generators"
-                )
+        if name in with_primals:
+            raise ValueError(f"dual-role family {name!r} carries primal generators")
+    # a dual rank, a dual-role family's rank and a zero image give no
+    # piece: none of them is in the table
+    images = _rank_images(ba, dual_families)
     acc: dict[tuple, Poly] = {}
     for word, c in elem.terms.items():
         for pos, rank in enumerate(word):
-            fname, idx, pol = reg.rank_info(rank)
-            if pol != PRIMAL or fname in dual_families:
+            img = images.get(rank)
+            if img is None:
                 continue
-            piece = c * ba.image(fname, idx)
-            if pos & 1:
-                piece = -piece
-            if piece.is_zero:
-                continue
-            accumulate(acc, word[:pos] + word[pos + 1 :], piece)
+            piece = c * img
+            if piece:
+                accumulate(acc, word[:pos] + word[pos + 1 :], -piece if pos & 1 else piece)
     derivation = Element(reg, acc)
     if not dual_families:
         return derivation
-    return derivation - _dual_multiplier(ba, reg, dual_families) * elem
+    return derivation + _dual_multiplier(ba, reg, dual_families) * elem
 
 
 def boundary(ba: BoundaryAssignment, e):
@@ -374,12 +393,11 @@ def verify_lemma2(b, instance: str = "") -> tuple[IdentityReport, IdentityReport
     f = reg.odd("f", s)
     g = reg.odd("g", t) if t else None
     granks = g.primal_ranks() if t else []
-    product = dual_full_product(reg, f)
-    images = []
-    for i in range(s):
-        gpart = column(reg, granks, b, i)
-        images.append(gpart)
-        product = product * (odd_gen(reg, f, i + 1) - gpart)
+    images = [column(reg, granks, b, i) for i in range(s)]
+    product = wedge_chain(
+        [dual_full_product(reg, f)]
+        + [odd_gen(reg, f, i + 1) - gpart for i, gpart in enumerate(images)]
+    )
     lhs1 = bot_contract(f, product)
     rhs1 = Element.unit(reg)
     if s:

@@ -257,7 +257,8 @@ class Poly:
     @classmethod
     def const(cls, reg: FamilyRegistry, c) -> "Poly":
         if type(c) is not int:  # the coefficient rule: int when integral
-            c = Fraction(c)
+            if type(c) is not Fraction:  # a Fraction is kept as it is
+                c = Fraction(c)
             if c.denominator == 1:
                 c = c.numerator
         return cls(reg, {MONO_ONE: c} if c else {})

@@ -10,7 +10,9 @@ theorem 3 witness lies at column 14,631 of 29,260 candidates
 redundant equation, the one recorded ``dual-element`` case with more
 equations than variables (the det G route, whose cocycle test takes the
 boundary of nonempty dual words); the expected stdout of each command
-sits next to them in ``tests/golden``.  ``verify thm3 --seed 586795`` is pinned in full, since its
+sits next to them in ``tests/golden``, as do the stdout of two sweeps past
+``verify all``'s shapes, where the products are longest: ``verify lemma1``
+at n = s = 5, t = 4 and ``verify lemma2`` at s = t = 5.  ``verify thm3 --seed 586795`` is pinned in full, since its
 seven ``homotopic`` reports render the witnesses the linear solver picks.
 The full ``verify all --seed 42`` report is pinned by its sha256, as are
 ``verify all`` at seeds 1, 7 and 201, ``verify lemma1`` at n = s = t = 4
@@ -63,13 +65,27 @@ CASES = [
     ("4var_d16", ["dual-element"], "4var_d16.dual-element.json"),
     ("posdim3", ["groebner"], "posdim3.groebner.json"),
     ("surplus3", ["dual-element"], "surplus3.dual-element.json"),
+    # sweeps past verify all's shapes, no system file
+    (
+        None,
+        ["verify", "lemma1", "--n", "5", "--s", "5", "--t", "4", "--count", "2", "--seed", "42"],
+        "verify-lemma1.n5s5t4.json",
+    ),
+    (
+        None,
+        ["verify", "lemma2", "--s", "5", "--t", "5", "--count", "3", "--seed", "42"],
+        "verify-lemma2.s5t5.json",
+    ),
 ]
 
 
 @pytest.mark.parametrize("system, argv, expected", CASES)
-def test_command_stdout_matches_recording(capsys, system, argv, expected):
-    path = str(GOLDEN / f"{system}.txt")
-    code = main([argv[0], path, *argv[1:]])
+def test_command_stdout_matches_recording(capsys, monkeypatch, system, argv, expected):
+    monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
+    if system is None:
+        code = main(argv)
+    else:
+        code = main([argv[0], str(GOLDEN / f"{system}.txt"), *argv[1:]])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
 

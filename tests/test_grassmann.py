@@ -16,10 +16,20 @@ Oracles, defined before anything that uses them:
 - ``_pair_loop_mul``, the earlier ``Element.__mul__`` that built one ``Poly``
   product per word pair, for the accumulating product kernel;
 - ``_monomial_map_mul``, the ``Element.__mul__`` of before the constant
-  path, for the integer-numerator product of constant-coefficient elements.
+  path, for the integer-numerator product of constant-coefficient elements
+  and for the scaling by one constant word on the right;
+- ``_fold_mul``, the pairwise fold of ``Element.__mul__``, for
+  ``wedge_chain``'s integer chain;
+- ``_product_bordered_det``, the earlier ``bordered_det`` that multiplied
+  out one column at a time and contracted the element, for the contraction
+  of the chain's integer numerators;
+- ``_inline_row_sets`` and ``_inline_column_sets``, the plans
+  ``_minor_expansion`` built on every call, for its cached plans.
 """
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -42,6 +52,7 @@ from koszulkit.grassmann import (
     sort_word,
     top_contract,
     transgression_det,
+    wedge_chain,
 )
 from koszulkit.ring import FamilyRegistry, Poly, accumulate, as_poly, divided_diff, mono_mul
 
@@ -159,6 +170,49 @@ def _monomial_map_mul(self: Element, other: Element) -> Element:
                     accumulate(out, mono_mul(m1, m2), a * b)
     reg = self.reg
     return Element(reg, {w: Poly(reg, t) for w, t in acc.items() if t})
+
+
+def _fold_mul(factors) -> Element:
+    """The ordered product of ``factors`` as one ``Element.__mul__`` per
+    factor, the route ``wedge_chain`` replaced in ``grassmann_exp`` and
+    ``verify_lemma2``."""
+    return functools.reduce(operator.mul, factors)
+
+
+def _product_bordered_det(a, oddrow, rowfam) -> Element:
+    """The earlier ``bordered_det``: the full dual word of ``rowfam`` times
+    each column oddrow[k] + sum_i rowfam_i a[i][k] in order, one
+    ``Element.__mul__`` per column, then ``bot_contract`` of the element."""
+    reg = oddrow[0].reg
+    rowfam = reg.odd_family(rowfam)
+    product = dual_full_product(reg, rowfam)
+    for k in range(len(oddrow)):
+        product = product * (oddrow[k] + column(reg, rowfam.primal_ranks(), a, k))
+    return bot_contract(rowfam, product)
+
+
+def _inline_row_sets(s, c):
+    """The row sets ``_minor_expansion`` built on every call before its
+    plans were cached, with the survivors as row numbers: each c-set of
+    rows, its survivors and their sign bit; taking every row leaves none."""
+    if c == s:
+        return [(tuple(range(s)), (), 0)]
+    out = []
+    for rows in itertools.combinations(range(s), c):
+        survivors = [u for u in range(s) if u not in rows]
+        inv = sum(1 for u in survivors for v in rows if u < v)
+        u = len(survivors)
+        out.append((rows, tuple(survivors), (inv + u * (u - 1) // 2) & 1))
+    return out
+
+
+def _inline_column_sets(n, c):
+    """The column sets ``_minor_expansion`` built on every call before its
+    plans were cached: each c-set of columns with the leftover ones."""
+    return [
+        (cols, tuple(k for k in range(n) if k not in cols))
+        for cols in itertools.combinations(range(n), c)
+    ]
 
 
 def _product_transgression_det(blocks, ufam) -> Element:
@@ -347,6 +401,59 @@ def constant_product_cases(draw):
     return a, b
 
 
+@st.composite
+def chain_cases(draw):
+    """One to five factors over x and odd families f, g of arity 1 to 3.
+
+    A factor is an element with int, Fraction or integral-Fraction constant
+    coefficients, the zero element, the unit plus such an element, or a
+    multiple of one odd element z that recurs in the chain, so z ^ z
+    cancels whole words.  A third of the chains take one factor times x,
+    a polynomial coefficient that sends the chain down the fold."""
+    reg = FamilyRegistry()
+    x = reg.commuting("x", 1)
+    reg.odd("f", draw(st.integers(1, 3)))
+    reg.odd("g", draw(st.integers(1, 3)))
+    ranks = list(range(reg.num_ranks))
+
+    def coeff():
+        k = draw(st.integers(-4, 4).filter(bool))
+        kind = draw(st.sampled_from(("int", "fraction", "integral fraction")))
+        if kind == "int":
+            return Poly(reg, {(): k})
+        if kind == "fraction":
+            return Poly(reg, {(): Fraction(k, draw(st.integers(2, 6)))})
+        return Poly(reg, {(): Fraction(k)})
+
+    def element(max_len):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            word = draw(st.lists(st.sampled_from(ranks), unique=True, max_size=max_len))
+            terms[tuple(sorted(word))] = coeff()
+        return Element(reg, terms)
+
+    z = element(1)
+    factors = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("constant", "zero", "unit", "cancelling")))
+        if kind == "constant":
+            factors.append(element(3))
+        elif kind == "zero":
+            factors.append(Element.zero(reg))
+        elif kind == "unit":
+            factors.append(Element.unit(reg) + element(2))
+        else:
+            factors.append(z * coeff())
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, len(factors) - 1))
+        factors[k] = factors[k] * Poly.variable(reg, reg.comm_gen(x, 1))
+    return factors
+
+
+def _is_constant(e: Element) -> bool:
+    return all(len(c.terms) == 1 and () in c.terms for c in e.terms.values())
+
+
 def _follows_coefficient_rule(e: Element) -> bool:
     return all(
         type(v) is int or (type(v) is Fraction and v.denominator != 1)
@@ -371,13 +478,16 @@ class TestElementProductOracle:
     def test_constant_factors_select_the_constant_path(self, monkeypatch):
         reg, x, f, g = setup_fg()
         calls = []
-        real = grassmann._constant_product
+        real = grassmann._constant_chain
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(factors):
+            # every product asks; only an all-constant one gets an answer
+            out = real(factors)
+            if out is not None:
+                calls.append(factors)
+            return out
 
-        monkeypatch.setattr(grassmann, "_constant_product", counted)
+        monkeypatch.setattr(grassmann, "_constant_chain", counted)
         a = Element.generator(reg, f.primal_ranks()[0]) * Fraction(1, 2)
         b = Element.generator(reg, g.dual_ranks()[1]) * 3 + Element.unit(reg)
         assert a * b == _monomial_map_mul(a, b)
@@ -386,6 +496,44 @@ class TestElementProductOracle:
         assert a * p == _monomial_map_mul(a, p)
         assert p * a == _monomial_map_mul(p, a)
         assert len(calls) == 1
+
+    @ORACLE
+    @given(chain_cases())
+    def test_integer_chain_matches_the_fold(self, factors):
+        """Same value, same words in the same order and the same rendering
+        as one product per factor; on constant factors every coefficient
+        follows the coefficient rule."""
+        got = wedge_chain(factors)
+        want = _fold_mul(factors)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        assert render_element(got) == render_element(want)
+        assert got == functools.reduce(_monomial_map_mul, factors)
+        if all(_is_constant(e) for e in factors):
+            assert _follows_coefficient_rule(got)
+
+    @ORACLE
+    @given(product_cases(), st.data())
+    def test_constant_word_on_the_right_matches_monomial_map(self, case, data):
+        """A left factor with polynomial coefficients times one constant
+        word: the coefficients are scaled, and come out as the monomial map
+        gives them, value, type and order."""
+        a, _ = case
+        reg = a.reg
+        left = a * Poly.variable(reg, 0)
+        word = data.draw(st.lists(st.sampled_from(range(reg.num_ranks)), unique=True, max_size=3))
+        k = data.draw(st.integers(-3, 3).filter(bool))
+        v = data.draw(st.sampled_from((k, Fraction(k, 2), Fraction(k))))
+        right = Element(reg, {tuple(sorted(word)): Poly(reg, {(): v})})
+        got = left * right
+        want = _monomial_map_mul(left, right)
+
+        def typed(e):
+            return [
+                (w, [(m, x, type(x)) for m, x in c.terms.items()]) for w, c in e.terms.items()
+            ]
+
+        assert typed(got) == typed(want)
 
     @ORACLE
     @given(product_cases())
@@ -687,6 +835,47 @@ class TestBorderedDetOracle:
             assert bordered_det(a, oddrow, f) == bordered_minor_expansion(a, oddrow, f)
 
 
+class TestBorderedDetProductOracle:
+    def test_matches_product_route_on_rational_entries(self):
+        """Rational matrix entries (raw, or constant Polys) and rational odd
+        entries, with and without scalar parts: the integer route gives the
+        product route's value, words and rendering, by the coefficient rule."""
+        rng = random.Random(20018)
+        for _ in range(120):
+            s, n, t = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)
+            reg = FamilyRegistry()
+            f = reg.odd("f", s)
+            granks = reg.odd("g", t).primal_ranks() if t else []
+            a = []
+            for _ in range(s):
+                row = []
+                for _ in range(n):
+                    x = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                    row.append(Poly.const(reg, x) if rng.random() < 0.3 else x)
+                a.append(row)
+            oddrow = _odd_entries(rng, reg, granks, n, [], rng.random() < 0.5, "fraction")
+            got = bordered_det(a, oddrow, f)
+            want = _product_bordered_det(a, oddrow, f)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            assert render_element(got) == render_element(want)
+            assert _follows_coefficient_rule(got)
+
+    def test_polynomial_entries_take_the_product_route(self):
+        rng = random.Random(20020)
+        reg = FamilyRegistry()
+        x = reg.commuting("x", 1)
+        f = reg.odd("f", 2)
+        g = reg.odd("g", 2)
+        xv = Poly.variable(reg, reg.comm_gen(x, 1))
+        a = [[xv * rng.randint(-2, 2) + Fraction(1, 3) for _ in range(3)] for _ in range(2)]
+        oddrow = _odd_entries(rng, reg, g.primal_ranks(), 3, [], True, "fraction")
+        got = bordered_det(a, oddrow, f)
+        want = _product_bordered_det(a, oddrow, f)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+
+
 def _odd_entries(rng, reg, ranks, count, gens, scalar_parts=False, coeffs="poly"):
     """``count`` random elements of wedge degree 1 over ``ranks`` (and, with
     ``scalar_parts``, often a degree-0 part); some entries are zero.  The
@@ -708,6 +897,30 @@ def _odd_entries(rng, reg, ranks, count, gens, scalar_parts=False, coeffs="poly"
                     terms[w] = c
         out.append(Element(reg, terms))
     return out
+
+
+class TestMinorExpansionPlans:
+    # shapes (rows or columns, set size), revisited out of order
+    SHAPES = ((3, 1), (1, 1), (4, 2), (3, 3), (2, 0), (4, 4), (5, 2), (3, 1), (1, 0), (4, 2), (5, 5))
+
+    def test_cached_plans_match_inline_plans_on_interleaved_shapes(self):
+        grassmann._row_plan.cache_clear()
+        grassmann._column_plan.cache_clear()
+        for _ in range(2):
+            for size, c in self.SHAPES:
+                assert list(grassmann._row_plan(size, c)) == _inline_row_sets(size, c)
+                assert list(grassmann._column_plan(size, c)) == _inline_column_sets(size, c)
+        assert grassmann._row_plan.cache_info().hits >= len(self.SHAPES)
+
+    def test_plan_caches_stay_bounded(self):
+        bound = grassmann.PLAN_CACHE_SIZE
+        for plan in (grassmann._row_plan, grassmann._column_plan):
+            for size in range(2 * bound):
+                plan(size, 0)
+            info = plan.cache_info()
+            assert info.maxsize == bound
+            assert info.currsize == bound
+            plan.cache_clear()
 
 
 class TestTransgressionDetOracle:

@@ -8,7 +8,10 @@ expansion must equal ``_permutation_minor_expansion``, the earlier expansion
 that wedged the leftover odd entries once per row permutation, on polynomial
 and on constant entries (its integer path).  Theorem 1's random samples must
 equal those of ``rand_element``, the earlier one-sum-per-word builder, and
-leave the generator in the same state.
+leave the generator in the same state.  The boundary, which reads each
+position's image from a table cached per dual-family set, must equal
+``_per_position_boundary``, the earlier evaluation that looked up each
+position's family and image, word for word and error for error.
 """
 
 import importlib
@@ -46,7 +49,7 @@ from koszulkit.koszul import (
     verify_theorem1,
     verify_theorem2,
 )
-from koszulkit.ring import FamilyRegistry, Poly, as_poly, parse_poly
+from koszulkit.ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, parse_poly
 
 
 def simple_setup():
@@ -77,6 +80,44 @@ def rand_element(rng, reg, ranks, gens, terms=3, deg=2):
             coeff = coeff * Poly.variable(reg, rng.choice(gens))
         e = e + Element.word(reg, word) * coeff
     return e
+
+
+def _per_position_boundary(ba, elem, dual_families) -> Element:
+    """The earlier ``_element_boundary``: the family and role checks, one
+    ``rank_info`` and one ``image`` per word position, and the dual
+    multiplier, built afresh, subtracted."""
+    reg = elem.reg
+    present = {reg.rank_info(r)[0] for r in elem.support_ranks()}
+    for name in present | set(dual_families):
+        if not ba.assigned(name):
+            raise UnassignedFamilyError(f"odd family {name!r} has no assigned image")
+    for name in dual_families:
+        fam = reg.odd_family(name)
+        for rank in elem.support_ranks():
+            if fam.owns_rank(rank) and reg.rank_info(rank)[2] == PRIMAL:
+                raise ValueError(f"dual-role family {name!r} carries primal generators")
+    acc = {}
+    for word, c in elem.terms.items():
+        for pos, rank in enumerate(word):
+            fname, idx, pol = reg.rank_info(rank)
+            if pol != PRIMAL or fname in dual_families:
+                continue
+            piece = c * ba.image(fname, idx)
+            if pos & 1:
+                piece = -piece
+            if piece.is_zero:
+                continue
+            accumulate(acc, word[:pos] + word[pos + 1 :], piece)
+    derivation = Element(reg, acc)
+    if not dual_families:
+        return derivation
+    m = Element.zero(reg)
+    for name in sorted(dual_families):
+        fam = reg.odd_family(name)
+        for i in range(1, fam.arity + 1):
+            dual = Element.generator(reg, reg.odd_rank(fam, i, dual=True))
+            m = m + dual * ba.image(name, i)
+    return derivation - m * elem
 
 
 def rand_poly(rng, reg, gens, deg):
@@ -164,6 +205,54 @@ class TestBoundary:
         e = ComplexElement(Element.generator(reg, reg.odd_rank("b", 1)), frozenset({"b"}))
         with pytest.raises(ValueError):
             boundary(ba, e)
+
+
+class TestBoundaryRankTable:
+    def test_matches_per_position_route(self):
+        """Every tagging, a zero image included, on elements whose words
+        mix both families and both polarities: the same words in the same
+        order, with the same coefficients."""
+        reg, ba = simple_setup()
+        x1 = Poly.variable(reg, 0)
+        with_zero = BoundaryAssignment(reg, {"a": [Poly.zero(reg), x1], "b": ba.images["b"]})
+        rng = random.Random(405)
+        for assignment in (ba, with_zero):
+            for _ in range(150):
+                tags = frozenset(name for name in ("a", "b") if rng.random() < 0.5)
+                ranks = [
+                    r
+                    for r in range(reg.num_ranks)
+                    if not (reg.rank_info(r)[0] in tags and reg.rank_info(r)[2] == PRIMAL)
+                ]
+                e = rand_element(rng, reg, ranks, [0, 1], terms=4)
+                got = koszul._element_boundary(assignment, e, tags)
+                want = _per_position_boundary(assignment, e, tags)
+                assert got == want
+                assert list(got.terms) == list(want.terms)
+                assert [list(c.terms.items()) for c in got.terms.values()] == [
+                    list(c.terms.items()) for c in want.terms.values()
+                ]
+
+    def test_same_errors_as_per_position_route(self):
+        reg, ba = simple_setup()
+        only_a = BoundaryAssignment(reg, {"a": ba.images["a"]})
+        a1 = Element.generator(reg, reg.odd_rank("a", 1))
+        b1 = Element.generator(reg, reg.odd_rank("b", 1))
+        b1_dual = Element.generator(reg, reg.odd_rank("b", 1, dual=True))
+        cases = [
+            (only_a, b1, frozenset()),
+            (only_a, a1, frozenset({"b"})),
+            (only_a, a1 * b1_dual, frozenset({"b"})),
+            (ba, a1, frozenset({"a"})),
+            (ba, a1 * b1, frozenset({"b", "a"})),
+        ]
+        for assignment, e, tags in cases:
+            with pytest.raises(ValueError) as want:
+                _per_position_boundary(assignment, e, tags)
+            with pytest.raises(ValueError) as got:
+                koszul._element_boundary(assignment, e, tags)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
 
 
 class TestKernelsAndMaps:

@@ -48,8 +48,10 @@ def check_against_det_g(f):
     assert isinstance(tau, StaircaseFunctional)
     assert e.comps == {(): Poly.const(e.reg, 1)}
     assert e.cocycle is True and oracle.cocycle is True
-    assert len(tau.values) == cert["dimension"] == oracle_cert["dimension"]
-    for beta, value in zip(tau.algebra.exponents, tau.values):
+    assert len(tau.rows) == cert["dimension"] == oracle_cert["dimension"]
+    # tau's values on the staircase: the Gram row of the monomial 1, index 0
+    values = tau.rows[0] if tau.rows else ()
+    for beta, value in zip(tau.algebra.exponents, values):
         mono = tuple((g, k) for g, k in enumerate(beta) if k)
         assert oracle.pair_poly(Poly(oracle.reg, {mono: 1})) == value, beta
     P = transgression_pairing(f, e)
@@ -66,7 +68,7 @@ def test_ladder_rungs(seed):
 def test_3var_d27():
     f = cli.parse_system_file("vars: a b c\nf: a^3-b-1, b^3-c+a, c^3-a*b\n").f
     e = check_against_det_g(f)
-    assert len(e.functional.values) == 27
+    assert len(e.functional.rows) == 27
 
 
 @pytest.mark.parametrize(
@@ -82,7 +84,7 @@ def test_pinned_square_thm4_systems(f, label):
 def test_unit_ideals(variables, system):
     f = cli.parse_system_file(f"vars: {variables}\nf: {system}\n").f
     e = check_against_det_g(f)
-    assert e.functional.values == ()
+    assert e.functional.rows == ()
     assert pair_transgression(f, e).status == "homotopic"
 
 
