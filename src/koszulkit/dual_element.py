@@ -587,8 +587,7 @@ def functional_eval(F: FunctionalElement, e: Element) -> Element:
                         val = c * values.get(b, 0)
                         if val:
                             accumulate(acc, mono_mul(rest, rest_m), val)
-            if acc:
-                accumulate(out, word, Poly(reg, acc))
+            accumulate(out, word, Poly(reg, acc))
     return Element(reg, out)
 
 

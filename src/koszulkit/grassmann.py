@@ -188,37 +188,52 @@ class Element:
 
     def __init__(self, reg: FamilyRegistry, terms: dict | None = None):
         self.reg = reg
-        self.terms: dict[Word, Poly] = terms if terms is not None else {}
+        if terms is None:
+            terms = {}
+        elif not all(terms.values()):
+            terms = {w: c for w, c in terms.items() if c}
+        self.terms: dict[Word, Poly] = terms
+
+    @staticmethod
+    def _wrap(reg: FamilyRegistry, terms: dict, _new=object.__new__) -> "Element":
+        """The element holding ``terms`` itself, unchecked: for maps that
+        hold no zero by construction, such as those ``accumulate`` builds."""
+        e = _new(Element)
+        e.reg = reg
+        e.terms = terms
+        return e
 
     @classmethod
     def zero(cls, reg: FamilyRegistry) -> "Element":
-        return cls(reg)
+        return cls._wrap(reg, {})
 
     @classmethod
     def unit(cls, reg: FamilyRegistry) -> "Element":
-        return cls(reg, {(): Poly.const(reg, 1)})
+        return cls._wrap(reg, {(): Poly.const(reg, 1)})
 
     @classmethod
     def from_poly(cls, p: Poly) -> "Element":
-        return cls(p.reg, {} if p.is_zero else {(): p})
+        return cls(p.reg, {(): p})
 
     @classmethod
     def from_numerators(cls, reg: FamilyRegistry, nums: dict, den: int) -> "Element":
         """The element with coefficient n / den at each word of ``nums``
-        ({word: int n}), zero numerators dropped; each coefficient follows
-        the coefficient rule: an ``int`` when integral, else a Fraction."""
-        out = {}
-        for w, n in nums.items():
-            if n:
-                q, rem = divmod(n, den)
-                out[w] = Poly(reg, {MONO_ONE: Fraction(n, den) if rem else q})
-        return cls(reg, out)
+        ({word: nonzero int n}); each coefficient follows the coefficient
+        rule: an ``int`` when integral, else a Fraction (``ratio``, inlined
+        in this hot builder)."""
+        return cls._wrap(
+            reg,
+            {
+                w: Poly._wrap(reg, {MONO_ONE: Fraction(n, den) if n % den else n // den})
+                for w, n in nums.items()
+            },
+        )
 
     @classmethod
     def generator(cls, reg: FamilyRegistry, rank: int) -> "Element":
         if not 0 <= rank < reg.num_ranks:
             raise IndexError(f"no odd generator with rank {rank}")
-        return cls(reg, {(rank,): Poly.const(reg, 1)})
+        return cls._wrap(reg, {(rank,): Poly.const(reg, 1)})
 
     @classmethod
     def word(cls, reg: FamilyRegistry, ranks) -> "Element":
@@ -243,14 +258,14 @@ class Element:
     __hash__ = None
 
     def __neg__(self) -> "Element":
-        return Element(self.reg, {w: -c for w, c in self.terms.items()})
+        return Element._wrap(self.reg, {w: -c for w, c in self.terms.items()})
 
     def __add__(self, other) -> "Element":
         other = self._coerce(other)
         acc = dict(self.terms)
         for w, c in other.terms.items():
             accumulate(acc, w, c)
-        return Element(self.reg, acc)
+        return Element._wrap(self.reg, acc)
 
     __radd__ = __add__
 
@@ -262,8 +277,6 @@ class Element:
         if type(other) is not Element:
             if isinstance(other, (int, Poly, Fraction)):
                 factor = as_poly(self.reg, other)
-                if factor.is_zero:
-                    return Element.zero(self.reg)
                 return Element(self.reg, {w: c * factor for w, c in self.terms.items()})
             if not isinstance(other, Element):
                 return NotImplemented
@@ -277,7 +290,7 @@ class Element:
         if len(other.terms) == 1:
             ((w2, c2),) = other.terms.items()
             v = _constant(c2)
-            if v:
+            if v is not None:
                 # one constant word on the right: each left coefficient is
                 # scaled, as the polynomial path would, with no monomial
                 # products
@@ -287,10 +300,8 @@ class Element:
                     if w is None:
                         continue
                     b = v if sign > 0 else -v
-                    t = {m: a * b for m, a in c1.terms.items()}
-                    if t:
-                        out[w] = Poly(reg, t)
-                return Element(reg, out)
+                    out[w] = Poly._wrap(reg, {m: a * b for m, a in c1.terms.items()})
+                return Element._wrap(reg, out)
         # every surviving word pair adds its signed coefficient products
         # straight into one {word: {monomial: coefficient}} map; Polys are
         # built once at the end, and words whose terms all cancelled are
@@ -311,7 +322,7 @@ class Element:
                         a = -a
                     for m2, b in terms2:
                         accumulate(out, mono_mul(m1, m2), a * b)
-        return Element(reg, {w: Poly(reg, t) for w, t in acc.items() if t})
+        return Element._wrap(reg, {w: Poly._wrap(reg, t) for w, t in acc.items() if t})
 
     def __rmul__(self, other) -> "Element":
         if isinstance(other, (int, Poly, Fraction)):
@@ -370,8 +381,8 @@ def render_element(e: Element) -> str:
     return " + ".join(chunks).replace("+ -", "- ")
 
 
-def _validate_linear(e: Element, what: str) -> None:
-    for w in e.terms:
+def _validate_linear(terms: dict, what: str) -> None:
+    for w in terms:
         if len(w) > 1:
             raise ValueError(f"{what} must have wedge degree <= 1")
 
@@ -408,7 +419,7 @@ def odd_gen(reg: FamilyRegistry, fam, i: int, dual: bool = False) -> Element:
 def dual_full_product(reg: FamilyRegistry, fam) -> Element:
     """The full dual word of a family, duals ascending, coefficient +1."""
     fam = reg.odd_family(fam)
-    return Element(reg, {tuple(fam.dual_ranks()): Poly.const(reg, 1)})
+    return Element._wrap(reg, {tuple(fam.dual_ranks()): Poly.const(reg, 1)})
 
 
 def top_contract(fam, e: Element) -> Element:
@@ -440,7 +451,7 @@ def top_contract(fam, e: Element) -> Element:
         p = len(primal)
         odd = (crossings + p * (p + 1) // 2) & 1
         accumulate(acc, tuple(rest), -c if odd else c)
-    return Element(reg, acc)
+    return Element._wrap(reg, acc)
 
 
 def bot_contract(fam, e: Element) -> Element:
@@ -456,7 +467,7 @@ def bot_contract(fam, e: Element) -> Element:
     generators of the family pass through unchanged.
     """
     reg = e.reg
-    return Element(reg, _bot_contract_terms(reg.odd_family(fam), e.terms))
+    return Element._wrap(reg, _bot_contract_terms(reg.odd_family(fam), e.terms))
 
 
 def _bot_contract_terms(fam, terms: dict) -> dict:
@@ -497,25 +508,35 @@ def column(reg: FamilyRegistry, ranks, matrix, k) -> Element:
         c = as_poly(reg, row[k])
         if c:
             terms[(rank,)] = c
-    return Element(reg, terms)
+    return Element._wrap(reg, terms)
 
 
-def bordered_det(a, oddrow, rowfam) -> Element:
+def _odd_row(oddrow, reg):
+    """``(registry, [{word: coefficient}, ...])`` of an odd row whose entries
+    are elements, or raw ``{word: int | Fraction}`` maps over ``reg``."""
+    if reg is None:
+        reg = oddrow[0].reg
+    return reg, [e if type(e) is dict else e.terms for e in oddrow]
+
+
+def bordered_det(a, oddrow, rowfam, reg=None) -> Element:
     """Determinant of a scalar matrix bordered below by an odd row.
 
-    ``a`` is an s x n matrix of Poly entries, ``oddrow`` a list of n
-    degree-<=1 elements, ``rowfam`` an odd family of arity s labelling the
-    scalar rows.  Column k carries sum_i rowfam_i a[i][k] + oddrow[k]; the
-    value is the partial contraction of the full rowfam dual word wedged with
-    the ordered column product, so surviving terms trade rowfam duals against
-    entries of ``oddrow``.  With constant entries throughout, the columns
-    are read as integers over one common denominator, and their product
-    (``wedge_chain``'s integer route) is contracted on those integers and
-    wrapped once.
+    ``a`` is an s x n matrix of Poly, int or Fraction entries, ``oddrow`` a
+    list of n degree-<=1 elements, ``rowfam`` an odd family of arity s
+    labelling the scalar rows.  An entry of ``oddrow`` may instead be a raw
+    ``{word: int | Fraction}`` map, with no Poly built for its scalars; the
+    registry ``reg`` must then be given.  Column k carries sum_i rowfam_i
+    a[i][k] + oddrow[k]; the value is the partial contraction of the full
+    rowfam dual word wedged with the ordered column product, so surviving
+    terms trade rowfam duals against entries of ``oddrow``.  With constant
+    entries throughout, the columns are read as integers over one common
+    denominator, and their product (``wedge_chain``'s integer route) is
+    contracted on those integers and wrapped once.
     """
     if not oddrow:
         raise ValueError("bordered_det needs at least one column")
-    reg = oddrow[0].reg
+    reg, odd = _odd_row(oddrow, reg)
     rowfam = reg.odd_family(rowfam)
     s = rowfam.arity
     if len(a) != s:
@@ -525,13 +546,15 @@ def bordered_det(a, oddrow, rowfam) -> Element:
         if len(row) != n:
             raise ValueError("matrix rows and odd row must have equal length")
     for k in range(n):
-        _validate_linear(oddrow[k], f"bordered_det odd entry {k}")
+        _validate_linear(odd[k], f"bordered_det odd entry {k}")
     rowranks = rowfam.primal_ranks()
-    scalars = _integer_scalars(reg, a, [e.terms for e in oddrow])
+    scalars = _integer_scalars(reg, a, odd)
     if scalars is None:
         product = dual_full_product(reg, rowfam)
-        for k in range(n):
-            product = product * (oddrow[k] + column(reg, rowranks, a, k))
+        for k, e in enumerate(oddrow):
+            if type(e) is dict:
+                e = Element(reg, {w: as_poly(reg, c) for w, c in e.items()})
+            product = product * (e + column(reg, rowranks, a, k))
         return bot_contract(rowfam, product)
     # column k is oddrow[k] + sum_i rowfam_i a[i][k], every coefficient over
     # the one denominator d
@@ -559,7 +582,8 @@ def _integer_scalars(reg: FamilyRegistry, entries, odd) -> tuple | None:
     """``(d, entries, odd)`` with each matrix entry and each odd-row
     coefficient x replaced by the integer d * x, d the lcm of all their
     denominators; None unless every one of them is a constant.  An ``int``
-    or Fraction entry is read as it is, with no Poly built for it."""
+    or Fraction entry or coefficient is read as it is, with no Poly built
+    for it."""
     d = 1
     vals = []
     for row in entries:
@@ -576,7 +600,7 @@ def _integer_scalars(reg: FamilyRegistry, entries, odd) -> tuple | None:
     for t in odd:
         vt = {}
         for w, c in t.items():
-            v = _constant(c)
+            v = c if type(c) is int or type(c) is Fraction else _constant(c)
             if v is None:
                 return None
             if d % v.denominator:
@@ -631,24 +655,24 @@ def _column_plan(n: int, c: int) -> tuple:
     )
 
 
-def _minor_expansion(reg: FamilyRegistry, a, oddrow, duals, sizes) -> Element:
+def _minor_expansion(reg: FamilyRegistry, a, odd, duals, sizes) -> Element:
     """The Laplace parts of a bordered determinant whose column sets have a
     size in ``sizes``.
 
-    ``a`` has s rows and n columns, ``oddrow`` n entries of wedge degree at
-    most 1, and ``duals`` the dual ranks that label the rows (unread when
-    only the size s, all rows, is asked for).  A set C of columns takes
-    entries of ``a`` from a set R of rows of the same size c, the leftover
-    columns L (ascending) take their odd-row entries, and the rows outside R
-    (the survivors, u = s - c of them) leave their duals.  With inv the
-    number of (survivor, chosen) row pairs with the survivor first, the part
-    of C is
+    ``a`` has s rows and n columns, ``odd`` the {word: coefficient} maps of
+    n odd-row entries of wedge degree at most 1, and ``duals`` the dual
+    ranks that label the rows (unread when only the size s, all rows, is
+    asked for).  A set C of columns takes entries of ``a`` from a set R of
+    rows of the same size c, the leftover columns L (ascending) take their
+    odd-row entries, and the rows outside R (the survivors, u = s - c of
+    them) leave their duals.  With inv the number of (survivor, chosen) row
+    pairs with the survivor first, the part of C is
 
         (wedge_{l in L} e_l)
             ^ sum_R (-1)^(inv + u(u-1)/2) * det a[R, C] * (survivor duals, ascending)
 
     where det a[R, C] takes the rows of R against the ascending columns of
-    C, and e_l is oddrow[l] with its degree-1 part signed by (-1)^(s + b),
+    C, and e_l is odd[l] with its degree-1 part signed by (-1)^(s + b),
     b the number of chosen columns before l.  For entries of pure degree 1
     these signs multiply to (-1)^(s*q + X), with q = |L| and X the number
     of (chosen, leftover) column pairs with the chosen column first.  Each
@@ -664,10 +688,10 @@ def _minor_expansion(reg: FamilyRegistry, a, oddrow, duals, sizes) -> Element:
     Otherwise it runs on the polynomials themselves.  No contraction
     machinery is involved.
     """
-    s, n = len(a), len(oddrow)
-    odd = [e.terms for e in oddrow]
+    s, n = len(a), len(odd)
     scalars = _integer_scalars(reg, a, odd)
     if scalars is None:
+        # raw odd-row scalars only ever multiply Poly minors here
         entries = [[as_poly(reg, x) for x in row] for row in a]
         one = Poly(reg, {MONO_ONE: 1})
     else:
@@ -744,23 +768,24 @@ def _minor_expansion(reg: FamilyRegistry, a, oddrow, duals, sizes) -> Element:
     return Element.from_numerators(reg, acc, den**n)
 
 
-def bordered_minor_expansion(a, oddrow, rowfam) -> Element:
+def bordered_minor_expansion(a, oddrow, rowfam, reg=None) -> Element:
     """The value of ``bordered_det``, by Laplace expansion.
 
     Sums the parts of ``_minor_expansion`` over column sets of every size,
     the rows labelled by ``rowfam``'s duals.  No contraction machinery is
     involved, which makes this a genuine cross-check on the
-    partial-contraction evaluation.
+    partial-contraction evaluation.  The arguments are those of
+    ``bordered_det``.
     """
     if not oddrow:
         raise ValueError("bordered_minor_expansion needs at least one column")
-    reg = oddrow[0].reg
+    reg, odd = _odd_row(oddrow, reg)
     fam = reg.odd_family(rowfam)
     s = fam.arity
     if len(a) != s:
         raise ValueError(f"matrix has {len(a)} rows, family arity is {s}")
-    sizes = range(min(s, len(oddrow)) + 1)
-    return _minor_expansion(reg, a, oddrow, fam.dual_ranks(), sizes)
+    sizes = range(min(s, len(odd)) + 1)
+    return _minor_expansion(reg, a, odd, fam.dual_ranks(), sizes)
 
 
 def transgression_det(blocks, ufam) -> Element:
@@ -801,6 +826,6 @@ def transgression_det(blocks, ufam) -> Element:
                 raise ValueError("gradient block and odd row must have equal width")
             row.extend(grow)
         for j in range(t):
-            _validate_linear(oddrow[j], f"transgression_det odd entry {j}")
-        odd.extend(oddrow)
+            _validate_linear(oddrow[j].terms, f"transgression_det odd entry {j}")
+        odd.extend(e.terms for e in oddrow)
     return _minor_expansion(reg, rows, odd, (), (n,))

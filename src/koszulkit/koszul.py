@@ -222,9 +222,8 @@ def _element_boundary(ba: BoundaryAssignment, elem: Element, dual_families) -> E
             if img is None:
                 continue
             piece = c * img
-            if piece:
-                accumulate(acc, word[:pos] + word[pos + 1 :], -piece if pos & 1 else piece)
-    derivation = Element(reg, acc)
+            accumulate(acc, word[:pos] + word[pos + 1 :], -piece if pos & 1 else piece)
+    derivation = Element._wrap(reg, acc)
     if not dual_families:
         return derivation
     return derivation + _dual_multiplier(ba, reg, dual_families) * elem
@@ -308,7 +307,7 @@ def theorem1_map(kind: str, e: ComplexElement, Ffam) -> ComplexElement:
             for w, c in elem.terms.items()
             if not any(fam.owns_rank(r) for r in w)
         }
-        return ComplexElement(Element(reg, kept), e.dual_families - {name})
+        return ComplexElement(Element._wrap(reg, kept), e.dual_families - {name})
     raise ValueError(f"unknown map kind {kind!r}")
 
 
@@ -369,9 +368,10 @@ def verify_lemma1(a, b, instance: str = "") -> IdentityReport:
     reg = FamilyRegistry()
     f = reg.odd("f", s)
     granks = reg.odd("g", t).primal_ranks() if t else []
-    oddrow = [column(reg, granks, b, k) for k in range(n)]
-    contraction = bordered_det(a, oddrow, f)
-    expansion = bordered_minor_expansion(a, oddrow, f)
+    # column k of b against the g primals, its scalars read as they are
+    oddrow = [{(r,): row[k] for r, row in zip(granks, b) if row[k]} for k in range(n)]
+    contraction = bordered_det(a, oddrow, f, reg)
+    expansion = bordered_minor_expansion(a, oddrow, f, reg)
     return verdict(
         "lemma1",
         instance,
@@ -451,9 +451,8 @@ def _random_words(rng, reg, ranks, gens, terms=3, deg=2) -> Element:
         for _ in range(rng.randrange(deg + 1)):
             g = rng.choice(gens)
             exps[g] = exps.get(g, 0) + 1
-        if c:
-            accumulate(acc, word, Poly(reg, {tuple(sorted(exps.items())): c}))
-    return Element(reg, acc)
+        accumulate(acc, word, Poly(reg, {tuple(sorted(exps.items())): c}))
+    return Element._wrap(reg, acc)
 
 
 def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:

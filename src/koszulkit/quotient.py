@@ -11,7 +11,12 @@ All arithmetic is exact.  Division is heap division (Monagan and Pearce,
 CASC 2007): the remainder is one dict updated in place, its monomials wait in
 a heap keyed by the monomial order, and each step cancels the largest one
 against the first divisor, in the basis's canonical sorted order, whose
-leading monomial divides it.  Pair selection uses the sugar strategy with a
+leading monomial divides it.  It runs on integers: each divisor is scaled
+once to a primitive integer polynomial, which the basis carries next to the
+basis element, and the remainder is integer numerators over one running
+denominator, so rationals are built only for the normal form and the
+quotients.  Cofactors over the input system are summed on integer
+numerators the same way.  Pair selection uses the sugar strategy with a
 fixed tie break.  So every output is deterministic for a given input and
 monomial order.
 """
@@ -22,6 +27,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from ._linalg import charpoly
 from .ring import (
@@ -34,6 +40,7 @@ from .ring import (
     mono_exponent,
     mono_lcm,
     mono_mul,
+    ratio,
 )
 
 
@@ -67,7 +74,8 @@ def order_key(order: str, fam):
 class GroebnerBasis:
     """Reduced basis with cofactors: basis[k] = sum_i source[i] * cofactors[k][i].
 
-    ``leads[k]`` is the leading monomial of ``basis[k]`` in the order."""
+    ``leads[k]`` is the leading monomial of ``basis[k]`` in the order, and
+    ``divisors[k]`` is ``basis[k]`` as division reads it (``_divisor``)."""
 
     reg: FamilyRegistry
     family: str
@@ -76,6 +84,7 @@ class GroebnerBasis:
     basis: tuple
     cofactors: tuple
     leads: tuple
+    divisors: tuple
 
     def key(self):
         return order_key(self.order, self.reg.comm_family(self.family))
@@ -107,21 +116,56 @@ def _heap_key(k: tuple) -> tuple:
     return tuple(out)
 
 
-def _reduce(p: Poly, polys, leads, key, sugars=None, sugar=None):
+def _cleared(terms: dict) -> tuple[int, dict]:
+    """``(d, {m: n})`` with each coefficient ``terms[m]`` equal to n / d, d the
+    lcm of the coefficients' denominators."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if den % d:
+            den = lcm(den, d)
+    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+
+def _divisor(g: Poly, lead: Mono) -> tuple:
+    """``g`` as ``_reduce`` divides by it: ``(lead, l, tail, lc)``.
+
+    ``g`` is scaled to the primitive integer polynomial with a positive
+    leading coefficient l; ``tail`` lists its other terms as (monomial,
+    negated integer coefficient), and ``lc`` is the leading coefficient of
+    ``g`` itself, which turns quotients by the scaled polynomial back into
+    quotients by ``g``.
+    """
+    _, nums = _cleared(g.terms)
+    content = gcd(*nums.values())
+    if nums[lead] < 0:
+        content = -content
+    tail = [(m, -(n // content)) for m, n in nums.items() if m != lead]
+    return lead, nums[lead] // content, tail, g.terms[lead]
+
+
+def _reduce(p: Poly, divisors, key, sugars=None, sugar=None):
     """Divide ``p`` by the list, returning (normal form, quotients, sugar).
 
-    ``leads[k]`` is the leading monomial of ``polys[k]``.  Deterministic: at
-    each step the order-largest monomial of the remainder is cancelled
-    against the first entry of ``polys`` whose leading monomial divides it,
-    or moved to the normal form when none does.
+    ``divisors`` are ``_divisor`` tuples.  Deterministic: at each step the
+    order-largest monomial of the remainder is cancelled against the first
+    divisor whose leading monomial divides it, or moved to the normal form
+    when none does.
 
     Heap division: the remainder is one dict updated in place, and its
     monomials sit in a min-heap of negated order keys, each key computed
     once per call.  A monomial that cancels stays in the heap and is skipped
     when popped (lazy deletion).  The leading monomial strictly decreases,
     so each quotient term is set exactly once.
+
+    The remainder is kept as integer numerators over one running
+    denominator.  Cancelling a coefficient hc against a divisor with
+    leading coefficient l multiplies the remainder by l / gcd(hc, l) when
+    that is not 1, and subtracts an integer multiple of the divisor.  Each
+    normal-form and quotient term keeps the denominator of its step, and
+    its coefficient is built once, at the end, by the coefficient rule.
     """
-    h = dict(p.terms)
+    den, h = _cleared(p.terms)
     heap_keys: dict[Mono, tuple] = {}
 
     def heap_entry(m: Mono):
@@ -132,36 +176,44 @@ def _reduce(p: Poly, polys, leads, key, sugars=None, sugar=None):
 
     heap = [heap_entry(m) for m in h]
     heapq.heapify(heap)
-    divisors = [
-        (gm, g.terms[gm], [(m, -c) for m, c in g.terms.items() if m != gm])
-        for g, gm in zip(polys, leads)
-    ]
-    quotients: list[dict] = [{} for _ in polys]
-    nf: dict[Mono, Fraction] = {}
+    # {monomial: (numerator, denominator)} per quotient, and for the normal form
+    quotients: list[dict] = [{} for _ in divisors]
+    nf: dict[Mono, tuple] = {}
     track_sugar = sugars is not None and sugar is not None
     while heap:
         hm = heapq.heappop(heap)[1]
         hc = h.pop(hm, None)
         if hc is None:
             continue
-        for idx, (gm, gc, tail) in enumerate(divisors):
+        for idx, (gm, lead_num, tail, _) in enumerate(divisors):
             qmono = mono_divide(hm, gm)
             if qmono is not None:
                 break
         else:
-            nf[hm] = hc
+            nf[hm] = (hc, den)
             continue
-        qc = hc / gc
-        quotients[idx][qmono] = qc
+        quotients[idx][qmono] = (hc, den)
+        g = gcd(hc, lead_num)
+        scale = lead_num // g
+        if scale != 1:
+            den *= scale
+            for m in h:
+                h[m] *= scale
+        b = hc // g
         for m, nc in tail:
             pm = mono_mul(qmono, m)
             if pm not in h:
                 heapq.heappush(heap, heap_entry(pm))
-            accumulate(h, pm, qc * nc)
+            accumulate(h, pm, b * nc)
         if track_sugar:
             sugar = max(sugar, mono_degree(qmono) + sugars[idx])
     reg = p.reg
-    return Poly(reg, nf), [Poly(reg, q) for q in quotients], sugar
+    quots = []
+    for q, (*_, lc) in zip(quotients, divisors):
+        # each cancelled coefficient c / d over the divisor's leading coefficient
+        a, b = lc.denominator, lc.numerator
+        quots.append(Poly._wrap(reg, {m: ratio(c * a, d * b) for m, (c, d) in q.items()}))
+    return Poly._wrap(reg, {m: ratio(n, d) for m, (n, d) in nf.items()}), quots, sugar
 
 
 def _system_family(f, family=None):
@@ -199,12 +251,14 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
     cofs: list[list[Poly]] = []
     sugars: list[int] = []
     leads: list[Mono] = []
+    divisors: list[tuple] = []
 
     def push(p: Poly, cof: list[Poly], sugar=None):
         lm = max(p.terms, key=key)
         inv = Fraction(1) / p.terms[lm]
         leads.append(lm)
         polys.append(p * inv)
+        divisors.append(_divisor(polys[-1], lm))
         cofs.append([c * inv for c in cof])
         sugars.append(p.total_degree() if sugar is None else sugar)
 
@@ -264,7 +318,7 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
         sug = max(sugars[i] + mono_degree(ui), sugars[j] + mono_degree(uj))
         if sp.is_zero:
             continue
-        nf, quots, sug = _reduce(sp, polys, leads, key, sugars, sug)
+        nf, quots, sug = _reduce(sp, divisors, key, sugars, sug)
         for q, cof in zip(quots, cofs):
             if q.is_zero:
                 continue
@@ -293,13 +347,13 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
     polys = [polys[i] for i in keep]
     cofs = [cofs[i] for i in keep]
     leads = [leads[i] for i in keep]
+    divisors = [divisors[i] for i in keep]
 
     # interreduce tails against the rest: one pass suffices, since each
     # tail is reduced in full against leads that no pass changes
     for i in range(len(polys)):
-        others = polys[:i] + polys[i + 1 :]
         other_cofs = cofs[:i] + cofs[i + 1 :]
-        nf, quots, _ = _reduce(polys[i], others, leads[:i] + leads[i + 1 :], key)
+        nf, quots, _ = _reduce(polys[i], divisors[:i] + divisors[i + 1 :], key)
         if nf != polys[i]:
             cof = cofs[i]
             for q, oc in zip(quots, other_cofs):
@@ -308,6 +362,7 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
                 cof = [a - q * b for a, b in zip(cof, oc)]
             polys[i] = nf
             cofs[i] = cof
+            divisors[i] = _divisor(nf, leads[i])
 
     # interreduction keeps each leading monomial: no other lead divides it
     by_lead = sorted(range(len(polys)), key=lambda i: key(leads[i]))
@@ -319,6 +374,7 @@ def groebner(f, order: str = "grevlex", family=None) -> GroebnerBasis:
         tuple(polys[i] for i in by_lead),
         tuple(tuple(cofs[i]) for i in by_lead),
         tuple(leads[i] for i in by_lead),
+        tuple(divisors[i] for i in by_lead),
     )
 
 
@@ -326,19 +382,34 @@ def reduce_with_cofactors(p: Poly, gb: GroebnerBasis) -> tuple[Poly, list[Poly]]
     """Normal form plus quotients: p = nf + sum_k basis[k] * cof[k]."""
     if p.is_zero:
         return p, [Poly.zero(p.reg) for _ in gb.basis]
-    nf, quots, _ = _reduce(p, gb.basis, gb.leads, gb.key())
+    nf, quots, _ = _reduce(p, gb.divisors, gb.key())
     return nf, quots
 
 
 def source_cofactors(gb: GroebnerBasis, quots) -> list[Poly]:
-    """Convert basis quotients into cofactors over the original system."""
+    """Convert basis quotients into cofactors over the original system.
+
+    Each cofactor sum_k quots[k] * cofactors[k][i] is summed on integer
+    numerators over one common denominator, and its coefficients are built
+    once, at the end."""
     reg = gb.reg
-    out = [Poly.zero(reg) for _ in gb.source]
-    for q, cof in zip(quots, gb.cofactors):
-        if q.is_zero:
-            continue
-        for i, c in enumerate(cof):
-            out[i] = out[i] + q * c
+    cleared = [_cleared(q.terms) for q in quots]
+    out = []
+    for i in range(len(gb.source)):
+        parts = []
+        for (dq, nq), cof in zip(cleared, gb.cofactors):
+            if nq and cof[i]:
+                dc, nc = _cleared(cof[i].terms)
+                parts.append((dq * dc, nq, nc))
+        den = lcm(*(d for d, _, _ in parts))
+        acc: dict[Mono, int] = {}
+        for d, nq, nc in parts:
+            s = den // d
+            for m1, a in nq.items():
+                a *= s
+                for m2, b in nc.items():
+                    accumulate(acc, mono_mul(m1, m2), a * b)
+        out.append(Poly._wrap(reg, {m: ratio(n, den) for m, n in acc.items()}))
     return out
 
 
@@ -408,7 +479,7 @@ def charpoly_T(gb: GroebnerBasis, j: int, mat=None) -> tuple[Poly, list[Poly]]:
         mat = mul_matrix(gb, quotient_basis(gb), j)
     coeffs = charpoly(mat)
     g = reg.comm_gen(fam, j)
-    T = Poly(reg, {(() if k == 0 else ((g, k),)): c for k, c in enumerate(coeffs) if c})
+    T = Poly(reg, {(() if k == 0 else ((g, k),)): c for k, c in enumerate(coeffs)})
     nf, quots = reduce_with_cofactors(T, gb)
     if not nf.is_zero:
         raise AssertionError("annihilator does not reduce to zero")

@@ -9,7 +9,11 @@ the same registry compose without any renaming.
 
 Polynomials are sparse: a monomial is a tuple of ``(generator_index,
 exponent)`` pairs sorted by generator index with all exponents positive, and a
-polynomial maps monomials to nonzero rational coefficients.  One coefficient
+polynomial maps monomials to nonzero rational coefficients: the constructor
+drops zeros, and ``accumulate``, the one idiom sums are built with, never
+stores one.  Every monomial that ``mono_mul`` or ``mono_divide`` builds
+passes through one table of distinct monomials, so polynomials built from
+products share their keys instead of holding equal copies.  One coefficient
 rule holds where coefficients enter (``Poly.const``, and through it the
 parser, ``as_poly`` and every constant; ``Poly.variable``): a coefficient is an
 ``int`` when it is integral and a :class:`fractions.Fraction` otherwise, never
@@ -181,15 +185,17 @@ class FamilyRegistry:
 
 
 def accumulate(acc: dict, key, value) -> None:
-    """Add a nonzero ``value`` into ``acc[key]``, dropping the key at zero.
+    """Add ``value`` into ``acc[key]``, so that ``acc`` never holds a zero.
 
     The one accumulate-and-prune idiom of the package, for coefficients and
-    Poly values alike: a new key stores ``value`` itself, so no zero is built
-    and no addition is made.
+    Poly values alike: a new key stores ``value`` itself, unless it is zero,
+    so no zero is built and no addition is made; a sum that reaches zero
+    drops its key.
     """
     old = acc.get(key)
     if old is None:
-        acc[key] = value
+        if value:
+            acc[key] = value
     else:
         s = old + value
         if s:
@@ -198,15 +204,46 @@ def accumulate(acc: dict, key, value) -> None:
             del acc[key]
 
 
+def ratio(n: int, den: int) -> int | Fraction:
+    """n / den by the coefficient rule: an ``int`` when den divides n, else a
+    Fraction."""
+    q, rem = divmod(n, den)
+    return Fraction(n, den) if rem else q
+
+
+# The one table of distinct monomials: every monomial that ``mono_mul`` or
+# ``mono_divide`` builds is replaced by the first equal one, so polynomials
+# built from their products share their keys instead of holding copies.  It
+# holds immutable tuples only, so sharing it changes no result, and it grows
+# with the distinct monomials a process meets, not with the polynomials.
+_MONOMIALS: dict[Mono, Mono] = {}
+
+
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
     if not m1:
         return m2
     if not m2:
         return m1
-    acc = dict(m1)
-    for g, e in m2:
-        acc[g] = acc.get(g, 0) + e
-    return tuple(sorted(acc.items()))
+    # merge the two sorted pair lists, reusing the pairs a generator of only
+    # one factor keeps
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        p1, p2 = m1[i], m2[j]
+        if p1[0] < p2[0]:
+            out.append(p1)
+            i += 1
+        elif p2[0] < p1[0]:
+            out.append(p2)
+            j += 1
+        else:
+            out.append((p1[0], p1[1] + p2[1]))
+            i += 1
+            j += 1
+    out.extend(m1[i:] if i < n1 else m2[j:])
+    m = tuple(out)
+    return _MONOMIALS.setdefault(m, m)
 
 
 def mono_degree(m: Mono) -> int:
@@ -222,16 +259,20 @@ def mono_exponent(m: Mono, gidx: int) -> int:
 
 def mono_divide(m1: Mono, m2: Mono) -> Mono | None:
     """m1 / m2 as a monomial, or None when m2 does not divide m1."""
-    quot = dict(m1)
+    out = []
+    i, n1 = 0, len(m1)
     for g, e in m2:
-        have = quot.get(g, 0) - e
-        if have < 0:
+        while i < n1 and m1[i][0] < g:
+            out.append(m1[i])
+            i += 1
+        if i == n1 or m1[i][0] != g or m1[i][1] < e:
             return None
-        if have == 0:
-            quot.pop(g, None)
-        else:
-            quot[g] = have
-    return tuple(sorted(quot.items()))
+        if m1[i][1] > e:
+            out.append((g, m1[i][1] - e))
+        i += 1
+    out.extend(m1[i:])
+    m = tuple(out)
+    return _MONOMIALS.setdefault(m, m)
 
 
 def mono_lcm(m1: Mono, m2: Mono) -> Mono:
@@ -248,11 +289,24 @@ class Poly:
 
     def __init__(self, reg: FamilyRegistry, terms: dict | None = None):
         self.reg = reg
-        self.terms: dict[Mono, int | Fraction] = terms if terms is not None else {}
+        if terms is None:
+            terms = {}
+        elif not all(terms.values()):
+            terms = {m: c for m, c in terms.items() if c}
+        self.terms: dict[Mono, int | Fraction] = terms
+
+    @staticmethod
+    def _wrap(reg: FamilyRegistry, terms: dict, _new=object.__new__) -> "Poly":
+        """The Poly holding ``terms`` itself, unchecked: for maps that hold no
+        zero by construction, such as those ``accumulate`` builds."""
+        p = _new(Poly)
+        p.reg = reg
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, reg: FamilyRegistry) -> "Poly":
-        return cls(reg)
+        return cls._wrap(reg, {})
 
     @classmethod
     def const(cls, reg: FamilyRegistry, c) -> "Poly":
@@ -261,13 +315,13 @@ class Poly:
                 c = Fraction(c)
             if c.denominator == 1:
                 c = c.numerator
-        return cls(reg, {MONO_ONE: c} if c else {})
+        return cls._wrap(reg, {MONO_ONE: c} if c else {})
 
     @classmethod
     def variable(cls, reg: FamilyRegistry, gidx: int) -> "Poly":
         if not 0 <= gidx < reg.num_comm:
             raise IndexError(f"no commuting generator with index {gidx}")
-        return cls(reg, {((gidx, 1),): 1})
+        return cls._wrap(reg, {((gidx, 1),): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -286,14 +340,14 @@ class Poly:
     __hash__ = None
 
     def __neg__(self) -> "Poly":
-        return Poly(self.reg, {m: -c for m, c in self.terms.items()})
+        return Poly._wrap(self.reg, {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
             accumulate(acc, m, c)
-        return Poly(self.reg, acc)
+        return Poly._wrap(self.reg, acc)
 
     __radd__ = __add__
 
@@ -307,21 +361,16 @@ class Poly:
         # the exact type first: Fraction's ABC instance check is slow
         if type(other) is not Poly:
             if isinstance(other, (int, Fraction)):
-                # a Fraction even when integral: Groebner's monic basis
-                # elements are built here, and quotient._reduce divides by
-                # their leading coefficients, which int / int would turn
-                # into a float
-                c = Fraction(other)
-                if not c:
-                    return Poly.zero(self.reg)
-                return Poly(self.reg, {m: c * v for m, v in self.terms.items()})
+                # a scalar times each coefficient: int and Fraction products
+                # are exact, and a zero scalar leaves no term
+                return Poly(self.reg, {m: other * v for m, v in self.terms.items()})
             if not isinstance(other, Poly):
                 return NotImplemented
         acc: dict[Mono, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 accumulate(acc, mono_mul(m1, m2), c1 * c2)
-        return Poly(self.reg, acc)
+        return Poly._wrap(self.reg, acc)
 
     __rmul__ = __mul__
 

@@ -6,10 +6,8 @@ integral coefficients stay plain ``int`` through sums and products.  Two
 checks hold the rule:
 
 - a tripwire: no Poly built by the main commands holds a float, a bool or
-  anything else but ``int`` and ``Fraction``.  A float would come from
-  ``int / int``: Groebner's ``_reduce`` divides by the leading coefficients
-  of basis elements, which stay Fractions only because monic normalisation
-  goes through ``Poly.__mul__``'s scalar branch;
+  anything else but ``int`` and ``Fraction``.  A float would come from an
+  ``int / int`` anywhere a coefficient is divided;
 - an oracle: the same polynomials and elements built from Fraction-valued
   dicts and built through ``Poly.const`` and the parser compare equal and
   render identically, after sums, products and the exterior kernels.
@@ -48,8 +46,8 @@ ZERO_DIMENSIONAL = [
     "4var_dense_d16",
 ]
 
-# a square system whose Groebner basis divides by many leading coefficients:
-# were its basis elements int-valued, _reduce's quotients here would be floats
+# a square system whose Groebner basis divides by many leading coefficients,
+# all of them integers
 PINNED = (
     "vars: x1 x2 x3\n"
     "f: x1^2 + 2*x1*x2 + x2^2, x2^2 + 6*x2*x3 + 9*x3^2, x3^2 + 2*x1 + 2*x2 + 3\n"

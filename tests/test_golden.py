@@ -9,7 +9,9 @@ theorem 3 witness lies at column 14,631 of 29,260 candidates
 (``thm3_b18.txt``, degree bound 18), and ``surplus3.txt``, cube3 plus a
 redundant equation, the one recorded ``dual-element`` case with more
 equations than variables (the det G route, whose cocycle test takes the
-boundary of nonempty dual words); the expected stdout of each command
+boundary of nonempty dual words), and ``dense2_d36.txt``, a dense
+system of two degree-6 polynomials whose Groebner basis carries
+coefficients of over 100 bits, where the others' are small; the expected stdout of each command
 sits next to them in ``tests/golden``, as do the stdout of two sweeps past
 ``verify all``'s shapes, where the products are longest: ``verify lemma1``
 at n = s = 5, t = 4 and ``verify lemma2`` at s = t = 5.  ``verify thm3 --seed 586795`` is pinned in full, since its
@@ -76,6 +78,10 @@ CASES = [
         ["verify", "lemma2", "--s", "5", "--t", "5", "--count", "3", "--seed", "42"],
         "verify-lemma2.s5t5.json",
     ),
+    # a dense 2-variable degree-6 system, d = 36, whose Groebner basis
+    # carries coefficients of over 100 bits
+    ("dense2_d36", ["groebner"], "dense2_d36.groebner.json"),
+    ("dense2_d36", ["dual-element"], "dense2_d36.dual-element.json"),
 ]
 
 

@@ -282,6 +282,15 @@ class TestWordOps:
 
 
 class TestWedge:
+    def test_no_zero_coefficient_is_stored(self):
+        reg, x, f, _ = setup_fg()
+        xv = Poly.variable(reg, next(iter(x.gens())))
+        w = (f.primal_ranks()[0],)
+        assert Element(reg, {w: xv - xv}).terms == {}
+        assert (Element.zero(reg) + Element(reg, {w: xv - xv})).is_zero
+        assert Element(reg, {w: xv, (): Poly.zero(reg)}).terms == {w: xv}
+        assert (Element.generator(reg, w[0]) * Element(reg, {(): xv - xv})).is_zero
+
     def test_generators_anticommute(self):
         reg, _, f, _ = setup_fg()
         a = Element.generator(reg, f.primal_ranks()[0])
@@ -1092,6 +1101,28 @@ class TestBorderedDet:
         f = reg.odd("f", 2)
         with pytest.raises(ValueError):
             bordered_det([[Poly.const(reg, 1)]], [Element.zero(reg)], f)
+
+    def test_raw_scalar_odd_row_equals_element_odd_row(self):
+        """An odd row of raw {word: scalar} maps gives what its elements
+        give, on the integer route and on the polynomial one (a holding a
+        variable), and so does the minor expansion."""
+        rng = random.Random(20016)
+        for _ in range(30):
+            s, n, t = rng.randint(1, 2), rng.randint(1, 3), rng.randint(0, 2)
+            reg = FamilyRegistry()
+            x = reg.commuting("x", 1)
+            f = reg.odd("f", s)
+            granks = reg.odd("g", t).primal_ranks() if t else []
+            b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                 for _ in range(t)]
+            raw = [{(r,): row[k] for r, row in zip(granks, b) if row[k]} for k in range(n)]
+            elements = [column(reg, granks, b, k) for k in range(n)]
+            a = [[Fraction(rng.randint(-2, 2), 2) for _ in range(n)] for _ in range(s)]
+            if rng.random() < 0.5:
+                a[0][0] = Poly.variable(reg, reg.comm_gen(x, 1)) + a[0][0]
+            want = bordered_det(a, elements, f)
+            assert bordered_det(a, raw, f, reg) == want
+            assert bordered_minor_expansion(a, raw, f, reg) == want
 
 
 class TestTransgressionDet:

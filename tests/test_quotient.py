@@ -4,14 +4,17 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from koszulkit.cli import parse_system_file
 from koszulkit.quotient import (
     GroebnerBasis,
     NotZeroDimensional,
+    _divisor,
     _reduce,
     charpoly_T,
     groebner,
@@ -32,6 +35,9 @@ from koszulkit.ring import (
 )
 
 from dense_matrices import dense, poly_at_matrix
+from fraction_division import fraction_reduce
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def setup(n=2):
@@ -353,7 +359,7 @@ def _scan_reduce(p: Poly, polys, key, sugars=None, sugar=None):
         for idx, (gm, gc) in enumerate(leads):
             q = mono_divide(hm, gm)
             if q is not None:
-                hit = (idx, q, hc / gc)
+                hit = (idx, q, Fraction(hc) / gc)
                 break
         if hit is None:
             mono_poly = Poly(reg, {hm: hc})
@@ -376,6 +382,8 @@ for _n in (1, 2, 3):
 
 DIVISION = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+# integer coefficients of either sign, up to 2^64 in size
+wide_integers = st.integers(-(2**64), 2**64).filter(bool)
 
 
 def monomials(n):
@@ -388,12 +396,14 @@ def monomials(n):
 @st.composite
 def division_problems(draw):
     """(p, divisors, order, sugars, sugar) over 1-3 variables; divisors are
-    not monic and may repeat."""
+    not monic, may repeat and lead with either sign.  Half the problems are
+    integer-only, with coefficients up to 2^64 in size."""
     n = draw(st.integers(1, 3))
     reg = REGS[n]
+    coeffs = draw(st.sampled_from([coefficients, wide_integers]))
 
     def poly(min_size):
-        return st.dictionaries(monomials(n), coefficients, min_size=min_size, max_size=5).map(
+        return st.dictionaries(monomials(n), coeffs, min_size=min_size, max_size=5).map(
             lambda terms: Poly(reg, terms)
         )
 
@@ -406,13 +416,23 @@ def division_problems(draw):
 
 
 def assert_same_division(p, divisors, order, sugars=None, sugar=None):
+    """The integer-numerator division equals the Fraction heap division and
+    the scanning division, holds no float, keeps the coefficient rule, and
+    re-expands exactly: p == nf + sum_k q_k * g_k."""
     key = order_key(order, p.reg.comm_family("x"))
     leads = [_leading(g, key)[0] for g in divisors]
-    nf, quots, sug = _reduce(p, divisors, leads, key, sugars, sugar)
-    want_nf, want_quots, want_sug = _scan_reduce(p, divisors, key, sugars, sugar)
-    assert nf == want_nf
-    assert quots == want_quots
-    assert sug == want_sug
+    results = [
+        _reduce(p, [_divisor(g, lm) for g, lm in zip(divisors, leads)], key, sugars, sugar),
+        fraction_reduce(p, divisors, leads, key, sugars, sugar),
+        _scan_reduce(p, divisors, key, sugars, sugar),
+    ]
+    for nf, quots, _ in results:
+        assert not any(type(c) is float for q in (nf, *quots) for c in q.terms.values())
+    assert results[0] == results[1] == results[2]
+    nf, quots, _ = results[0]
+    for q in (nf, *quots):
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in q.terms.values())
+    assert p == nf + sum((q * g for q, g in zip(quots, divisors)), Poly.zero(p.reg))
     return nf, quots
 
 
@@ -438,17 +458,30 @@ def small_systems(draw):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(small_systems())
 def test_basis_carries_its_leads_and_is_interreduced(problem):
-    """``leads[k]`` is the order-largest monomial of ``basis[k]``, and
-    dividing any basis element by the others leaves it unchanged."""
+    """``leads[k]`` is the order-largest monomial of ``basis[k]``,
+    ``divisors[k]`` is ``basis[k]`` as division reads it, and dividing any
+    basis element by the others leaves it unchanged."""
     f, order = problem
     gb = groebner(f, order=order, family="x")
     key = gb.key()
     assert gb.leads == tuple(_leading(g, key)[0] for g in gb.basis)
+    assert gb.divisors == tuple(_divisor(g, lm) for g, lm in zip(gb.basis, gb.leads))
     for k, g in enumerate(gb.basis):
-        others = gb.basis[:k] + gb.basis[k + 1 :]
-        nf, quots, _ = _reduce(g, others, gb.leads[:k] + gb.leads[k + 1 :], key)
+        nf, quots, _ = _reduce(g, gb.divisors[:k] + gb.divisors[k + 1 :], key)
         assert nf == g
         assert all(q.is_zero for q in quots)
+
+
+def test_divisor_is_primitive_with_positive_lead():
+    """A divisor is read as the primitive integer multiple of itself with a
+    positive leading coefficient, and keeps its own leading coefficient."""
+    reg, names = setup(2)
+    g = parse_poly(reg, "-4/3*x1^2 + 2*x1*x2 - 2/5", names)
+    lead = ((0, 2),)
+    gm, l, tail, lc = _divisor(g, lead)
+    assert (gm, l, lc) == (lead, 10, Fraction(-4, 3))
+    # 10*x1^2 - 15*x1*x2 + 3, its tail negated
+    assert sorted(tail) == [((), -3), (((0, 1), (1, 1)), 15)]
 
 
 class TestHeapDivisionCases:
@@ -539,3 +572,15 @@ def test_dense_systems_match_recorded_digest():
                 T, G = charpoly_T(gb, j)
                 h.update(repr([str(T)] + [str(g) for g in G]).encode())
     assert h.hexdigest() == DENSE_DIGEST
+
+
+def test_annihilator_cofactors_share_their_monomials():
+    """Every monomial ``mono_mul`` and ``mono_divide`` build passes through
+    one table of distinct monomials, so the cofactors of the annihilators
+    hold one object per distinct monomial."""
+    f = parse_system_file((GOLDEN / "3var_d27.txt").read_text()).f
+    gb = groebner(f)
+    cofactors = [g for j in (1, 2, 3) for g in charpoly_T(gb, j)[1]]
+    monos = [m for g in cofactors for m in g.terms]
+    assert len(monos) > len(set(monos))
+    assert len({id(m) for m in monos}) == len(set(monos))

@@ -17,6 +17,7 @@ from koszulkit.ring import (
     FamilyRegistry,
     ParseError,
     Poly,
+    accumulate,
     divided_diff,
     mono_divide,
     mono_lcm,
@@ -105,6 +106,18 @@ class TestRegistry:
 
 
 class TestPolyArithmetic:
+    def test_no_zero_coefficient_is_stored(self):
+        reg, x, _ = fresh_xy(1)
+        m = ((next(iter(x.gens())), 1),)
+        assert Poly(reg, {m: 0, (): 3}).terms == {(): 3}
+        assert Poly.const(reg, Fraction(0)).terms == {}
+        assert (Poly.const(reg, 2) * 0).terms == {}
+        acc = {}
+        accumulate(acc, m, 0)
+        assert acc == {}
+        accumulate(acc, m, Poly.zero(reg))
+        assert acc == {}
+
     def test_ring_axioms_random(self):
         rng = random.Random(12001)
         reg, x, y = fresh_xy(3)
@@ -311,3 +324,12 @@ class TestMonomials:
         assert mono_lcm(m1, ((1, 3), (2, 1))) == ((0, 2), (1, 3), (2, 1))
         assert mono_mul((), m1) == m1
         assert mono_divide(m1, m1) == ()
+
+    def test_products_and_quotients_are_shared(self):
+        """Equal monomials that mono_mul and mono_divide build are one object."""
+        m1 = ((0, 2), (1, 1))
+        m2 = ((1, 2),)
+        prod = mono_mul(m1, m2)
+        assert mono_mul(m2, m1) is prod
+        assert mono_mul(((0, 1),), ((0, 1), (1, 3))) is prod
+        assert mono_divide(prod, m2) is mono_divide(mono_mul(m1, ((2, 1),)), ((2, 1),))
