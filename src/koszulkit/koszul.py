@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -629,51 +630,72 @@ def gradient(polys, reg) -> list:
 WITNESS_COLUMN_LIMIT = 250_000
 
 
-def _monomials_upto(gens, bound):
-    """All monomials in ``gens`` of total degree <= bound, ascending degree."""
-    gens = sorted(gens)
-    out = [()]
-    layer = [()]
-    for _ in range(bound):
-        nxt = []
-        for mono in layer:
-            for g in gens:
-                if mono and g < mono[-1][0]:
-                    continue
-                if mono and g == mono[-1][0]:
-                    grown = mono[:-1] + ((g, mono[-1][1] + 1),)
-                else:
-                    grown = mono + ((g, 1),)
-                nxt.append(grown)
-        layer = nxt
-        out.extend(layer)
+def _next_layer(gens, layer):
+    """The monomials in the sorted ``gens`` one degree above those of ``layer``.
+
+    Each monomial grows by every generator from its last one on, so the
+    layers built up from [()] each come out in lexicographic order.
+    """
+    out = []
+    for mono in layer:
+        for g in gens:
+            if mono and g < mono[-1][0]:
+                continue
+            if mono and g == mono[-1][0]:
+                grown = mono[:-1] + ((g, mono[-1][1] + 1),)
+            else:
+                grown = mono + ((g, 1),)
+            out.append(grown)
     return out
 
 
 class _WitnessColumns(Sequence):
     """The witness search's candidate columns, built on demand.
 
-    Column ``k * len(monos) + i`` is the sparse boundary of monos[i] *
-    words[k] (words major, monomials minor), keyed by the row numbers of
-    ``rows``, {(word, mono): row} in order of first use.  The boundary is
-    linear over the polynomial ring, so a word's boundary is computed once,
-    the first time one of its columns is indexed, and each column is that
-    boundary with every monomial shifted by its own.
+    The candidates m * w, for w in ``words`` and m a monomial in ``gens`` of
+    degree at most ``bound``, run by the degree of m, then by word, then by
+    m; ``monos`` lists the monomials by degree, a degree's layer built when
+    first reached.  A column is the sparse boundary of its candidate, keyed
+    by the row numbers of ``rows``, {(word, mono): row} in order of first
+    use: the boundary is linear over the polynomial ring, so it is the
+    word's boundary, computed once, with every monomial shifted by m.
+    ``indexed`` is one past the last column indexed.
     """
 
-    def __init__(self, ba: BoundaryAssignment, reg, words, monos):
-        self.ba, self.reg, self.words, self.monos = ba, reg, words, monos
+    def __init__(self, ba: BoundaryAssignment, reg, words, gens, bound):
+        self.ba, self.reg, self.words = ba, reg, words
+        self.gens = sorted(gens)
+        self.monos = [()]
+        self._top = [()]  # the monomials of the highest degree built
+        self._len = len(words) * math.comb(bound + len(gens), len(gens))
+        self._counts = [1]  # degree d -> monomials of degree <= d
         self.rows: dict[tuple, int] = {}
         self._pieces: dict[int, list] = {}  # word index -> [(word, mono, shifts, c)]
-        self._shifts: dict[tuple, list] = {}  # mono -> [monos[i] * mono for the i reached]
+        self._shifts: dict[tuple, list] = {}  # mono -> [monos[g] * mono for the g reached]
+        self.indexed = 0
 
     def __len__(self):
-        return len(self.words) * len(self.monos)
+        return self._len
+
+    def candidate(self, j):
+        """(k, g) with column j the boundary of monos[g] * words[k]."""
+        counts, n = self._counts, len(self.gens)
+        q = j // len(self.words)  # j is in layer d iff counts[d - 1] <= q < counts[d]
+        while counts[-1] <= q:
+            counts.append(math.comb(len(counts) + n, n))
+        d = bisect_right(counts, q)
+        first = counts[d - 1] if d else 0  # monomials of degree < d
+        k, i = divmod(j - len(self.words) * first, counts[d] - first)
+        while len(self.monos) <= first + i:
+            self._top = _next_layer(self.gens, self._top)
+            self.monos.extend(self._top)
+        return k, first + i
 
     def __getitem__(self, j):
-        if not 0 <= j < len(self):
+        if not 0 <= j < self._len:
             raise IndexError(j)
-        k, i = divmod(j, len(self.monos))
+        k, g = self.candidate(j)
+        self.indexed = max(self.indexed, j + 1)
         pieces = self._pieces.get(k)
         if pieces is None:
             word = Element(self.reg, {self.words[k]: Poly.const(self.reg, 1)})
@@ -686,9 +708,9 @@ class _WitnessColumns(Sequence):
         monos, rows = self.monos, self.rows
         col = {}
         for word, mono, shifts, c in pieces:
-            while len(shifts) <= i:
+            while len(shifts) <= g:
                 shifts.append(mono_mul(monos[len(shifts)], mono))
-            col[rows.setdefault((word, shifts[i]), len(rows))] = c
+            col[rows.setdefault((word, shifts[g]), len(rows))] = c
         return col
 
 
@@ -702,8 +724,11 @@ def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_
     generators appearing in the difference or in the assigned images, up to
     the bound.  More than ``WITNESS_COLUMN_LIMIT`` candidates is an input
     error (ValueError), raised before any is built.  The candidates are
-    solved for exactly, in order, up to the first prefix whose span holds the
-    difference, and any solution is re-verified before being returned.
+    solved for exactly, in ascending coefficient degree (``_WitnessColumns``),
+    up to the first prefix whose span holds the difference, so the witness
+    has the least coefficient degree of any within the bound and is the same
+    for every bound at or above that degree.  Any solution is re-verified
+    before being returned.
     """
     reg = lhs.reg
     if rhs.reg is not reg:
@@ -737,14 +762,12 @@ def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_
     ]
     if not words:
         return None
-    count = len(words) * math.comb(degree_bound + len(gens), len(gens))
-    if count > WITNESS_COLUMN_LIMIT:
+    columns = _WitnessColumns(ba, reg, words, gens, degree_bound)
+    if len(columns) > WITNESS_COLUMN_LIMIT:
         raise ValueError(
-            f"witness search at degree bound {degree_bound} has {count} candidates, "
+            f"witness search at degree bound {degree_bound} has {len(columns)} candidates, "
             f"more than {WITNESS_COLUMN_LIMIT}"
         )
-    monos = _monomials_upto(gens, degree_bound)
-    columns = _WitnessColumns(ba, reg, words, monos)
     rows = columns.rows
     target = {
         rows.setdefault((word, mono), len(rows)): c
@@ -755,10 +778,10 @@ def homotopy_witness(lhs: Element, rhs: Element, ba: BoundaryAssignment, degree_
     if sol is None:
         return None
     terms: dict[tuple, dict] = {}
-    for j, coeff in enumerate(sol):
+    for j, coeff in enumerate(sol[: columns.indexed]):
         if coeff:
-            k, i = divmod(j, len(monos))
-            terms.setdefault(words[k], {})[monos[i]] = coeff
+            k, g = columns.candidate(j)
+            terms.setdefault(words[k], {})[columns.monos[g]] = coeff
     w = Element(reg, {word: Poly(reg, cs) for word, cs in terms.items()})
     check = _element_boundary(ba, w, frozenset())
     if check != diff:

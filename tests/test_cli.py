@@ -537,10 +537,10 @@ class TestHostileInput:
         monomials, 18.4 million candidate columns; the search refuses them
         before it builds a single monomial."""
 
-        def unbuilt(gens, bound):
+        def unbuilt(gens, layer):
             raise AssertionError("monomials built past the column limit")
 
-        monkeypatch.setattr(koszul, "_monomials_upto", unbuilt)
+        monkeypatch.setattr(koszul, "_next_layer", unbuilt)
         text = (GOLDEN / "thm3_b18.txt").read_text()
         if flag:
             argv = ["--degree-bound", "100"]

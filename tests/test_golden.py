@@ -33,10 +33,10 @@ from koszulkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-VERIFY_ALL_SEED42_SHA256 = "9fdc0aa85a42a3e6553202b9a4d6c79626f2cf0e4e0e04fef7475a49f86256c6"
+VERIFY_ALL_SEED42_SHA256 = "41bf911974e1598071c9c6715249f2425670923139271824502fb3d16f6fc715"
 
 VERIFY_STDOUT_SHA256 = [
-    (["all", "--seed", "1"], "96644ec1c9873d4b79d52c5fb5b07003d1218fbb60b565230e80f7a9fee0cf62"),
+    (["all", "--seed", "1"], "ef0e766d31f5b07da6b9abc557e064936ed6494a14bfa1294a881e9916663dab"),
     (["all", "--seed", "7"], "9ac3615a1b9ec9faa9192648d609c0ae7661bca1f147ff291f7faa6dcb8a6e32"),
     (["all", "--seed", "201"], "378b74fbffcad2cd5625b2599f0515d323a4fdd3693ed342924a2bd01d1f3dfe"),
     (

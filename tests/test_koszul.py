@@ -2,22 +2,28 @@
 
 The witness search shifts each word's boundary by monomials; its columns and
 target, every column materialised, must equal the ones ``_per_basis_system``
-builds from the boundary of every basis element m*w taken in full, the
-earlier column build kept here as an oracle.  Lemma 1's Laplace-form minor
-expansion must equal ``_permutation_minor_expansion``, the earlier expansion
-that wedged the leftover odd entries once per row permutation, on polynomial
-and on constant entries (its integer path).  Theorem 1's random samples must
-equal those of ``rand_element``, the earlier one-sum-per-word builder, and
-leave the generator in the same state.  The boundary, which reads each
-position's image from a table cached per dual-family set, must equal
-``_per_position_boundary``, the earlier evaluation that looked up each
-position's family and image, word for word and error for error.
+builds from the boundary of every basis element m*w taken in full, in
+ascending degree of m, the earlier column build kept here as an oracle.  It
+must find a witness exactly when ``words_major_witness``, the earlier search
+that took the candidates words major, finds one, of no higher coefficient
+degree, and no witness may exist one degree below the one it returns.  Lemma
+1's Laplace-form minor expansion must equal ``_permutation_minor_expansion``,
+the earlier expansion that wedged the leftover odd entries once per row
+permutation, on polynomial and on constant entries (its integer path).
+Theorem 1's random samples must equal those of ``rand_element``, the earlier
+one-sum-per-word builder, and leave the generator in the same state.  The
+boundary, which reads each position's image from a table cached per
+dual-family set, must equal ``_per_position_boundary``, the earlier evaluation
+that looked up each position's family and image, word for word and error for
+error.
 """
 
+import collections
 import importlib
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +56,8 @@ from koszulkit.koszul import (
     verify_theorem2,
 )
 from koszulkit.ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, parse_poly
+
+from words_major_witness import words_major_witness
 
 
 def simple_setup():
@@ -625,19 +633,56 @@ class TestTheorem2:
                     assert r2.status == "equal", f"{r2.instance}: {r2.detail}"
 
 
-def _per_basis_system(ba, diff, words, monos):
-    """The witness system with one boundary per basis element m*w.
+def _per_basis_system(ba, diff, words, gens, bound):
+    """The witness system with one boundary per basis element m*w, taken by
+    the degree of m, then by word, then by m in lexicographic order.
 
     Returns (columns, target) with columns and target keyed by (word, mono).
     """
     reg = diff.reg
     columns = []
-    for w in words:
-        for m in monos:
-            elem = Element(reg, {w: Poly(reg, {m: Fraction(1)})})
-            img = koszul._element_boundary(ba, elem, frozenset())
-            columns.append(_keyed(img))
+    for d in range(bound + 1):
+        monos = [
+            tuple(sorted(collections.Counter(c).items()))
+            for c in itertools.combinations_with_replacement(sorted(gens), d)
+        ]
+        for w in words:
+            for m in monos:
+                elem = Element(reg, {w: Poly(reg, {m: Fraction(1)})})
+                img = koszul._element_boundary(ba, elem, frozenset())
+                columns.append(_keyed(img))
     return columns, _keyed(diff)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# verify thm3 sweeps with witnesses: three seeds and a file of degree bound 18
+THM3_SWEEPS = [
+    ["--seed", "1"],
+    ["--seed", "42"],
+    ["--seed", "586795"],
+    ["--file", str(GOLDEN / "thm3_b18.txt")],
+]
+
+
+def _thm3_searches(argv, monkeypatch, capsys):
+    """(lhs, rhs, ba, degree_bound, witness) of every witness search that
+    ``verify thm3`` makes with ``argv``."""
+    real = koszul.homotopy_witness
+    searches = []
+
+    def witness(lhs, rhs, ba, degree_bound=None):
+        w = real(lhs, rhs, ba, degree_bound)
+        searches.append((lhs, rhs, ba, degree_bound, w))
+        return w
+
+    # the package attribute dual_element is the function of that name
+    dual_element = importlib.import_module("koszulkit.dual_element")
+    with monkeypatch.context() as m:
+        m.setattr(dual_element, "homotopy_witness", witness)
+        assert main(["verify", "thm3", *argv]) == 0
+    capsys.readouterr()
+    return searches
 
 
 def _keyed(elem):
@@ -694,7 +739,7 @@ class TestHomotopyWitness:
         diffs, seen = [], []
 
         def witness(lhs, rhs, ba, degree_bound=None):
-            diffs.append(lhs - rhs)
+            diffs.append((lhs - rhs, degree_bound))
             return real(lhs, rhs, ba, degree_bound)
 
         def recorded(lazy, rhs):
@@ -709,14 +754,58 @@ class TestHomotopyWitness:
         code = main(["verify", "thm3", "--seed", str(seed)])
         capsys.readouterr()
         assert seen and len(seen) == len(diffs)
-        for diff, (lazy, rhs, columns) in zip(diffs, seen):
+        for (diff, bound), (lazy, rhs, columns) in zip(diffs, seen):
             keys = {row: key for key, row in lazy.rows.items()}
             keyed = (
                 [{keys[i]: v for i, v in col.items()} for col in columns],
                 {keys[i]: v for i, v in rhs.items()},
             )
-            assert keyed == _per_basis_system(lazy.ba, diff, lazy.words, lazy.monos)
+            assert keyed == _per_basis_system(lazy.ba, diff, lazy.words, lazy.gens, bound)
         assert code == 0
+
+    @pytest.mark.parametrize("argv", THM3_SWEEPS)
+    def test_witness_has_the_least_coefficient_degree(self, argv, monkeypatch, capsys):
+        """No witness exists one degree below the one returned."""
+        searches = _thm3_searches(argv, monkeypatch, capsys)
+        lowered = 0
+        for lhs, rhs, ba, _, w in searches:
+            if w is not None and w.max_coeff_degree() >= 1:
+                below = w.max_coeff_degree() - 1
+                assert homotopy_witness(lhs, rhs, ba, degree_bound=below) is None
+                lowered += 1
+        assert lowered
+
+    @pytest.mark.parametrize("argv", THM3_SWEEPS)
+    def test_matches_words_major_oracle(self, argv, monkeypatch, capsys):
+        """The same status as the words-major search, both witnesses verified,
+        and the witness's degree at most the oracle's."""
+        searches = _thm3_searches(argv, monkeypatch, capsys)
+        assert searches
+        for lhs, rhs, ba, bound, w in searches:
+            old = words_major_witness(lhs, rhs, ba, bound)
+            assert (w is None) == (old is None)
+            if w is not None:
+                assert boundary(ba, w) == lhs - rhs == boundary(ba, old)
+                assert w.max_coeff_degree() <= old.max_coeff_degree()
+
+    def test_witness_is_the_same_for_every_bound_above_its_degree(self, monkeypatch, capsys):
+        """``thm3_b18``'s degree-2 witness, and the 38 columns its search
+        indexes, at the file's bound 18 and at 32, the largest under the
+        column limit."""
+        outputs, indexed = [], []
+
+        def recorded(lazy, rhs):
+            x = solve(lazy, rhs)
+            indexed.append(lazy.indexed)
+            return x
+
+        monkeypatch.setattr(koszul, "solve", recorded)
+        for bound in (18, 32):
+            argv = ["--file", str(GOLDEN / "thm3_b18.txt"), "--degree-bound", str(bound)]
+            assert main(["verify", "thm3", *argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == (GOLDEN / "thm3_b18.verify-thm3.json").read_text()
+        assert indexed == [38, 38]
 
 
 def test_report_serialization_is_stable():

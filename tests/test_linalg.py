@@ -490,12 +490,13 @@ class TestSolve:
         assert solve(cols, rhs) == _rightlooking_solve(cols, rhs, nrows)
 
     @pytest.mark.parametrize(
-        "fresh_row, status, indexed", [(False, "homotopic", 214), (True, "not_found", 840)]
+        "fresh_row, status, indexed", [(False, "homotopic", 11), (True, "not_found", 840)]
     )
     def test_pinned_diag_search_indexes_a_prefix(self, fresh_row, status, indexed, monkeypatch):
         """The witness of the pinned f=(x1,x2) F=(x1^2,x2^2) G=diag case lies
-        in the span of its first 214 candidate columns of 840; a target with a
-        row no column has is inconsistent, and every column is indexed."""
+        in the span of its first 11 candidate columns of 840, inside the
+        degree-1 layer; a target with a row no column has is inconsistent,
+        and every column is indexed."""
         [(f, F, G)] = [(f, F, G) for f, F, G, label in _pinned_thm3() if label.endswith("G=diag")]
         calls = []
 
