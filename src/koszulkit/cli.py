@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .ring import FamilyRegistry, Poly, parse_poly
+from .ring import FamilyRegistry, Poly, accumulate, parse_poly
 from .koszul import (
     NotCocycleError,
     lift,
@@ -183,13 +183,13 @@ def _rand_matrix(rng, rows, cols):
 def _rand_system(rng, reg, n, count, deg, terms=3):
     out = []
     for _ in range(count):
-        p = Poly.zero(reg)
+        acc: dict = {}
         for _ in range(terms):
-            mono = Poly.const(reg, rng.randint(-3, 3))
-            for g in range(n):
-                mono = mono * Poly.variable(reg, g) ** rng.randint(0, deg)
-            p = p + mono
-        out.append(p)
+            c = rng.randint(-3, 3)
+            # every exponent is drawn, zero or not
+            mono = tuple((g, e) for g in range(n) if (e := rng.randint(0, deg)))
+            accumulate(acc, mono, c)
+        out.append(Poly._wrap(reg, acc))
     return out
 
 

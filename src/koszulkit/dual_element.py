@@ -24,10 +24,11 @@ from .grassmann import (
     Element,
     bordered_det,
     column,
+    contract_product,
     grassmann_exp,
+    odd_differences,
     odd_gen,
     render_element,
-    top_contract,
     transgression_det,
 )
 from .koszul import (
@@ -569,7 +570,7 @@ def functional_eval(F: FunctionalElement, e: Element) -> Element:
     ofam = reg.odd_family(F.odd_family)
     out: dict = {}
     for w, m in F.comps.items():
-        contracted = top_contract(ofam, e * Element.word(reg, w))
+        contracted = contract_product(ofam, e, Element.word(reg, w))
         coeffs = {
             word: l.by_exponent(coeff, passthrough=True)
             for word, coeff in contracted.terms.items()
@@ -690,7 +691,7 @@ def _det_g_element(Gmat, l: ProductFunctional) -> FunctionalElement:
     fx, Fx = reg.odd_family("fx"), reg.odd_family("Fx")
     # the kernel route: the full contraction over Fx against l's unit on the
     # empty word keeps exactly the terms of det(G bordered by -Fx) free of Fx
-    oddrow = [-odd_gen(reg, Fx, j) for j in range(1, Fx.arity + 1)]
+    oddrow = odd_differences(reg, None, Fx)
     kernel = bordered_det(Gmat, oddrow, fx).terms
     free = {w: c for w, c in kernel.items() if not any(Fx.owns_rank(r) for r in w)}
     e = FunctionalElement(l, "fx", free)
@@ -788,12 +789,10 @@ def transgression_pairing(f, e: FunctionalElement) -> Element:
     Bezoutian that functional was computed from, as its single empty-word
     term; AssertionError otherwise."""
     reg = e.reg
-    s = len(f)
     grad = gradient(lift(f, reg, "x"), reg)
     fx = reg.odd_family("fx")
     fy = reg.odd_family("fy")
-    diffs = [odd_gen(reg, fx, i) - odd_gen(reg, fy, i) for i in range(1, s + 1)]
-    tdet = transgression_det([(grad, diffs)], "u")
+    tdet = transgression_det([(grad, odd_differences(reg, fx, fy))], "u")
     if isinstance(e.functional, StaircaseFunctional) and tdet != Element.from_poly(
         e.functional.bezoutian
     ):
@@ -882,16 +881,13 @@ def theorem3_compare(f, F, G, bound=None) -> IdentityReport:
 
     gradF = gradient(FX, reg)
     gradf = gradient(fX, reg)
-    fxgens = [odd_gen(reg, fx, i + 1) for i in range(s)]
     fxG = [column(reg, fx.primal_ranks(), GX, j) for j in range(t)]
 
     pairs = [(fxG[j], odd_gen(reg, Fx, j + 1, dual=True)) for j in range(t) if not fxG[j].is_zero]
-    Fdiff = [odd_gen(reg, Fx, j + 1) - odd_gen(reg, Fy, j + 1) for j in range(t)]
-    tdetF = transgression_det([(gradF, Fdiff)], "u")
+    tdetF = transgression_det([(gradF, odd_differences(reg, Fx, Fy))], "u")
     kernel = grassmann_exp(pairs) if pairs else Element.unit(reg)
-    lhs_a = top_contract(Fx, kernel * tdetF)
-    mixed = [fxG[j] - odd_gen(reg, Fy, j + 1) for j in range(t)]
-    rhs_a = transgression_det([(gradF, mixed)], "u")
+    lhs_a = contract_product(Fx, kernel, tdetF)
+    rhs_a = transgression_det([(gradF, odd_differences(reg, fxG, Fy))], "u")
     parts = []
     if lhs_a != rhs_a:
         parts.append("kernel contraction differs from the mixed determinant")
@@ -899,16 +895,15 @@ def theorem3_compare(f, F, G, bound=None) -> IdentityReport:
     ba = BoundaryAssignment(reg, {"fx": fX, "fy": fY, "Fx": FX, "Fy": FY})
     if not boundary(ba, ComplexElement(rhs_a)).element.is_zero:
         parts.append("mixed determinant is not closed")
-    bb = bordered_det(GY, [-odd_gen(reg, Fy, j + 1) for j in range(t)], fy)
+    bb = bordered_det(GY, odd_differences(reg, None, Fy), fy)
     if not boundary(ba, ComplexElement(bb, frozenset({"fy"}))).element.is_zero:
         parts.append("bordered determinant is not closed")
 
     if parts:
         return IdentityReport("theorem3", "", "failed", detail="; ".join(parts))
 
-    fdiffs = [fxgens[i] - odd_gen(reg, fy, i + 1) for i in range(s)]
-    tdetf = transgression_det([(gradf, fdiffs)], "u")
-    cform = top_contract(fy, tdetf * bb)
+    tdetf = transgression_det([(gradf, odd_differences(reg, fx, fy))], "u")
+    cform = contract_product(fy, tdetf, bb)
     if rhs_a == cform:
         return IdentityReport("theorem3", "", "equal")
     wba = BoundaryAssignment(reg, {"fx": fX, "Fy": FY})

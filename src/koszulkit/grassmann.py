@@ -10,6 +10,8 @@ ascending) of one family extracts exactly +1.
 ``top_contract`` is the full contraction over a family: in every term the
 primal and dual index sets of that family must coincide (otherwise the term
 dies), matched pairs are extracted, and the other generators survive.
+``contract_product`` takes it of a product, forming only the word pairs
+that survive; ``top_contract`` is its product with the unit.
 ``bot_contract`` is the partial contraction, in closed form term by term:
 a term survives exactly when its family primals are matched by duals of the
 same index, the matched pairs (adjacent in a word) are traded for scalars,
@@ -46,7 +48,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
-from .ring import MONO_ONE, PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, mono_mul
+from .ring import MONO_ONE, FamilyRegistry, Poly, accumulate, as_poly, mono_mul
 
 Word = tuple  # tuple[int, ...], strictly ascending global ranks
 
@@ -416,6 +418,23 @@ def odd_gen(reg: FamilyRegistry, fam, i: int, dual: bool = False) -> Element:
     return Element.generator(reg, reg.odd_rank(fam, i, dual))
 
 
+def odd_differences(reg: FamilyRegistry, heads, fam) -> list[Element]:
+    """The degree-1 rows h_j - g_j over the primal generators g_j of ``fam``,
+    j = 1 .. its arity, each built as one term map: h_j's terms, then g_j
+    with coefficient -1.  ``heads`` gives h_j: the primal j of an odd family,
+    the j-th of a list of degree-1 elements, or 0 when it is None."""
+    fam = reg.odd_family(fam)
+    minus = Poly.const(reg, -1)
+    if heads is None:
+        heads = [{}] * fam.arity
+    elif isinstance(heads, list):
+        heads = [e.terms for e in heads]
+    else:
+        one = Poly.const(reg, 1)
+        heads = [{(r,): one} for r in reg.odd_family(heads).primal_ranks()]
+    return [Element._wrap(reg, {**h, (g,): minus}) for h, g in zip(heads, fam.primal_ranks())]
+
+
 def dual_full_product(reg: FamilyRegistry, fam) -> Element:
     """The full dual word of a family, duals ascending, coefficient +1."""
     fam = reg.odd_family(fam)
@@ -429,29 +448,86 @@ def top_contract(fam, e: Element) -> Element:
     term vanishes); matched pairs are extracted against the +1 anchor pairing,
     generators of other families survive with the crossing sign.
     """
-    reg = e.reg
-    fam = reg.odd_family(fam)
-    acc: dict[Word, Poly] = {}
-    for word, c in e.terms.items():
-        primal = set()
-        dual = set()
-        crossings = 0
+    return contract_product(fam, e, Element.unit(e.reg))
+
+
+def _family_parts(fam, terms: dict) -> list:
+    """``(mask, offsets, rest, odd, c)`` per word of ``terms``: the bits
+    r - base of its ranks r in ``fam``, as a mask and ascending, its other
+    ranks, the parity o of moving the family's ranks to the front, and its
+    coefficient."""
+    lo, hi = fam.base, fam.base + 2 * fam.arity
+    out = []
+    for word, c in terms.items():
+        mask = odd = 0
+        offsets = []
         rest = []
-        seen_fam = 0
-        for pos, rank in enumerate(word):
-            if fam.owns_rank(rank):
-                _, idx, pol = reg.rank_info(rank)
-                (primal if pol == PRIMAL else dual).add(idx)
-                crossings += pos - seen_fam
-                seen_fam += 1
+        for r in word:
+            if lo <= r < hi:
+                mask |= 1 << (r - lo)
+                offsets.append(r - lo)
+                odd += len(rest)
             else:
-                rest.append(rank)
-        if primal != dual:
-            continue
-        p = len(primal)
-        odd = (crossings + p * (p + 1) // 2) & 1
-        accumulate(acc, tuple(rest), -c if odd else c)
-    return Element._wrap(reg, acc)
+                rest.append(r)
+        out.append((mask, offsets, tuple(rest), odd & 1, c))
+    return out
+
+
+def contract_product(fam, a: Element, b: Element) -> Element:
+    """``top_contract(fam, a * b)``, in the same word and monomial order,
+    from the word pairs that survive the contraction only: those whose
+    family bitmasks hold each index as primal and dual both.  A pair
+    contracts to its rests R1 R2 with the parity o1 + o2 + |R1| |F2| + the
+    crossings of F1 with F2 and of R1 with R2 + p(p+1)/2 (``_family_parts``;
+    F the family parts, p the pairs).  Products sum per merged word, keyed
+    (mask, rest), then into rest words; a single constant word on the right
+    scales each left coefficient instead."""
+    reg = a.reg
+    if b.reg is not reg:
+        raise ValueError("elements built over different registries")
+    fam = reg.odd_family(fam)
+    primal = (4**fam.arity - 1) // 3  # the even bits, each index's primal
+    right = [(m, offs, r, o, c.terms.items()) for m, offs, r, o, c in _family_parts(fam, b.terms)]
+    single = _constant(next(iter(b.terms.values()))) if len(right) == 1 else None
+    acc: dict = {}
+    for m1, _, r1, o1, c1 in _family_parts(fam, a.terms):
+        n1 = len(r1)
+        left = c1.terms.items()
+        for m2, offsets2, r2, o2, terms2 in right:
+            if m1 & m2:
+                continue
+            m = m1 | m2
+            if m & primal != (m >> 1) & primal:
+                continue
+            sign, rest = merge_words(r1, r2)
+            if rest is None:
+                continue
+            odd = o1 + o2 + (sign < 0)
+            for y in offsets2:
+                odd += n1 + (m1 >> y).bit_count()
+            p = m.bit_count() >> 1
+            odd = (odd + p * (p + 1) // 2) & 1
+            if single is not None:
+                # one left word per merged word: no sum to take
+                v = -single if odd else single
+                scaled = c1 if v == 1 else Poly._wrap(reg, {mono: x * v for mono, x in left})
+                accumulate(acc, rest, scaled)
+                continue
+            out = acc.get((m, rest))
+            if out is None:
+                out = acc[m, rest] = {}
+            for mono1, x in left:
+                if odd:
+                    x = -x
+                for mono2, y in terms2:
+                    accumulate(out, mono_mul(mono1, mono2), x * y)
+    if single is not None:
+        return Element._wrap(reg, acc)
+    contracted: dict = {}
+    for (_, rest), t in acc.items():
+        if t:
+            accumulate(contracted, rest, Poly._wrap(reg, t))
+    return Element._wrap(reg, contracted)
 
 
 def bot_contract(fam, e: Element) -> Element:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -30,8 +30,10 @@ from .grassmann import (
     bordered_minor_expansion,
     bot_contract,
     column,
+    contract_product,
     dual_full_product,
     grassmann_exp,
+    odd_differences,
     odd_gen,
     render_element,
     sort_word,
@@ -68,11 +70,9 @@ class BoundaryAssignment:
 
     reg: FamilyRegistry
     images: dict
-    # dual-family set -> its dual multiplier, built on first use by
-    # _dual_multiplier, and -> {primal rank: nonzero image} of the families
-    # in the primal role, built by _rank_images; not part of equality or repr
-    _multipliers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _rank_images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # dual-family set -> the image tables of _boundary_tables, built on
+    # first use; not part of equality or repr
+    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         clean = {}
@@ -167,40 +167,53 @@ def infer_dual_families(e: Element) -> frozenset:
     return frozenset(names)
 
 
-def _dual_multiplier(ba: BoundaryAssignment, reg, dual_families) -> Element:
-    """Minus the sum over the dual-role families of their duals times their
-    images, the left factor of the dual-role boundary; built once per family
-    set and cached on ``ba``."""
+def _boundary_tables(ba: BoundaryAssignment, dual_families) -> tuple[dict, list]:
+    """``({rank: (terms, negated)}, [(rank, terms, negated)])``: each nonzero
+    image as its term list and its negated term list, at the primal ranks
+    of the families outside ``dual_families`` and at the dual ranks of
+    those in it (families by name, indices ascending); built once per
+    family set and cached on ``ba``."""
     key = frozenset(dual_families)
-    m = ba._multipliers.get(key)
-    if m is None:
-        m = Element.zero(reg)
-        for name in sorted(key):
-            fam = reg.odd_family(name)
-            for i in range(1, fam.arity + 1):
-                m = m + odd_gen(reg, fam, i, dual=True) * ba.image(name, i)
-        ba._multipliers[key] = m = -m
-    return m
-
-
-def _rank_images(ba: BoundaryAssignment, dual_families) -> dict:
-    """{rank: image} over the primal ranks of the assigned families outside
-    ``dual_families`` whose image is nonzero, built once per family set and
-    cached on ``ba``."""
-    key = frozenset(dual_families)
-    table = ba._rank_images.get(key)
-    if table is None:
-        table = ba._rank_images[key] = {}
-        for name, polys in ba.images.items():
-            if name in key:
-                continue
-            for rank, p in zip(ba.reg.odd_family(name).primal_ranks(), polys):
+    tables = ba._tables.get(key)
+    if tables is None:
+        images: dict = {}
+        duals: list = []
+        for name in sorted(ba.images):
+            fam = ba.reg.odd_family(name)
+            ranks = fam.dual_ranks() if name in key else fam.primal_ranks()
+            for i, rank in enumerate(ranks, 1):
+                p = ba.image(name, i)
                 if p:
-                    table[rank] = p
-    return table
+                    row = (list(p.terms.items()), [(m, -c) for m, c in p.terms.items()])
+                    if name in key:
+                        duals.append((rank, *row))
+                    else:
+                        images[rank] = row
+        tables = ba._tables[key] = (images, duals)
+    return tables
+
+
+def _add_terms(acc: dict, w, t: dict) -> None:
+    """``accumulate`` for {word: {monomial: coefficient}} maps: a new word
+    stores ``t`` itself unless it is empty; a word already there sums ``t``
+    into its map, and drops when that cancels."""
+    old = acc.get(w)
+    if old is None:
+        if t:
+            acc[w] = t
+        return
+    for m, v in t.items():
+        accumulate(old, m, v)
+    if not old:
+        del acc[w]
 
 
 def _element_boundary(ba: BoundaryAssignment, elem: Element, dual_families) -> Element:
+    """The boundary in one pass over the terms of ``elem``, into one
+    {word: {monomial: coefficient}} map, each Poly built once: the
+    derivation pieces c * image in the order of the words and their
+    positions, then the dual multiplier times ``elem``, duals major, each
+    summed as the Poly and Element sums it replaces would sum them."""
     reg = elem.reg
     if ba.reg is not reg:
         raise ValueError("assignment built over a different registry")
@@ -215,19 +228,36 @@ def _element_boundary(ba: BoundaryAssignment, elem: Element, dual_families) -> E
             raise ValueError(f"dual-role family {name!r} carries primal generators")
     # a dual rank, a dual-role family's rank and a zero image give no
     # piece: none of them is in the table
-    images = _rank_images(ba, dual_families)
-    acc: dict[tuple, Poly] = {}
+    images, duals = _boundary_tables(ba, dual_families)
+    acc: dict[tuple, dict] = {}
     for word, c in elem.terms.items():
+        left = c.terms.items()
         for pos, rank in enumerate(word):
-            img = images.get(rank)
-            if img is None:
+            row = images.get(rank)
+            if row is None:
                 continue
-            piece = c * img
-            accumulate(acc, word[:pos] + word[pos + 1 :], -piece if pos & 1 else piece)
-    derivation = Element._wrap(reg, acc)
-    if not dual_families:
-        return derivation
-    return derivation + _dual_multiplier(ba, reg, dual_families) * elem
+            piece: dict = {}
+            for m1, a in left:
+                for m2, b in row[pos & 1]:
+                    accumulate(piece, mono_mul(m1, m2), a * b)
+            _add_terms(acc, word[:pos] + word[pos + 1 :], piece)
+    if duals:
+        # the dual d crosses the i ranks of a word below it; with the
+        # multiplier's minus sign, the image keeps its sign when i is odd
+        prod: dict[tuple, dict] = {}
+        right = [(w, c.terms.items()) for w, c in elem.terms.items()]
+        for d, terms, negated in duals:
+            for w2, terms2 in right:
+                i = bisect_left(w2, d)
+                if i < len(w2) and w2[i] == d:
+                    continue
+                out = prod.setdefault(w2[:i] + (d,) + w2[i:], {})
+                for m1, a in terms if i & 1 else negated:
+                    for m2, b in terms2:
+                        accumulate(out, mono_mul(m1, m2), a * b)
+        for w, t in prod.items():
+            _add_terms(acc, w, t)
+    return Element._wrap(reg, {w: Poly._wrap(reg, t) for w, t in acc.items()})
 
 
 def boundary(ba: BoundaryAssignment, e):
@@ -285,7 +315,7 @@ def theorem1_map(kind: str, e: ComplexElement, Ffam) -> ComplexElement:
     if kind == "mult_dual_det":
         if e.dual_families:
             raise DomainError("mult_dual_det expects a primal-side element")
-        out = top_contract(fam, elem * dual_full_product(reg, fam))
+        out = contract_product(fam, elem, dual_full_product(reg, fam))
         return ComplexElement(out, frozenset())
     if kind == "embed_unit":
         if e.dual_families:
@@ -317,12 +347,18 @@ def theorem1_map(kind: str, e: ComplexElement, Ffam) -> ComplexElement:
 
 
 def transport(p: Poly, dst: FamilyRegistry, gmap: dict) -> Poly:
-    """Rebuild ``p`` over ``dst``, renaming commuting generators via ``gmap``."""
+    """Rebuild ``p`` over ``dst``, renaming commuting generators via ``gmap``.
+
+    A renaming that keeps the generators' order, as ``_family_gmap``'s
+    always does, keeps every monomial sorted; any other is sorted again.
+    """
+    gens = sorted(gmap)
+    keeps_order = all(gmap[g] < gmap[h] for g, h in zip(gens, gens[1:]))
     terms = {}
     for mono, c in p.terms.items():
-        new = tuple(sorted((gmap[g], exp) for g, exp in mono))
-        terms[new] = c
-    return Poly(dst, terms)
+        new = [(gmap[g], exp) for g, exp in mono]
+        terms[tuple(new if keeps_order else sorted(new))] = c
+    return Poly._wrap(dst, terms)
 
 
 def _family_gmap(src: FamilyRegistry, dst: FamilyRegistry, fam) -> dict:
@@ -569,45 +605,40 @@ def verify_theorem2(f, F, instance: str = "") -> tuple[IdentityReport, IdentityR
     gradf = gradient(lift(f, reg, "x"), reg)
     gradF = gradient(lift(F, reg, "x"), reg)
 
-    def diffs(famx, famy, k):
-        return [odd_gen(reg, famx, i) - odd_gen(reg, famy, i) for i in range(1, k + 1)]
-
     def exp_pairs(primal, dual, k):
         return grassmann_exp(
             [(odd_gen(reg, primal, i), odd_gen(reg, dual, i, dual=True)) for i in range(1, k + 1)]
         )
 
-    fdiff, fpdiff = diffs(fx, fy, s), diffs(fpx, fpy, s)
+    fdiff, fpdiff = odd_differences(reg, fx, fy), odd_differences(reg, fpx, fpy)
     tdetf = transgression_det([(gradf, fdiff)], u)
     if t:
-        Fdiff, Fpdiff = diffs(Fx, Fy, t), diffs(Fpx, Fpy, t)
+        Fdiff, Fpdiff = odd_differences(reg, Fx, Fy), odd_differences(reg, Fpx, Fpy)
         bigdet = transgression_det([(gradF, Fdiff), (gradf, fdiff)], u)
     else:
         bigdet = tdetf
 
     # identity 1
-    lhs1 = bigdet * dual_full_product(reg, fy)
     if t:
-        lhs1 = lhs1 * exp_pairs(Fpy, Fy, t)
-        lhs1 = _renaming_orientation(top_contract(fy, top_contract(Fy, lhs1)), Fpy)
-        rhs1 = exp_pairs(Fx, Fpx, t) * transgression_det([(gradF, Fpdiff)], u)
-        rhs1 = _renaming_orientation(top_contract(Fpx, rhs1), Fx)
+        lhs1 = contract_product(Fy, bigdet * dual_full_product(reg, fy), exp_pairs(Fpy, Fy, t))
+        lhs1 = _renaming_orientation(top_contract(fy, lhs1), Fpy)
+        rhs1 = contract_product(Fpx, exp_pairs(Fx, Fpx, t), transgression_det([(gradF, Fpdiff)], u))
+        rhs1 = _renaming_orientation(rhs1, Fx)
     else:
         # With no F block the right side is a determinant with zero columns,
         # which vanishes for n >= 1; the identity degenerates to lhs = 0.
-        lhs1 = top_contract(fy, lhs1)
+        lhs1 = contract_product(fy, bigdet, dual_full_product(reg, fy))
         rhs1 = Element.zero(reg)
 
     # identity 2
-    lhs2 = _renaming_orientation(top_contract(fy, tdetf * exp_pairs(fpy, fy, s)), fpy)
+    lhs2 = _renaming_orientation(contract_product(fy, tdetf, exp_pairs(fpy, fy, s)), fpy)
     core = exp_pairs(fx, fpx, s)
     if t:
         bigdetp = transgression_det([(gradF, Fpdiff), (gradf, fpdiff)], u)
-        core = dual_full_product(reg, Fpx) * core * bigdetp
-        core = top_contract(fpx, top_contract(Fpx, core))
+        core = top_contract(fpx, contract_product(Fpx, dual_full_product(reg, Fpx) * core, bigdetp))
     else:
         bigdetp = transgression_det([(gradf, fpdiff)], u)
-        core = top_contract(fpx, core * bigdetp)
+        core = contract_product(fpx, core, bigdetp)
     sign = -1 if (t * n) & 1 else 1
     rhs2 = _renaming_orientation(core, fx) * sign
     return (

@@ -19,8 +19,12 @@ seven ``homotopic`` reports render the witnesses the linear solver picks.
 The full ``verify all --seed 42`` report is pinned by its sha256, as are
 ``verify all`` at seeds 1, 7 and 201, ``verify lemma1`` at n = s = t = 4
 and ``verify lemma2`` at s = t = 4, whose s = 4 lies outside ``verify all``,
-``verify lemma1 --seed 201`` (the benchmark's lemma 1 shapes) and ``verify
-thm1`` at n = s = t = 3.
+``verify lemma1 --seed 201`` (the benchmark's lemma 1 shapes), ``verify
+thm1`` at n = s = t = 3, ``verify thm2`` at n = s = t = 3, ``verify thm3
+--seed 201 --count 40`` (the suite the benchmark's witness workload
+runs), and the ``dual-element`` stdout of ``surplus27.txt``: d = 27 with
+four equations in three variables, whose cocycle test takes the boundary
+of nonempty dual words against large multipliers.
 """
 
 import hashlib
@@ -52,6 +56,16 @@ VERIFY_STDOUT_SHA256 = [
         ["thm1", "--n", "3", "--s", "3", "--t", "3", "--count", "10", "--seed", "42"],
         "ab9c9c68de08329bd1c55a23bb11d8368b514d7cc02a269d16f3fc95bb65b4c5",
     ),
+    (["thm3", "--seed", "201", "--count", "40"], "7d32adb8c20d11835014d5502da052c29382d3da6ed497e2103b963a21aa9fed"),
+    (
+        ["thm2", "--n", "3", "--s", "3", "--t", "3", "--count", "5", "--seed", "42"],
+        "3d4b91b63b6a208164146e7a9ab52608d9a38428c15fb10b383cf538ffd3c763",
+    ),
+]
+
+# dual-element stdout pinned by digest: system file -> sha256
+SYSTEM_STDOUT_SHA256 = [
+    ("surplus27", "cd350ea74d0cbe1cc33addcb5fe2a562540cce12b30dc2554cf259c595a936db"),
 ]
 
 CASES = [
@@ -120,6 +134,14 @@ def test_verify_all_seed42_digest(capsys, monkeypatch):
 def test_verify_digests(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
     assert main(["verify", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("system, digest", SYSTEM_STDOUT_SHA256)
+def test_dual_element_digests(capsys, monkeypatch, system, digest):
+    monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
+    assert main(["dual-element", str(GOLDEN / f"{system}.txt")]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

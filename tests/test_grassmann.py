@@ -24,7 +24,11 @@ Oracles, defined before anything that uses them:
   out one column at a time and contracted the element, for the contraction
   of the chain's integer numerators;
 - ``_inline_row_sets`` and ``_inline_column_sets``, the plans
-  ``_minor_expansion`` built on every call, for its cached plans.
+  ``_minor_expansion`` built on every call, for its cached plans;
+- ``_scan_top_contract``, the earlier ``top_contract`` that read each
+  position's family, index and polarity, applied to the product ``a * b``,
+  for ``contract_product`` (and through it ``top_contract``): equal result,
+  word order and monomial order.
 """
 
 import functools
@@ -44,6 +48,7 @@ from koszulkit.grassmann import (
     bordered_minor_expansion,
     bot_contract,
     column,
+    contract_product,
     dual_full_product,
     grassmann_exp,
     merge_words,
@@ -54,7 +59,7 @@ from koszulkit.grassmann import (
     transgression_det,
     wedge_chain,
 )
-from koszulkit.ring import FamilyRegistry, Poly, accumulate, as_poly, divided_diff, mono_mul
+from koszulkit.ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, divided_diff, mono_mul
 
 
 ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -170,6 +175,36 @@ def _monomial_map_mul(self: Element, other: Element) -> Element:
                     accumulate(out, mono_mul(m1, m2), a * b)
     reg = self.reg
     return Element(reg, {w: Poly(reg, t) for w, t in acc.items() if t})
+
+
+def _scan_top_contract(fam, e: Element) -> Element:
+    """The earlier ``top_contract``: per word, the family's primal and dual
+    index sets from each position's ``rank_info``, the crossings counted
+    position by position, and the signed coefficient summed into the word
+    of the other ranks."""
+    reg = e.reg
+    fam = reg.odd_family(fam)
+    acc: dict = {}
+    for word, c in e.terms.items():
+        primal = set()
+        dual = set()
+        crossings = 0
+        rest = []
+        seen_fam = 0
+        for pos, rank in enumerate(word):
+            if fam.owns_rank(rank):
+                _, idx, pol = reg.rank_info(rank)
+                (primal if pol == PRIMAL else dual).add(idx)
+                crossings += pos - seen_fam
+                seen_fam += 1
+            else:
+                rest.append(rank)
+        if primal != dual:
+            continue
+        p = len(primal)
+        odd = (crossings + p * (p + 1) // 2) & 1
+        accumulate(acc, tuple(rest), -c if odd else c)
+    return Element._wrap(reg, acc)
 
 
 def _fold_mul(factors) -> Element:
@@ -629,6 +664,75 @@ class TestTopContract:
         for _ in range(60):
             e = rand_element(rng, reg, ranks, gens)
             assert top_contract(f, top_contract(g, e)) == top_contract(g, top_contract(f, e))
+
+
+def _assert_same_terms(got: Element, want: Element):
+    """Equal elements, with their words and each word's monomials in the
+    same order."""
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    assert [list(c.terms.items()) for c in got.terms.values()] == [
+        list(c.terms.items()) for c in want.terms.values()
+    ]
+
+
+class TestContractProduct:
+    """``contract_product(fam, a, b)`` against ``_scan_top_contract(fam,
+    a * b)``, the product-then-contract route."""
+
+    @staticmethod
+    def factor(rng, reg, ranks, fam, gens):
+        """Up to five words over ``ranks`` with constant (int or Fraction) or
+        polynomial coefficients; each word may take a twin holding one more
+        matched pair of ``fam``, signed so that the two can cancel."""
+        e = Element.zero(reg)
+        for _ in range(rng.randrange(6)):
+            word = rng.sample(ranks, rng.randrange(min(len(ranks), 4) + 1))
+            k = rng.randint(-3, 3)
+            coeff = Poly.const(reg, rng.choice([k, Fraction(k, 2)]))
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                coeff = coeff * (Poly.variable(reg, rng.choice(gens)) + rng.randint(-1, 1))
+            e = e + Element.word(reg, word) * coeff
+            i = rng.randint(1, fam.arity)
+            pair = [reg.odd_rank(fam, i), reg.odd_rank(fam, i, dual=True)]
+            if rng.random() < 0.3 and not set(pair) & set(word):
+                e = e + Element.word(reg, pair + word) * coeff * rng.choice([-1, 1])
+        return e
+
+    def test_matches_product_then_contraction(self):
+        rng = random.Random(20030)
+        for _ in range(400):
+            reg = FamilyRegistry()
+            x = reg.commuting("x", 2)
+            reg.odd("a", rng.randint(1, 2))
+            f = reg.odd("f", rng.randint(1, 3))
+            reg.odd("b", rng.randint(1, 2))
+            gens = list(x.gens())
+            ranks = list(range(reg.num_ranks))
+            others = [r for r in ranks if not f.owns_rank(r)]
+            # f absent from one factor a quarter of the time
+            left = self.factor(rng, reg, others if rng.random() < 0.25 else ranks, f, gens)
+            kind = rng.randrange(4)
+            if kind == 0:
+                right = dual_full_product(reg, f)
+            elif kind == 1:
+                right = Element.word(reg, rng.sample(ranks, rng.randrange(4))) * rng.choice([1, -2])
+            else:
+                right = self.factor(rng, reg, others if rng.random() < 0.25 else ranks, f, gens)
+            if rng.random() < 0.25:
+                # a shared odd element z: z ^ z cancels whole words
+                z = self.factor(rng, reg, ranks, f, gens)
+                left, right = left + z, right + z * (Poly.variable(reg, gens[0]) - 1)
+            for a, b in ((left, right), (right, left)):
+                _assert_same_terms(contract_product(f, a, b), _scan_top_contract(f, a * b))
+
+    def test_top_contract_matches_scan(self):
+        rng = random.Random(20031)
+        reg, x, f, g = setup_fg(3, 2)
+        gens = list(x.gens())
+        for _ in range(200):
+            e = self.factor(rng, reg, list(range(reg.num_ranks)), f, gens)
+            _assert_same_terms(top_contract(f, e), _scan_top_contract(f, e))
 
 
 class TestBotContract:

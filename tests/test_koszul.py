@@ -15,7 +15,10 @@ one-sum-per-word builder, and leave the generator in the same state.  The
 boundary, which reads each position's image from a table cached per
 dual-family set, must equal ``_per_position_boundary``, the earlier evaluation
 that looked up each position's family and image, word for word and error for
-error.
+error.  Its one-pass form must also equal ``_product_boundary``, the
+evaluation that summed Poly pieces and multiplied the dual multiplier into
+the element, in word and monomial order, on dense coefficients and on the
+cocycle test of a dual element with more equations than variables.
 """
 
 import collections
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 from koszulkit import grassmann, koszul
 from koszulkit._linalg import solve
 from koszulkit.cli import main
+from koszulkit.dual_element import dual_element
 from koszulkit.grassmann import (
     Element,
     bordered_minor_expansion,
@@ -55,7 +59,15 @@ from koszulkit.koszul import (
     verify_theorem1,
     verify_theorem2,
 )
-from koszulkit.ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, parse_poly
+from koszulkit.ring import (
+    PRIMAL,
+    FamilyRegistry,
+    Poly,
+    accumulate,
+    as_poly,
+    parse_poly,
+    render_mono,
+)
 
 from words_major_witness import words_major_witness
 
@@ -126,6 +138,33 @@ def _per_position_boundary(ba, elem, dual_families) -> Element:
             dual = Element.generator(reg, reg.odd_rank(fam, i, dual=True))
             m = m + dual * ba.image(name, i)
     return derivation - m * elem
+
+
+def _product_boundary(ba, elem, dual_families) -> Element:
+    """The boundary before its one-pass form: each derivation piece a
+    ``Poly`` product, signed and summed as a Poly, and the dual multiplier,
+    minus the sum over the dual-role families of each dual times its image,
+    multiplied into ``elem`` by ``Element.__mul__`` and added."""
+    reg = elem.reg
+    acc: dict = {}
+    for word, c in elem.terms.items():
+        for pos, rank in enumerate(word):
+            name, i, pol = reg.rank_info(rank)
+            if pol != PRIMAL or name in dual_families:
+                continue
+            img = ba.image(name, i)
+            if img:
+                piece = c * img
+                accumulate(acc, word[:pos] + word[pos + 1 :], -piece if pos & 1 else piece)
+    derivation = Element._wrap(reg, acc)
+    if not dual_families:
+        return derivation
+    m = Element.zero(reg)
+    for name in sorted(dual_families):
+        fam = reg.odd_family(name)
+        for i in range(1, fam.arity + 1):
+            m = m + Element.generator(reg, reg.odd_rank(fam, i, dual=True)) * ba.image(name, i)
+    return derivation + (-m) * elem
 
 
 def rand_poly(rng, reg, gens, deg):
@@ -261,6 +300,85 @@ class TestBoundaryRankTable:
                 koszul._element_boundary(assignment, e, tags)
             assert type(got.value) is type(want.value)
             assert str(got.value) == str(want.value)
+
+
+def _assert_same_terms(got: Element, want: Element):
+    """Equal elements, with their words and each word's monomials in the
+    same order."""
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    assert [list(c.terms.items()) for c in got.terms.values()] == [
+        list(c.terms.items()) for c in want.terms.values()
+    ]
+
+
+class TestOnePassBoundary:
+    """The one-pass boundary against ``_product_boundary``: equal result,
+    word order and monomial order."""
+
+    def test_matches_product_boundary_on_dense_coefficients(self):
+        """Multi-term coefficients and images, so that pieces repeat
+        monomials and land on words other pieces already hold."""
+        reg, ba = simple_setup()
+        names = reg.comm_label_map()
+        dense = BoundaryAssignment(
+            reg,
+            {
+                "a": [parse_poly(reg, s, names) for s in ("x1 + x2", "x1*x2 - x2^2 + 1")],
+                "b": [parse_poly(reg, s, names) for s in ("x1 - x2", "x1^2 + x1*x2 + 2")],
+            },
+        )
+        rng = random.Random(406)
+        for assignment in (ba, dense):
+            for _ in range(200):
+                tags = frozenset(name for name in ("a", "b") if rng.random() < 0.5)
+                ranks = [
+                    r
+                    for r in range(reg.num_ranks)
+                    if not (reg.rank_info(r)[0] in tags and reg.rank_info(r)[2] == PRIMAL)
+                ]
+                e = Element.zero(reg)
+                for _ in range(rng.randrange(1, 7)):
+                    word = rng.sample(ranks, rng.randrange(min(4, len(ranks)) + 1))
+                    e = e + Element.word(reg, word) * rand_poly(rng, reg, [0, 1], 2)
+                got = koszul._element_boundary(assignment, e, tags)
+                want = _product_boundary(assignment, e, tags)
+                _assert_same_terms(got, want)
+
+    def test_sum_into_a_held_word_is_taken_after_its_piece(self):
+        """Into the empty word: -1 * (x1*x2 - x2^2 + 1) first, then
+        (x1 + x2) * (x1 + x2), whose x1*x2 comes twice.  Summed as a whole
+        piece, x1*x2 goes -1 -> 1 and keeps its place; summed product by
+        product it would pass through zero and move last."""
+        reg, _ = simple_setup()
+        names = reg.comm_label_map()
+        ba = BoundaryAssignment(
+            reg,
+            {
+                "a": [parse_poly(reg, s, names) for s in ("x1 + x2", "x1*x2 - x2^2 + 1")],
+                "b": [Poly.zero(reg), Poly.zero(reg)],
+            },
+        )
+        a1, a2 = reg.odd_rank("a", 1), reg.odd_rank("a", 2)
+        x1_plus_x2 = parse_poly(reg, "x1 + x2", names)
+        e = Element.word(reg, [a2]) * -1 + Element.word(reg, [a1]) * x1_plus_x2
+        got = koszul._element_boundary(ba, e, frozenset())
+        assert got == _product_boundary(ba, e, frozenset())
+        assert [render_mono(reg, m) for m in got.terms[()].terms] == ["x1*x2", "x2^2", "1", "x1^2"]
+
+    def test_matches_product_boundary_on_det_g_cocycle(self):
+        """The cocycle test of a dual element with more equations than
+        variables: nonempty dual words with large multipliers."""
+        reg = FamilyRegistry()
+        reg.commuting("x", 3)
+        names = reg.comm_label_map()
+        f = [parse_poly(reg, s, names) for s in ("x1^2-x2", "x2^2-x3", "x3^2", "x1*x2*x3")]
+        e, _ = dual_element(f)
+        ba = BoundaryAssignment(e.reg, {"fx": koszul.lift(f, e.reg, "x")})
+        elem = Element(e.reg, e.comps)
+        assert elem.terms and all(elem.terms)
+        got = koszul._element_boundary(ba, elem, frozenset({"fx"}))
+        _assert_same_terms(got, _product_boundary(ba, elem, frozenset({"fx"})))
 
 
 class TestKernelsAndMaps:
@@ -806,6 +924,20 @@ class TestHomotopyWitness:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == (GOLDEN / "thm3_b18.verify-thm3.json").read_text()
         assert indexed == [38, 38]
+
+
+def test_transport_sorts_only_under_a_reordering_renaming():
+    src = FamilyRegistry()
+    src.commuting("x", 2)
+    dst = FamilyRegistry()
+    dst.commuting("y", 2)
+    p = parse_poly(src, "x1^2*x2 + 3*x2 - x1", src.comm_label_map())
+    names = dst.comm_label_map()
+    kept = koszul.transport(p, dst, {0: 0, 1: 1})
+    assert kept == parse_poly(dst, "y1^2*y2 + 3*y2 - y1", names)
+    assert [[g for g, _ in m] for m in kept.terms] == [[g for g, _ in m] for m in p.terms]
+    swapped = koszul.transport(p, dst, {0: 1, 1: 0})
+    assert swapped == parse_poly(dst, "y2^2*y1 + 3*y1 - y2", names)
 
 
 def test_report_serialization_is_stable():
