@@ -20,7 +20,7 @@ The full ``verify all --seed 42`` report is pinned by its sha256, as are
 ``verify all`` at seeds 1, 7 and 201, ``verify lemma1`` at n = s = t = 4
 and ``verify lemma2`` at s = t = 4, whose s = 4 lies outside ``verify all``,
 ``verify lemma1 --seed 201`` (the benchmark's lemma 1 shapes), ``verify
-thm1`` at n = s = t = 3, ``verify thm2`` at n = s = t = 3, ``verify thm3
+thm1`` at n = s = t = 3 (10 samples per map, and the default 50), ``verify thm2`` at n = s = t = 3, ``verify thm3
 --seed 201 --count 40`` (the suite the benchmark's witness workload
 runs), and the ``dual-element`` stdout of ``surplus27.txt``: d = 27 with
 four equations in three variables, whose cocycle test takes the boundary
@@ -55,6 +55,11 @@ VERIFY_STDOUT_SHA256 = [
     (
         ["thm1", "--n", "3", "--s", "3", "--t", "3", "--count", "10", "--seed", "42"],
         "ab9c9c68de08329bd1c55a23bb11d8368b514d7cc02a269d16f3fc95bb65b4c5",
+    ),
+    # the default 50 samples per map: up to 42 distinct words per domain
+    (
+        ["thm1", "--n", "3", "--s", "3", "--t", "3", "--seed", "42"],
+        "c638123cb9931528cd856e9afb0fe611c40d663c1b0ff443f17a165d03bf3e19",
     ),
     (["thm3", "--seed", "201", "--count", "40"], "7d32adb8c20d11835014d5502da052c29382d3da6ed497e2103b963a21aa9fed"),
     (
