@@ -46,7 +46,9 @@ def solve(cols, rhs) -> list[Fraction] | None:
     touches, and its pivot row is its highest-numbered row left.  Free
     variables and every column after the stop get zero, so the solution is
     the unique one supported on the greedy column-order basis, whichever
-    pivot rows were chosen.  The result has one ``Fraction`` per column.
+    pivot rows were chosen.  The result has one ``Fraction`` per column
+    indexed, up to the one that completed the target; a column after it has
+    the value zero and no entry.
 
     Elimination is fraction-free.  A column and the target are scaled to
     integers by the lcm of their denominators; reducing v by a pivot p at its
@@ -56,9 +58,8 @@ def solve(cols, rhs) -> list[Fraction] | None:
     needs to express the target in the original columns.
     """
     res, res_den = _cleared(rhs)
-    x = [Fraction(0)] * len(cols)
     if not res:
-        return x
+        return []
     pivot_of: dict = {}  # row -> pivot number
     prow: list = []  # pivot number -> its row
     pvec: list[dict] = []  # pivot number -> primitive integer vector
@@ -153,7 +154,7 @@ def solve(cols, rhs) -> list[Fraction] | None:
                         del res[i]
             y.append((k, f, res_scale * res_den))
             if not res:
-                return _back_substitute(x, ucol, y)
+                return _back_substitute([Fraction(0)] * (j + 1), ucol, y)
     return None
 
 

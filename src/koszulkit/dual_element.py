@@ -656,9 +656,10 @@ def _residue(reg, fX, qb, mats, l: ProductFunctional) -> StaircaseFunctional:
             for j, v in right.items():
                 accumulate(B[i], j, u * v)
     # 1 is the least monomial in every supported order: staircase index 0
-    tau = solve(B, {0: 1}) if d else ()
+    tau = solve(B, {0: 1}) if d else []
     if tau is None:
         raise AssertionError("the reduced Bezoutian is singular")
+    tau += [Fraction(0)] * (d - len(tau))  # the columns after solve stopped
     gram = algebra.gram(tau)
     for a, grow in enumerate(gram):
         prod: dict = {}

@@ -10,8 +10,9 @@ exactly what ``_fraction_solve``, the earlier sparse solver that eliminated
 over ``Fraction``, and ``_rightlooking_solve``, the earlier fraction-free
 sparse solver that took every column before eliminating, return.  On witness
 systems the oracles see every column of the lazy sequence, materialised after
-the search.  Property generation is derandomized, so every run gives the same
-verdict.
+the search.  ``solve`` returns values only for the columns it indexed, so
+each oracle's solution must begin with those values and be zero after them.
+Property generation is derandomized, so every run gives the same verdict.
 """
 
 import itertools
@@ -229,6 +230,14 @@ def solve_rows(rows, rhs):
     return solve(_columns(rows, len(rows[0])), _sparse(rhs))
 
 
+def _prefix_of(x, full) -> bool:
+    """``x`` is ``full`` up to its own length, and ``full`` is zero after it;
+    both None when the system is inconsistent."""
+    if x is None or full is None:
+        return x is full
+    return x == full[: len(x)] and not any(full[len(x) :])
+
+
 def _nrows(cols, rhs):
     """One more than the highest row number of a sparse system."""
     return 1 + max((i for vec in (*cols, rhs) for i in vec), default=-1)
@@ -413,7 +422,7 @@ class TestSolve:
         assert solve_rows(a, [Fraction(7)]) == [Fraction(0), Fraction(7)]
 
     def test_no_rows_gives_one_zero_per_column(self):
-        assert solve([{}, {}, {}], {}) == [Fraction(0)] * 3
+        assert solve([{}, {}, {}], {}) == []
         assert solve([], {}) == []
 
     def test_rhs_outside_every_column_is_inconsistent(self):
@@ -425,12 +434,12 @@ class TestSolve:
 
     def test_stops_at_the_first_prefix_whose_span_holds_the_target(self):
         cols = _Indexed([{0: 2}, {0: 1, 1: 1}, {1: 5}, {2: 1}, {0: 3}])
-        assert solve(cols, {0: 4, 1: 1}) == [Fraction(3, 2), Fraction(1)] + [Fraction(0)] * 3
+        assert solve(cols, {0: 4, 1: 1}) == [Fraction(3, 2), Fraction(1)]
         assert cols.seen == [0, 1]
 
     def test_zero_target_indexes_no_column(self):
         cols = _Indexed([{0: 1}, {1: 1}])
-        assert solve(cols, {0: 0}) == [Fraction(0)] * 2
+        assert solve(cols, {0: 0}) == []
         assert cols.seen == []
 
     def test_inconsistent_target_indexes_every_column_once(self):
@@ -446,7 +455,7 @@ class TestSolve:
     def test_matches_dense_oracle_exactly(self, system):
         rows, rhs = system
         x = solve_rows(rows, rhs)
-        assert x == _dense_solve(rows, rhs)
+        assert _prefix_of(x, _dense_solve(rows, rhs))
         if x is not None:
             assert mat_vec(rows, x) == rhs
 
@@ -459,7 +468,7 @@ class TestSolve:
             nrows = _nrows(cols, rhs)
             rows = [[col.get(i, Fraction(0)) for col in cols] for i in range(nrows)]
             vec = [rhs.get(i, Fraction(0)) for i in range(nrows)]
-            assert x == _dense_solve(rows, vec)
+            assert _prefix_of(x, _dense_solve(rows, vec))
             seen.append(x is not None)
             return x
 
@@ -476,7 +485,7 @@ class TestSolve:
     def test_matches_fraction_oracle_exactly(self, system):
         cols, rhs, nrows = system
         x = solve(cols, rhs)
-        assert x == _fraction_solve(cols, rhs, nrows)
+        assert _prefix_of(x, _fraction_solve(cols, rhs, nrows))
         if x is not None:
             assert all(type(v) is Fraction for v in x)
 
@@ -487,7 +496,7 @@ class TestSolve:
     @example(([{0: 1, 1: 1}, {0: 2, 2: 1}, {1: -2, 2: 1}], {0: 3, 1: 1, 2: 1}, 3))
     def test_matches_rightlooking_oracle_exactly(self, system):
         cols, rhs, nrows = system
-        assert solve(cols, rhs) == _rightlooking_solve(cols, rhs, nrows)
+        assert _prefix_of(solve(cols, rhs), _rightlooking_solve(cols, rhs, nrows))
 
     @pytest.mark.parametrize(
         "fresh_row, status, indexed", [(False, "homotopic", 11), (True, "not_found", 840)]
@@ -519,7 +528,7 @@ class TestSolve:
             cols = list(lazy)
             nrows = _nrows(cols, rhs)
             seen.append((x, _fraction_solve(cols, rhs, nrows)))
-            assert x == _rightlooking_solve(cols, rhs, nrows)
+            assert _prefix_of(x, _rightlooking_solve(cols, rhs, nrows))
             return x
 
         monkeypatch.setattr(koszul, "solve", recorded)
@@ -527,7 +536,7 @@ class TestSolve:
         capsys.readouterr()
         assert seen
         for x, oracle in seen:
-            assert x == oracle and x is not None
+            assert _prefix_of(x, oracle) and x is not None
         assert code == 0
 
 
