@@ -121,7 +121,6 @@ class IdentityReport:
     status: str
     witness: Element | None = None
     detail: str | None = None
-    elapsed: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -134,7 +133,6 @@ class IdentityReport:
             "status": self.status,
             "witness": None if self.witness is None else render_element(self.witness),
             "detail": self.detail,
-            "elapsed": self.elapsed,
         }
 
 

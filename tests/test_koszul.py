@@ -946,4 +946,5 @@ def test_report_serialization_is_stable():
     assert d["name"] == "lemma1"
     assert d["instance"] == "unit"
     assert d["status"] == "equal"
-    assert d["witness"] is None and d["elapsed"] is None
+    assert d["witness"] is None and d["detail"] is None
+    assert list(d) == ["name", "instance", "status", "witness", "detail"]
