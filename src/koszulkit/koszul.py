@@ -494,30 +494,26 @@ def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:
     """Kernel closure plus boundary-commutation of all four morphisms.
 
     Needs at least one polynomial on each side; the second system ``F`` is
-    the one the maps adjoin and remove.  Each map is checked on ``samples``
-    random elements c = sum of p_w * w; the first c with
-    boundary(map(c)) != map(boundary(c)) is reported with that difference.
-    The boundary and the four maps are k[x]-linear (the coefficients are
-    even, the derivation and the multipliers act on words, and the domain
-    checks read only words), so the difference is sum of p_w * D_w, with
-    D_w = boundary(map(w)) - map(boundary(w)) taken once per distinct word
-    the samples hold, at coefficient 1.
+    the one the maps adjoin and remove.  Each map reports the first of
+    ``samples`` random c = sum of p_w * w with boundary(map(c)) !=
+    map(boundary(c)), and that difference.  The boundary and the maps are
+    k[x]-linear (even coefficients; the derivation, the multipliers and the
+    domain checks read only words), so the difference is sum of p_w * D_w,
+    with D_w = boundary(map(w)) - map(boundary(w)) once per drawn word w.
     """
     if not f or not F:
         raise ValueError("need nonempty systems f and F")
     n = f[0].reg.num_comm
     s, t = len(f), len(F)
     reg = FamilyRegistry()
-    x = reg.commuting("x", n)
+    xgens = list(reg.commuting("x", n).gens())
     fx = reg.odd("fx", s)
     fpx = reg.odd("fpx", s)
     Fx = reg.odd("Fx", t)
     Fpx = reg.odd("Fpx", t)
     fimg = lift(f, reg, "x")
     Fimg = lift(F, reg, "x")
-    ba = BoundaryAssignment(
-        reg, {"fx": fimg, "fpx": fimg, "Fx": Fimg, "Fpx": Fimg}
-    )
+    ba = BoundaryAssignment(reg, {"fx": fimg, "fpx": fimg, "Fx": Fimg, "Fpx": Fimg})
     k1, k2 = theorem1_kernels(reg, fx, fpx, Fpx)
     reports = []
     for label, kernel in (("theorem1.kernel_det", k1), ("theorem1.kernel_unit", k2)):
@@ -525,23 +521,11 @@ def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:
         reports.append(
             verdict(label, instance, out.is_zero, lambda: f"boundary {render_element(out)}")
         )
-    xgens = list(x.gens())
     domains = {
-        "mult_dual_det": (
-            [reg.odd_rank(fx, i) for i in range(1, s + 1)]
-            + [reg.odd_rank(Fx, j) for j in range(1, t + 1)],
-            frozenset(),
-        ),
-        "embed_unit": ([reg.odd_rank(fx, i) for i in range(1, s + 1)], frozenset()),
-        "project_dual_det": (
-            [reg.odd_rank(fx, i, dual=True) for i in range(1, s + 1)],
-            frozenset({"fx"}),
-        ),
-        "project_unit": (
-            [reg.odd_rank(fx, i, dual=True) for i in range(1, s + 1)]
-            + [reg.odd_rank(Fx, j, dual=True) for j in range(1, t + 1)],
-            frozenset({"fx", "Fx"}),
-        ),
+        "mult_dual_det": (fx.primal_ranks() + Fx.primal_ranks(), frozenset()),
+        "embed_unit": (fx.primal_ranks(), frozenset()),
+        "project_dual_det": (fx.dual_ranks(), frozenset({"fx"})),
+        "project_unit": (fx.dual_ranks() + Fx.dual_ranks(), frozenset({"fx", "Fx"})),
     }
     for kind, (ranks, tags) in domains.items():
         diffs: dict = {}
@@ -549,13 +533,11 @@ def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:
         for k in range(samples):
             acc: dict = {}
             for w, p in _random_words(rng, reg, ranks, xgens).terms.items():
-                d = diffs.get(w)
-                if d is None:
-                    one = ComplexElement(Element._wrap(reg, {w: Poly.const(reg, 1)}), tags)
+                if w not in diffs:
+                    one = ComplexElement(Element.word(reg, w), tags)
                     left = boundary(ba, theorem1_map(kind, one, Fx)).element
-                    right = theorem1_map(kind, boundary(ba, one), Fx).element
-                    d = diffs[w] = (left - right).terms
-                for w2, c in d.items():
+                    diffs[w] = (left - theorem1_map(kind, boundary(ba, one), Fx).element).terms
+                for w2, c in diffs[w].items():
                     accumulate(acc, w2, p * c)
             if acc:
                 bad = (k, Element._wrap(reg, acc))
