@@ -24,7 +24,9 @@ thm1`` at n = s = t = 3 (10 samples per map, and the default 50), ``verify thm2`
 --seed 201 --count 40`` (the suite the benchmark's witness workload
 runs), and the ``dual-element`` stdout of ``surplus27.txt``: d = 27 with
 four equations in three variables, whose cocycle test takes the boundary
-of nonempty dual words against large multipliers.
+of nonempty dual words against large multipliers.  Each digest is pinned
+twice: as today's stdout and, with the ``"elapsed": null,`` line every
+report used to carry put back, as the stdout of the earlier release.
 """
 
 import hashlib
@@ -37,41 +39,100 @@ from koszulkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-VERIFY_ALL_SEED42_SHA256 = "14fedd2234933ee76c2d2bac683870e5988b454b85ddef5a8706c247d00724f6"
+# Each digest pair below is (release, now): the sha256 of the stdout the
+# earlier release printed, where every report carried an "elapsed": null
+# line, and the sha256 of today's stdout, which drops that line.
+VERIFY_ALL_SEED42_SHA256 = (
+    "41bf911974e1598071c9c6715249f2425670923139271824502fb3d16f6fc715",
+    "14fedd2234933ee76c2d2bac683870e5988b454b85ddef5a8706c247d00724f6",
+)
 
 VERIFY_STDOUT_SHA256 = [
-    (["all", "--seed", "1"], "ec690f9b708c4ec1f31decb3b0194e6fb9d7cd2514270d52ef4d10de0a89a29d"),
-    (["all", "--seed", "7"], "b0580541763238499a60d3bff67f8bde62f5538bd33bc44a52bc272c8b3e6372"),
-    (["all", "--seed", "201"], "bbbe8e54763e72b23b47a1432e6bc5a3ab21a37754b16f1f6bf152d4766c368f"),
+    (
+        ["all", "--seed", "1"],
+        "ef0e766d31f5b07da6b9abc557e064936ed6494a14bfa1294a881e9916663dab",
+        "ec690f9b708c4ec1f31decb3b0194e6fb9d7cd2514270d52ef4d10de0a89a29d",
+    ),
+    (
+        ["all", "--seed", "7"],
+        "9ac3615a1b9ec9faa9192648d609c0ae7661bca1f147ff291f7faa6dcb8a6e32",
+        "b0580541763238499a60d3bff67f8bde62f5538bd33bc44a52bc272c8b3e6372",
+    ),
+    (
+        ["all", "--seed", "201"],
+        "378b74fbffcad2cd5625b2599f0515d323a4fdd3693ed342924a2bd01d1f3dfe",
+        "bbbe8e54763e72b23b47a1432e6bc5a3ab21a37754b16f1f6bf152d4766c368f",
+    ),
     (
         ["lemma1", "--n", "4", "--s", "4", "--t", "4", "--count", "5", "--seed", "42"],
+        "fde4bf5282efc1c0c362ae73946bd25ddbcd2cf91afb0b06471fd0d9ed183df1",
         "3d44705e8df4a564833bf40f89f33c8b6314a6a3a8f90a8bc89ed0355c6455d8",
     ),
     (
         ["lemma2", "--s", "4", "--t", "4", "--count", "5", "--seed", "42"],
+        "d4b71331d22e66f11f543581413b1bfcee4926482b3ac93d1f7a1d68311b44b8",
         "677a560205d0be20742c5c57b79baf382e86859af95f935a961e3b2823286263",
     ),
-    (["lemma1", "--seed", "201"], "029418618df216f7df754cad80a36f2773e118a7f14f81cdeef02aa79e31c115"),
+    (
+        ["lemma1", "--seed", "201"],
+        "504d9b1dfd630e122e212f64355ec11f52213db4f4bf8178129ca435f1eb5282",
+        "029418618df216f7df754cad80a36f2773e118a7f14f81cdeef02aa79e31c115",
+    ),
     (
         ["thm1", "--n", "3", "--s", "3", "--t", "3", "--count", "10", "--seed", "42"],
+        "ab9c9c68de08329bd1c55a23bb11d8368b514d7cc02a269d16f3fc95bb65b4c5",
         "3976bdf360a1bd33ab1e94d922514615d07729d4f455c345e5a24f31cb11d675",
     ),
-    # the default 50 samples per map: up to 42 distinct words per domain
     (
-        ["thm1", "--n", "3", "--s", "3", "--t", "3", "--seed", "42"],
-        "9d3be9a34d646592abcef9711ab6e1c75b40cdf2f688eefbd78c6b49fbac5683",
+        ["thm3", "--seed", "201", "--count", "40"],
+        "7d32adb8c20d11835014d5502da052c29382d3da6ed497e2103b963a21aa9fed",
+        "ff0a7c12a85fd52dced60d95a9261d760727b0dfd0ee67628c3c97aed1a3a705",
     ),
-    (["thm3", "--seed", "201", "--count", "40"], "ff0a7c12a85fd52dced60d95a9261d760727b0dfd0ee67628c3c97aed1a3a705"),
     (
         ["thm2", "--n", "3", "--s", "3", "--t", "3", "--count", "5", "--seed", "42"],
+        "3d4b91b63b6a208164146e7a9ab52608d9a38428c15fb10b383cf538ffd3c763",
         "ff84cd31c0f564b96da9a1c4af20dd17bcabe2d37ba351238039023d20c89ad2",
+    ),
+    # the default 50 samples per map: up to 42 distinct words per domain
+    # (appended last so the earlier cases keep their test ids)
+    (
+        ["thm1", "--n", "3", "--s", "3", "--t", "3", "--seed", "42"],
+        "c638123cb9931528cd856e9afb0fe611c40d663c1b0ff443f17a165d03bf3e19",
+        "9d3be9a34d646592abcef9711ab6e1c75b40cdf2f688eefbd78c6b49fbac5683",
     ),
 ]
 
-# dual-element stdout pinned by digest: system file -> sha256
+# dual-element stdout pinned by digest: system file -> (release, now)
 SYSTEM_STDOUT_SHA256 = [
-    ("surplus27", "992ef19def4efa77f8d18b41e9f7b9ce3b9d404ce13ccb30db2567a33d3e55d1"),
+    (
+        "surplus27",
+        "cd350ea74d0cbe1cc33addcb5fe2a562540cce12b30dc2554cf259c595a936db",
+        "992ef19def4efa77f8d18b41e9f7b9ce3b9d404ce13ccb30db2567a33d3e55d1",
+    ),
 ]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _with_elapsed(out):
+    """Put back the ``"elapsed": null,`` line the earlier release printed in
+    every report, right after its ``"detail"`` line (the keys are sorted)."""
+    lines = []
+    for line in out.splitlines(keepends=True):
+        lines.append(line)
+        key = line.lstrip()
+        if key.startswith('"detail": '):
+            lines.append(line[: len(line) - len(key)] + '"elapsed": null,\n')
+    return "".join(lines)
+
+
+def _assert_digests(out, release, now):
+    assert _sha256(out) == now
+    # deleting the field changed nothing else in the output
+    assert _sha256(_with_elapsed(out)) == release
+
 
 CASES = [
     ("sys", ["dual-element"], "sys.dual-element.json"),
@@ -131,24 +192,24 @@ def test_pair_with_undeclared_variable_prints_nothing(capsys):
 def test_verify_all_seed42_digest(capsys, monkeypatch):
     monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
     assert main(["verify", "all", "--seed", "42"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SEED42_SHA256
+    _assert_digests(capsys.readouterr().out, *VERIFY_ALL_SEED42_SHA256)
 
 
-@pytest.mark.parametrize("argv, digest", VERIFY_STDOUT_SHA256)
+# the test ids carry the release digest, so they outlive a change of output
+@pytest.mark.parametrize("argv, digest", [(argv, release) for argv, release, _ in VERIFY_STDOUT_SHA256])
 def test_verify_digests(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
     assert main(["verify", *argv]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    now = {release: now for _, release, now in VERIFY_STDOUT_SHA256}[digest]
+    _assert_digests(capsys.readouterr().out, digest, now)
 
 
-@pytest.mark.parametrize("system, digest", SYSTEM_STDOUT_SHA256)
+@pytest.mark.parametrize("system, digest", [(system, release) for system, release, _ in SYSTEM_STDOUT_SHA256])
 def test_dual_element_digests(capsys, monkeypatch, system, digest):
     monkeypatch.delenv("KOSZULKIT_SEED", raising=False)
     assert main(["dual-element", str(GOLDEN / f"{system}.txt")]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    now = {release: now for _, release, now in SYSTEM_STDOUT_SHA256}[digest]
+    _assert_digests(capsys.readouterr().out, digest, now)
 
 
 def test_verify_thm3_witnesses_match_recording(capsys, monkeypatch):
