@@ -24,7 +24,9 @@ thm1`` at n = s = t = 3 (10 samples per map, and the default 50), ``verify thm2`
 --seed 201 --count 40`` (the suite the benchmark's witness workload
 runs), and the ``dual-element`` stdout of ``surplus27.txt``: d = 27 with
 four equations in three variables, whose cocycle test takes the boundary
-of nonempty dual words against large multipliers.  Each digest is pinned
+of nonempty dual words against large multipliers, of ``triple_x.txt``
+(f = x, x, x: s - n = 2, where the dual element's orientation flips) and
+of ``tower_s5.txt`` (five equations in two variables, s - n = 3).  Each digest is pinned
 twice: as today's stdout and, with the ``"elapsed": null,`` line every
 report used to carry put back, as the stdout of the earlier release.
 """
@@ -108,6 +110,19 @@ SYSTEM_STDOUT_SHA256 = [
         "surplus27",
         "cd350ea74d0cbe1cc33addcb5fe2a562540cce12b30dc2554cf259c595a936db",
         "992ef19def4efa77f8d18b41e9f7b9ce3b9d404ce13ccb30db2567a33d3e55d1",
+    ),
+    # more equations than variables at s - n = 2, where e's orientation
+    # (-1)^(k(k-1)/2) flips, and at s - n = 3 (appended last so the
+    # earlier cases keep their test ids)
+    (
+        "triple_x",
+        "c40e5ef3ec1cc3751f29099fa37fc1f56628e6ca1ca5e5db14d815fbc93fde83",
+        "f13b22b560c44836fac9ef27e4b5fdf26d114e6820757a7ed6ccd467349fd1be",
+    ),
+    (
+        "tower_s5",
+        "283adf93d5efec7f93af635969c15664aef9d4f0b3ade25d1f02b22239b43fbc",
+        "6454ef4955576c076ac36a786e9cae4244a1873cd9ce42421b713b2c4a445778",
     ),
 ]
 
