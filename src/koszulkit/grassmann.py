@@ -24,13 +24,15 @@ contract the copy) without building that kernel.
 On top of the contractions sit the two determinant kernels used throughout
 the package: ``bordered_det`` (a scalar matrix bordered by an odd row) and
 ``transgression_det`` (column differences contracted through an auxiliary
-family).  ``bordered_det`` multiplies out the columns and partially
-contracts.  Its value also has a Laplace form, summed over the column sets
-that take matrix entries (``_minor_expansion``): all of it is
-``bordered_minor_expansion``, lemma 1's contraction-free check on
-``bordered_det``.  ``transgression_det`` is evaluated as the part that
-takes every row, since the full contraction keeps only the terms holding
-every primal of the auxiliary family; the tests keep its
+family).  ``bordered_det`` takes one of two routes to one value.  On
+constant entries it multiplies out the columns and partially contracts; on
+polynomial entries it sums the Laplace parts over the column sets that take
+matrix entries (``_minor_expansion``).  All of those parts are
+``bordered_minor_expansion``, lemma 1's contraction-free check on the
+constant route; the tests keep the multiply-and-contract evaluation as the
+oracle of the polynomial one.  ``transgression_det`` is evaluated as the
+part that takes every row, since the full contraction keeps only the terms
+holding every primal of the auxiliary family; the tests keep its
 multiply-and-contract evaluation as the oracle.
 
 A product of elements whose coefficients are all constants runs on integer
@@ -587,12 +589,24 @@ def column(reg: FamilyRegistry, ranks, matrix, k) -> Element:
     return Element._wrap(reg, terms)
 
 
-def _odd_row(oddrow, reg):
-    """``(registry, [{word: coefficient}, ...])`` of an odd row whose entries
-    are elements, or raw ``{word: int | Fraction}`` maps over ``reg``."""
+def _bordered_args(a, oddrow, rowfam, reg, what: str) -> tuple:
+    """``(registry, row family, [{word: coefficient}, ...])`` of a bordered
+    determinant's checked arguments, odd-row entries given as elements or raw
+    maps; ``what`` names the caller in errors."""
+    if not oddrow:
+        raise ValueError(f"{what} needs at least one column")
     if reg is None:
         reg = oddrow[0].reg
-    return reg, [e if type(e) is dict else e.terms for e in oddrow]
+    odd = [e if type(e) is dict else e.terms for e in oddrow]
+    rowfam = reg.odd_family(rowfam)
+    if len(a) != rowfam.arity:
+        raise ValueError(f"matrix has {len(a)} rows, family arity is {rowfam.arity}")
+    for row in a:
+        if len(row) != len(odd):
+            raise ValueError("matrix rows and odd row must have equal length")
+    for k, t in enumerate(odd):
+        _validate_linear(t, f"{what} odd entry {k}")
+    return reg, rowfam, odd
 
 
 def bordered_det(a, oddrow, rowfam, reg=None) -> Element:
@@ -608,33 +622,19 @@ def bordered_det(a, oddrow, rowfam, reg=None) -> Element:
     terms trade rowfam duals against entries of ``oddrow``.  With constant
     entries throughout, the columns are read as integers over one common
     denominator, and their product (``wedge_chain``'s integer route) is
-    contracted on those integers and wrapped once.
+    contracted on those integers and wrapped once.  Otherwise the value is
+    the Laplace expansion, ``bordered_minor_expansion``'s route.
     """
-    if not oddrow:
-        raise ValueError("bordered_det needs at least one column")
-    reg, odd = _odd_row(oddrow, reg)
-    rowfam = reg.odd_family(rowfam)
-    s = rowfam.arity
-    if len(a) != s:
-        raise ValueError(f"matrix has {len(a)} rows, family arity is {s}")
-    n = len(oddrow)
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix rows and odd row must have equal length")
-    for k in range(n):
-        _validate_linear(odd[k], f"bordered_det odd entry {k}")
-    rowranks = rowfam.primal_ranks()
+    reg, rowfam, odd = _bordered_args(a, oddrow, rowfam, reg, "bordered_det")
+    n = len(odd)
     scalars = _integer_scalars(reg, a, odd)
     if scalars is None:
-        product = dual_full_product(reg, rowfam)
-        for k, e in enumerate(oddrow):
-            if type(e) is dict:
-                e = Element(reg, {w: as_poly(reg, c) for w, c in e.items()})
-            product = product * (e + column(reg, rowranks, a, k))
-        return bot_contract(rowfam, product)
+        sizes = range(min(rowfam.arity, n) + 1)
+        return _minor_expansion(reg, a, odd, rowfam.dual_ranks(), sizes)
     # column k is oddrow[k] + sum_i rowfam_i a[i][k], every coefficient over
     # the one denominator d
     d, entries, odd = scalars
+    rowranks = rowfam.primal_ranks()
     chain = [(1, [(tuple(rowfam.dual_ranks()), 1)])]
     for k in range(n):
         col = dict(odd[k])
@@ -853,15 +853,9 @@ def bordered_minor_expansion(a, oddrow, rowfam, reg=None) -> Element:
     partial-contraction evaluation.  The arguments are those of
     ``bordered_det``.
     """
-    if not oddrow:
-        raise ValueError("bordered_minor_expansion needs at least one column")
-    reg, odd = _odd_row(oddrow, reg)
-    fam = reg.odd_family(rowfam)
-    s = fam.arity
-    if len(a) != s:
-        raise ValueError(f"matrix has {len(a)} rows, family arity is {s}")
-    sizes = range(min(s, len(odd)) + 1)
-    return _minor_expansion(reg, a, odd, fam.dual_ranks(), sizes)
+    reg, rowfam, odd = _bordered_args(a, oddrow, rowfam, reg, "bordered_minor_expansion")
+    sizes = range(min(rowfam.arity, len(odd)) + 1)
+    return _minor_expansion(reg, a, odd, rowfam.dual_ranks(), sizes)
 
 
 def transgression_det(blocks, ufam) -> Element:

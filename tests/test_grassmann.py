@@ -8,8 +8,11 @@ Oracles, defined before anything that uses them:
   transgression_det;
 - ``_renaming_bot_contract``, the earlier renaming-kernel evaluation of the
   partial contraction, for the closed-form ``bot_contract``;
-- ``bordered_minor_expansion`` for ``bordered_det`` on random shapes, odd
-  entries with scalar parts included;
+- ``bordered_minor_expansion`` and ``product_bordered_det`` for
+  ``bordered_det`` on random shapes, odd entries with scalar parts
+  included, and on the shapes the package evaluates: more rows than
+  columns under a zero odd row (det G), and an odd row of negated primals
+  (theorem 3's bordered determinant);
 - ``_product_transgression_det``, the earlier evaluation of
   ``transgression_det`` that multiplied out every column and fully
   contracted the auxiliary family, for the Laplace expansion;
@@ -20,9 +23,10 @@ Oracles, defined before anything that uses them:
   and for the scaling by one constant word on the right;
 - ``_fold_mul``, the pairwise fold of ``Element.__mul__``, for
   ``wedge_chain``'s integer chain;
-- ``_product_bordered_det``, the earlier ``bordered_det`` that multiplied
-  out one column at a time and contracted the element, for the contraction
-  of the chain's integer numerators;
+- ``product_bordered_det`` (``tests/product_determinants.py``), the
+  earlier ``bordered_det`` that multiplied out one column at a time and
+  contracted the element, for the contraction of the chain's integer
+  numerators and for the Laplace route on polynomial entries;
 - ``_inline_row_sets`` and ``_inline_column_sets``, the plans
   ``_minor_expansion`` built on every call, for its cached plans;
 - ``_scan_top_contract``, the earlier ``top_contract`` that read each
@@ -52,6 +56,7 @@ from koszulkit.grassmann import (
     dual_full_product,
     grassmann_exp,
     merge_words,
+    odd_differences,
     odd_gen,
     render_element,
     sort_word,
@@ -60,6 +65,8 @@ from koszulkit.grassmann import (
     wedge_chain,
 )
 from koszulkit.ring import PRIMAL, FamilyRegistry, Poly, accumulate, as_poly, divided_diff, mono_mul
+
+from product_determinants import product_bordered_det
 
 
 ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -212,18 +219,6 @@ def _fold_mul(factors) -> Element:
     factor, the route ``wedge_chain`` replaced in ``grassmann_exp`` and
     ``verify_lemma2``."""
     return functools.reduce(operator.mul, factors)
-
-
-def _product_bordered_det(a, oddrow, rowfam) -> Element:
-    """The earlier ``bordered_det``: the full dual word of ``rowfam`` times
-    each column oddrow[k] + sum_i rowfam_i a[i][k] in order, one
-    ``Element.__mul__`` per column, then ``bot_contract`` of the element."""
-    reg = oddrow[0].reg
-    rowfam = reg.odd_family(rowfam)
-    product = dual_full_product(reg, rowfam)
-    for k in range(len(oddrow)):
-        product = product * (oddrow[k] + column(reg, rowfam.primal_ranks(), a, k))
-    return bot_contract(rowfam, product)
 
 
 def _inline_row_sets(s, c):
@@ -929,7 +924,7 @@ class TestBorderedDetOracle:
                 )
                 for _ in range(n)
             ]
-            assert bordered_det(a, oddrow, f) == bordered_minor_expansion(a, oddrow, f)
+            _assert_three_routes_agree(a, oddrow, f)
 
     def test_odd_entries_with_scalar_parts(self):
         rng = random.Random(20017)
@@ -945,7 +940,55 @@ class TestBorderedDetOracle:
                 for _ in range(s)
             ]
             oddrow = _odd_entries(rng, reg, g.primal_ranks(), n, list(x.gens()), True)
-            assert bordered_det(a, oddrow, f) == bordered_minor_expansion(a, oddrow, f)
+            _assert_three_routes_agree(a, oddrow, f)
+
+    def test_more_rows_than_columns_under_a_zero_odd_row(self):
+        """det G's shape: s > n polynomial rows, every odd entry zero, so
+        each surviving word holds s - n row duals."""
+        rng = random.Random(20021)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            s = n + rng.randint(1, 3)
+            reg = FamilyRegistry()
+            x = reg.commuting("x", 2)
+            f = reg.odd("f", s)
+            a = [[_small_poly(rng, reg, list(x.gens())) for _ in range(n)] for _ in range(s)]
+            got = _assert_three_routes_agree(a, [Element.zero(reg)] * n, f)
+            assert all(len(w) == s - n for w in got.terms)
+
+    def test_odd_row_of_negated_primals(self):
+        """Theorem 3's shape: an s x t polynomial matrix bordered by -F_j,
+        F an odd family of arity t."""
+        rng = random.Random(20022)
+        for _ in range(40):
+            s, t = rng.randint(1, 3), rng.randint(1, 3)
+            reg = FamilyRegistry()
+            x = reg.commuting("x", 2)
+            f = reg.odd("f", s)
+            F = reg.odd("F", t)
+            a = [[_small_poly(rng, reg, list(x.gens())) for _ in range(t)] for _ in range(s)]
+            _assert_three_routes_agree(a, odd_differences(reg, None, F), f)
+
+
+def _small_poly(rng, reg, gens) -> Poly:
+    """A random polynomial of degree at most 2 in ``gens``, often zero or
+    constant."""
+    p = Poly.const(reg, rng.randint(-2, 2))
+    for _ in range(rng.randint(0, 2)):
+        mono = Poly.const(reg, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        for g in gens:
+            mono = mono * Poly.variable(reg, g) ** rng.randint(0, 1)
+        p = p + mono
+    return p
+
+
+def _assert_three_routes_agree(a, oddrow, f) -> Element:
+    """``bordered_det`` equals the Laplace expansion and the contraction of
+    the multiplied-out columns; returns its value."""
+    got = bordered_det(a, oddrow, f)
+    assert got == bordered_minor_expansion(a, oddrow, f)
+    assert got == product_bordered_det(a, oddrow, f)
+    return got
 
 
 class TestBorderedDetProductOracle:
@@ -968,13 +1011,13 @@ class TestBorderedDetProductOracle:
                 a.append(row)
             oddrow = _odd_entries(rng, reg, granks, n, [], rng.random() < 0.5, "fraction")
             got = bordered_det(a, oddrow, f)
-            want = _product_bordered_det(a, oddrow, f)
+            want = product_bordered_det(a, oddrow, f)
             assert got == want
             assert list(got.terms) == list(want.terms)
             assert render_element(got) == render_element(want)
             assert _follows_coefficient_rule(got)
 
-    def test_polynomial_entries_take_the_product_route(self):
+    def test_polynomial_entries_match_the_product_route(self):
         rng = random.Random(20020)
         reg = FamilyRegistry()
         x = reg.commuting("x", 1)
@@ -984,7 +1027,7 @@ class TestBorderedDetProductOracle:
         a = [[xv * rng.randint(-2, 2) + Fraction(1, 3) for _ in range(3)] for _ in range(2)]
         oddrow = _odd_entries(rng, reg, g.primal_ranks(), 3, [], True, "fraction")
         got = bordered_det(a, oddrow, f)
-        want = _product_bordered_det(a, oddrow, f)
+        want = product_bordered_det(a, oddrow, f)
         assert got == want
         assert list(got.terms) == list(want.terms)
 
