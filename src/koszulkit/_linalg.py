@@ -17,21 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-from operator import attrgetter
+from math import gcd
 
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
-def _cleared(vec):
-    """(ints, d): the nonzero entries of ``vec`` times d, the lcm of their denominators."""
-    if 0 in vec.values():
-        vec = {i: v for i, v in vec.items() if v}
-    d = lcm(*map(_denominator, vec.values()))
-    if d == 1:
-        return dict(zip(vec, map(_numerator, vec.values()))), 1
-    return {i: v.numerator * (d // v.denominator) for i, v in vec.items()}, d
+from .ring import cleared
 
 
 def solve(cols, rhs) -> list[Fraction] | None:
@@ -57,7 +45,7 @@ def solve(cols, rhs) -> list[Fraction] | None:
     recorded as f over the running scale of v, which is all back-substitution
     needs to express the target in the original columns.
     """
-    res, res_den = _cleared(rhs)
+    res_den, res = cleared(rhs)
     if not res:
         return []
     pivot_of: dict = {}  # row -> pivot number
@@ -70,19 +58,9 @@ def solve(cols, rhs) -> list[Fraction] | None:
     y: list = []  # target = sum num/den * pvec[k] over (k, num, den)
     res_scale = 1
     for j in range(len(cols)):
-        # _cleared, inlined: this runs once per candidate column
-        col = cols[j]
-        vals = col.values()
-        if 0 in vals:
-            col = {i: v for i, v in col.items() if v}
-            vals = col.values()
-        if not col:
+        d, w = cleared(cols[j])
+        if not w:
             continue
-        d = lcm(*map(_denominator, vals))
-        if d == 1:
-            w = dict(zip(col, map(_numerator, vals)))
-        else:
-            w = {i: v.numerator * (d // v.denominator) for i, v in col.items()}
         touched = [k for k in map(pivot_of.get, w) if k is not None]
         scale = 1
         comb = []

@@ -35,6 +35,7 @@ from .ring import (
     Mono,
     Poly,
     accumulate,
+    cleared,
     mono_degree,
     mono_divide,
     mono_exponent,
@@ -116,17 +117,6 @@ def _heap_key(k: tuple) -> tuple:
     return tuple(out)
 
 
-def _cleared(terms: dict) -> tuple[int, dict]:
-    """``(d, {m: n})`` with each coefficient ``terms[m]`` equal to n / d, d the
-    lcm of the coefficients' denominators."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if den % d:
-            den = lcm(den, d)
-    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-
-
 def _divisor(g: Poly, lead: Mono) -> tuple:
     """``g`` as ``_reduce`` divides by it: ``(lead, l, tail, lc)``.
 
@@ -136,7 +126,7 @@ def _divisor(g: Poly, lead: Mono) -> tuple:
     ``g`` itself, which turns quotients by the scaled polynomial back into
     quotients by ``g``.
     """
-    _, nums = _cleared(g.terms)
+    _, nums = cleared(g.terms)
     content = gcd(*nums.values())
     if nums[lead] < 0:
         content = -content
@@ -165,7 +155,7 @@ def _reduce(p: Poly, divisors, key, sugars=None, sugar=None):
     normal-form and quotient term keeps the denominator of its step, and
     its coefficient is built once, at the end, by the coefficient rule.
     """
-    den, h = _cleared(p.terms)
+    den, h = cleared(p.terms)
     heap_keys: dict[Mono, tuple] = {}
 
     def heap_entry(m: Mono):
@@ -393,13 +383,13 @@ def source_cofactors(gb: GroebnerBasis, quots) -> list[Poly]:
     numerators over one common denominator, and its coefficients are built
     once, at the end."""
     reg = gb.reg
-    cleared = [_cleared(q.terms) for q in quots]
+    quot_nums = [cleared(q.terms) for q in quots]
     out = []
     for i in range(len(gb.source)):
         parts = []
-        for (dq, nq), cof in zip(cleared, gb.cofactors):
+        for (dq, nq), cof in zip(quot_nums, gb.cofactors):
             if nq and cof[i]:
-                dc, nc = _cleared(cof[i].terms)
+                dc, nc = cleared(cof[i].terms)
                 parts.append((dq * dc, nq, nc))
         den = lcm(*(d for d, _, _ in parts))
         acc: dict[Mono, int] = {}

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 
 Mono = tuple  # tuple[tuple[int, int], ...], sorted by generator index
 MONO_ONE: Mono = ()
@@ -209,6 +211,24 @@ def ratio(n: int, den: int) -> int | Fraction:
     Fraction."""
     q, rem = divmod(n, den)
     return Fraction(n, den) if rem else q
+
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def cleared(values: dict) -> tuple[int, dict]:
+    """``(d, {key: n})`` with each nonzero ``values[key]`` equal to n / d, d
+    the lcm of their denominators; zero values are left out.  ``ratio``
+    turns each n back into its value."""
+    vals = values.values()
+    if 0 in vals:
+        values = {k: v for k, v in values.items() if v}
+        vals = values.values()
+    d = lcm(*map(_denominator, vals))
+    if d == 1:
+        return 1, dict(zip(values, map(_numerator, vals)))
+    return d, {k: v.numerator * (d // v.denominator) for k, v in values.items()}
 
 
 # The one table of distinct monomials: every monomial that ``mono_mul`` or
