@@ -664,10 +664,10 @@ def _det_g_element(Gmat, l: ProductFunctional) -> FunctionalElement:
     """e = det G * l for the s x n cofactor matrix G and the product
     functional l over the pipeline registry.
 
-    det G is one ``bordered_det`` of G under a zero odd row, a Laplace
-    expansion on these polynomial entries.  By multilinearity it is also the
-    Fx-free part of G bordered by -Fx; the tests keep that kernel route as
-    an oracle.  The cocycle test and the pairing certify e.
+    det G is one ``bordered_det`` of G under a zero odd row, the Laplace
+    expansion once an entry is not constant.  By multilinearity it is also
+    the Fx-free part of G bordered by -Fx; the tests keep that kernel route
+    as an oracle.  The cocycle test and the pairing certify e.
     """
     reg = l.reg
     n, s = len(l.funcs), len(Gmat)
