@@ -39,12 +39,11 @@ from .koszul import (
     gradient,
     homotopy_witness,
     lift,
-    transport,
     verdict,
 )
 from ._linalg import solve
 from .quotient import charpoly_T, expvec, groebner, mul_matrix, quotient_basis
-from .ring import FamilyRegistry, Poly, accumulate, as_poly, mono_mul
+from .ring import FamilyRegistry, Poly, accumulate, as_poly, mono_mul, rational
 
 
 # Functional1D.eval memoizes values below this index, which covers the
@@ -60,9 +59,14 @@ DIGIT_LIMIT = 20_000
 _BIT_LIMIT = DIGIT_LIMIT * 3322 // 1000  # log2(10) < 3.322 bits per digit
 
 
-def _too_long(c: Fraction) -> bool:
+def _too_long(c: int | Fraction) -> bool:
     """Whether the numerator or denominator of ``c`` passes ``DIGIT_LIMIT`` digits."""
     return max(c.numerator.bit_length(), c.denominator.bit_length()) > _BIT_LIMIT
+
+
+def _ruled(vec: dict) -> dict:
+    """``vec`` with every value by the coefficient rule."""
+    return {k: rational(v) for k, v in vec.items()}
 
 
 class HypothesisError(ValueError):
@@ -80,7 +84,8 @@ class Functional1D:
     the ideal (T).  Values below ``MEMO_LIMIT``, up to the first one past
     ``DIGIT_LIMIT`` digits, and the powers x^k mod T are cached on demand;
     any other value pairs x^k mod T, found by square-and-multiply, with the
-    initial values.
+    initial values.  Every value and coefficient follows the coefficient
+    rule (``ring.rational``): integral recurrences stay on ``int``.
     """
 
     gidx: int
@@ -92,26 +97,26 @@ class Functional1D:
     def __post_init__(self):
         if len(self.initials) != len(self.rec):
             raise ValueError("need exactly one initial value per recurrence order")
-        self.rec = tuple(Fraction(c) for c in self.rec)
-        self.initials = tuple(Fraction(c) for c in self.initials)
+        self.rec = tuple(map(rational, self.rec))
+        self.initials = tuple(map(rational, self.initials))
         self._memo = list(self.initials)
         # x^0 mod T is 1, or nothing at all when T = 1
-        self._powers = [tuple(Fraction(int(i == 0)) for i in range(self.degree))]
+        self._powers = [tuple(int(i == 0) for i in range(self.degree))]
 
     @property
     def degree(self) -> int:
         return len(self.rec)
 
-    def eval(self, k: int) -> Fraction:
+    def eval(self, k: int) -> int | Fraction:
         d = self.degree
         if d == 0:
-            return Fraction(0)
+            return 0
         if k >= MEMO_LIMIT:
             return self.eval_by_squaring(k)
         memo = self._memo
         while len(memo) <= k:
             base = len(memo) - d
-            v = -sum((self.rec[i] * memo[base + i] for i in range(d)), Fraction(0))
+            v = rational(-sum(self.rec[i] * memo[base + i] for i in range(d)))
             if _too_long(v):
                 # the memo stops short of the first value past the digit cap,
                 # so it holds at most MEMO_LIMIT values of capped size
@@ -119,34 +124,34 @@ class Functional1D:
             memo.append(v)
         return memo[k]
 
-    def eval_by_squaring(self, k: int) -> Fraction:
+    def eval_by_squaring(self, k: int) -> int | Fraction:
         """eval(k) in O(d^2 log k) operations, caching nothing: l(x^k) is
         sum_i r_i l(x^i) for r = x^k mod T, and l(x^i) = initials[i].  As
         for ``reduced_power``, only an index past ``MEMO_LIMIT`` is held to
         ``DIGIT_LIMIT`` digits."""
         r = self.reduced_power(k)
-        return sum((c * v for c, v in zip(r, self.initials) if c), Fraction(0))
+        return rational(sum(c * v for c, v in zip(r, self.initials) if c))
 
     def reduced_power(self, k: int) -> list:
         """Coefficients of x^k mod T, by left-to-right binary powering; as for
         ``eval``, only an index past ``MEMO_LIMIT`` is held to ``DIGIT_LIMIT``
         digits (ValueError once a coefficient passes them)."""
         d, rec = self.degree, self.rec
-        r = [Fraction(int(i == 0)) for i in range(d)]
+        r = [int(i == 0) for i in range(d)]
         for bit in bin(k)[2:]:
-            full = [Fraction(0)] * (2 * d - 1)
+            full = [0] * (2 * d - 1)
             for i, a in enumerate(r):
                 if a:
                     for j, b in enumerate(r):
                         full[i + j] += a * b
             if bit == "1":
-                full.insert(0, Fraction(0))
+                full.insert(0, 0)
             for top in range(len(full) - 1, d - 1, -1):
                 c = full.pop()
                 if c:
                     for i in range(d):
                         full[top - d + i] -= c * rec[i]
-            r = full
+            r = list(map(rational, full))
             if k >= MEMO_LIMIT and any(_too_long(c) for c in r):
                 raise ValueError(
                     f"power {k} of a variable, reduced modulo its annihilator, "
@@ -161,7 +166,9 @@ class Functional1D:
         while len(pows) <= k:
             prev = pows[-1]
             top = prev[d - 1] if d else 0
-            pows.append(tuple((prev[i - 1] if i else 0) - top * self.rec[i] for i in range(d)))
+            pows.append(
+                tuple(rational((prev[i - 1] if i else 0) - top * self.rec[i]) for i in range(d))
+            )
         return pows[k]
 
     def hankel_row(self, b: int) -> tuple:
@@ -176,8 +183,8 @@ def recurrent_functional(T: Poly, initials) -> Functional1D:
         raise ValueError("annihilator must involve a single variable")
     d = T.total_degree()
     gidx = gens.pop() if gens else None
-    coeffs = [Fraction(0)] * d
-    lead = Fraction(0)
+    coeffs = [0] * d
+    lead = 0
     for mono, c in T.terms.items():
         k = mono[0][1] if mono else 0
         if k == d:
@@ -278,8 +285,8 @@ class ProductFunctional(_PairedFamily):
             terms = _apply_mode(terms, j, 0, func.hankel_row)
         return not terms
 
-    def eval_mono(self, mono) -> Fraction:
-        val = Fraction(1)
+    def eval_mono(self, mono) -> int | Fraction:
+        val = 1
         seen = set()
         for g, e in mono:
             j = self._coord.get(g)
@@ -290,10 +297,10 @@ class ProductFunctional(_PairedFamily):
         for f in self.funcs:
             if f.gidx not in seen:
                 val *= f.eval(0)
-        return val
+        return rational(val)
 
-    def eval_poly(self, p: Poly) -> Fraction:
-        return sum((c * self.eval_mono(m) for m, c in p.terms.items()), Fraction(0))
+    def eval_poly(self, p: Poly) -> int | Fraction:
+        return rational(sum(c * self.eval_mono(m) for m, c in p.terms.items()))
 
 
 class Staircase:
@@ -305,7 +312,9 @@ class Staircase:
     with column c the coordinates of x_j times the c-th standard monomial; and
     ``funcs[j]`` carries the annihilator T_j of that variable, the
     characteristic polynomial of M_j.  Nothing here names a generator, so the
-    same algebra serves the x and the y copies of the variables.
+    same algebra serves the x and the y copies of the variables.  Every
+    coordinate and Gram entry follows the coefficient rule
+    (``ring.rational``).
     """
 
     def __init__(self, exponents: tuple, mats: tuple, funcs: tuple):
@@ -338,13 +347,13 @@ class Staircase:
                     if r:
                         for i, c in self.coords(b[:j] + (k,) + b[j + 1 :]).items():
                             accumulate(out, i, r * c)
-                memo[b] = out
+                out = memo[b] = _ruled(out)
                 return out
         cur = (0,) * len(b)
         vec = memo.get(cur)
         if vec is None:
             # 1 is the least monomial in every supported order: index 0
-            vec = memo[cur] = {0: Fraction(1)}
+            vec = memo[cur] = {0: 1}
         for j, e in enumerate(b):
             for _ in range(e):
                 cur = cur[:j] + (cur[j] + 1,) + cur[j + 1 :]
@@ -355,7 +364,7 @@ class Staircase:
                     for i, c in vec.items():
                         for k, v in cols[i].items():
                             accumulate(nxt, k, c * v)
-                    memo[cur] = nxt
+                    nxt = memo[cur] = _ruled(nxt)
                 vec = nxt
         return vec
 
@@ -365,23 +374,22 @@ class Staircase:
         for mu, c in terms.items():
             for i, v in self.coords(mu).items():
                 accumulate(out, i, c * v)
-        return out
+        return _ruled(out)
 
     def gram(self, values) -> tuple:
         """The Gram matrix [tau(x^beta x^gamma)] over the staircase of the
         functional tau with the given staircase values, row by row: row
         beta + e_j is row beta times M_j, entry c the row dotted with column
         c of M_j, starting from row 0 = ``values``."""
-        zero = Fraction(0)
         rows = {}
         for beta in sorted(self.exponents, key=sum):
             if not any(beta):
-                rows[beta] = tuple(values)
+                rows[beta] = tuple(map(rational, values))
                 continue
             j = next(j for j, e in enumerate(beta) if e)
             prev = rows[beta[:j] + (beta[j] - 1,) + beta[j + 1 :]]
             rows[beta] = tuple(
-                sum((prev[i] * v for i, v in col.items() if prev[i]), zero)
+                rational(sum(prev[i] * v for i, v in col.items() if prev[i]))
                 for col in self.mats[j]
             )
         return tuple(rows[beta] for beta in self.exponents)
@@ -420,19 +428,19 @@ class StaircaseFunctional(_PairedFamily):
 
     def staircase_values(self, terms: dict) -> list:
         """The staircase values of m * tau, for m given by ``terms``."""
-        out = [Fraction(0)] * len(self.rows)
+        out = [0] * len(self.rows)
         for beta, c in self.algebra.reduce(terms).items():
             for i, v in enumerate(self.rows[beta]):
                 out[i] += c * v
-        return out
+        return list(map(rational, out))
 
     def moments(self, terms: dict, points) -> dict:
         values = self.staircase_values(terms)
         out = {}
         for b in points:
-            v = sum((c * values[i] for i, c in self.algebra.coords(b).items()), Fraction(0))
+            v = sum(c * values[i] for i, c in self.algebra.coords(b).items())
             if v:
-                out[b] = v
+                out[b] = rational(v)
         return out
 
     def vanishes(self, terms: dict) -> bool:
@@ -483,16 +491,16 @@ class FunctionalElement:
         l = self.functional
         return all(l.vanishes(l.by_exponent(m)[()]) for m in self.comps.values())
 
-    def pair_poly(self, p: Poly) -> Fraction:
+    def pair_poly(self, p: Poly) -> int | Fraction:
         """Pairing of the word-free part against a polynomial: the sum of
         c * e(x^b) over p's terms, from the moments of the multiplier."""
         m = self.comps.get(())
         if m is None or not p:
-            return Fraction(0)
+            return 0
         l = self.functional
         terms = [(c, b) for b, c in l.by_exponent(p)[()].items()]
         moments = l.moments(l.by_exponent(m)[()], {b for _, b in terms})
-        return sum((c * moments[b] for c, b in terms if b in moments), Fraction(0))
+        return rational(sum(c * moments[b] for c, b in terms if b in moments))
 
 
 def _moments(funcs, terms: dict, points) -> dict:
@@ -547,21 +555,26 @@ def functional_eval(F: FunctionalElement, e: Element) -> Element:
     with each moment e_w(y^b) computed once per component.  Whatever
     generators remain, in the multiplier too, pass through untouched.
     """
-    reg = e.reg
     l = F.functional
-    ofam = reg.odd_family(F.odd_family)
+    reads = ((w, l.by_exponent(m, passthrough=True)) for w, m in F.comps.items())
+    return _pair_reads(e, l, F.odd_family, reads)
+
+
+def _pair_reads(e: Element, l, odd_family: str, reads) -> Element:
+    """``functional_eval`` of e against the functional element whose dual
+    words w over ``odd_family`` carry the multipliers that ``reads`` gives
+    as (w, ``l.by_exponent(m_w, passthrough=True)``), one word at a time."""
+    reg = e.reg
+    ofam = reg.odd_family(odd_family)
     out: dict = {}
-    for w, m in F.comps.items():
+    for w, read in reads:
         contracted = contract_product(ofam, e, Element.word(reg, w))
         coeffs = {
             word: l.by_exponent(coeff, passthrough=True)
             for word, coeff in contracted.terms.items()
         }
         points = {b for groups in coeffs.values() for terms in groups.values() for b in terms}
-        moments = [
-            (rest_m, l.moments(terms, points))
-            for rest_m, terms in l.by_exponent(m, passthrough=True).items()
-        ]
+        moments = [(rest_m, l.moments(terms, points)) for rest_m, terms in read.items()]
         for word, groups in coeffs.items():
             acc: dict = {}
             for rest, terms in groups.items():
@@ -641,7 +654,8 @@ def _residue(reg, fX, qb, mats, l: ProductFunctional) -> StaircaseFunctional:
     tau = solve(B, {0: 1}) if d else []
     if tau is None:
         raise AssertionError("the reduced Bezoutian is singular")
-    tau += [Fraction(0)] * (d - len(tau))  # the columns after solve stopped
+    tau = list(map(rational, tau))
+    tau += [0] * (d - len(tau))  # the columns after solve stopped
     gram = algebra.gram(tau)
     for a, grow in enumerate(gram):
         prod: dict = {}
@@ -655,7 +669,7 @@ def _residue(reg, fX, qb, mats, l: ProductFunctional) -> StaircaseFunctional:
         jac = [[_derivative(fi, g) for g in xfam.gens()] for fi in fX]
         J = bordered_det(jac, zero_row, fxfam).terms.get((), Poly.zero(reg))
         coords = algebra.reduce(l.by_exponent(J)[()]) if J else {}
-        if sum((c * tau[i] for i, c in coords.items()), Fraction(0)) != d:
+        if sum(c * tau[i] for i, c in coords.items()) != d:
             raise AssertionError("the residue of the Jacobian is not the quotient dimension")
     return StaircaseFunctional(reg, "x", algebra, gram, theta)
 
@@ -714,7 +728,7 @@ def dual_element(f):
         T.append(Tj)
         Gcols.append(Gj)
         dj = Tj.total_degree()
-        initials = tuple([Fraction(0)] * (dj - 1) + [Fraction(1)]) if dj else ()
+        initials = tuple([0] * (dj - 1) + [1]) if dj else ()
         func = recurrent_functional(Tj, initials)
         if func.gidx < 0:
             func.gidx = reg.comm_gen("x", j)
@@ -739,25 +753,14 @@ def dual_element(f):
     return e, certificate
 
 
-def _transport_functional_to_y(e: FunctionalElement) -> FunctionalElement:
-    reg = e.reg
-    xfam = reg.comm_family("x")
-    yfam = reg.comm_family("y")
-    fx = reg.odd_family("fx")
-    fy = reg.odd_family("fy")
-    gmap = {xfam.base + k: yfam.base + k for k in range(xfam.arity)}
-    rename = {}
-    for i in range(1, fx.arity + 1):
-        rename[reg.odd_rank(fx, i, dual=True)] = reg.odd_rank(fy, i, dual=True)
-    comps = {
-        tuple(rename[r] for r in w): transport(m, reg, gmap) for w, m in e.comps.items()
-    }
-    return FunctionalElement(e.functional.on_family("y"), "fy", comps)
-
-
 def transgression_pairing(f, e: FunctionalElement) -> Element:
     """P = the pairing of e (moved to the y side) against the transgression
     determinant of f; an element over x and the system's odd family.
+
+    e moves to y without rebuilding its multipliers: each is read once over
+    x, and its exponent vectors are the same over the y copy of the
+    functional; only the dual words are renamed from fx to fy.  A
+    multiplier outside x raises ValueError.
 
     For e over a ``StaircaseFunctional`` the determinant must be the
     Bezoutian that functional was computed from, as its single empty-word
@@ -771,8 +774,13 @@ def transgression_pairing(f, e: FunctionalElement) -> Element:
         e.functional.bezoutian
     ):
         raise AssertionError("the transgression determinant is not the inverted Bezoutian")
-    ey = _transport_functional_to_y(e)
-    return functional_eval(ey, tdet)
+    rename = {
+        reg.odd_rank(fx, i, dual=True): reg.odd_rank(fy, i, dual=True)
+        for i in range(1, fx.arity + 1)
+    }
+    l = e.functional
+    reads = ((tuple(rename[r] for r in w), l.by_exponent(m)) for w, m in e.comps.items())
+    return _pair_reads(tdet, l.on_family("y"), "fy", reads)
 
 
 def pair_transgression(f, e: FunctionalElement, bound=None) -> IdentityReport:
@@ -880,7 +888,7 @@ def theorem3_compare(f, F, G, bound=None) -> IdentityReport:
     cform = contract_product(fy, tdetf, bb)
     if rhs_a == cform:
         return IdentityReport("theorem3", "", "equal")
-    wba = BoundaryAssignment(reg, {"fx": fX, "Fy": FY})
+    wba = ba.restricted(("fx", "Fy"))
     if bound is None:
         bound = max(rhs_a.max_coeff_degree(), cform.max_coeff_degree(), 0) + 4
     w = homotopy_witness(rhs_a, cform, wba, degree_bound=bound)

@@ -70,9 +70,11 @@ class BoundaryAssignment:
 
     reg: FamilyRegistry
     images: dict
-    # dual-family set -> the image tables of _boundary_tables, built on
-    # first use; not part of equality or repr
+    # dual-family set -> the image tables of _boundary_tables, and family
+    # name -> its images as term rows, built on first use; not part of
+    # equality or repr
     _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         clean = {}
@@ -92,8 +94,12 @@ class BoundaryAssignment:
     def assigned(self, name: str) -> bool:
         return name in self.images
 
-    def image(self, name: str, i: int) -> Poly:
-        return self.images[name][i - 1]
+    def restricted(self, names) -> "BoundaryAssignment":
+        """The assignment of the named families alone, sharing the term rows
+        of their images with this one."""
+        ba = BoundaryAssignment(self.reg, {name: self.images[name] for name in names})
+        object.__setattr__(ba, "_rows", self._rows)
+        return ba
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,8 @@ def _boundary_tables(ba: BoundaryAssignment, dual_families) -> tuple[dict, list]
     image as its term list and its negated term list, at the primal ranks
     of the families outside ``dual_families`` and at the dual ranks of
     those in it (families by name, indices ascending); built once per
-    family set and cached on ``ba``."""
+    family set and cached on ``ba``, from term rows built once per family
+    (and shared with ``restricted`` assignments)."""
     key = frozenset(dual_families)
     tables = ba._tables.get(key)
     if tables is None:
@@ -179,10 +186,14 @@ def _boundary_tables(ba: BoundaryAssignment, dual_families) -> tuple[dict, list]
         for name in sorted(ba.images):
             fam = ba.reg.odd_family(name)
             ranks = fam.dual_ranks() if name in key else fam.primal_ranks()
-            for i, rank in enumerate(ranks, 1):
-                p = ba.image(name, i)
-                if p:
-                    row = (list(p.terms.items()), [(m, -c) for m, c in p.terms.items()])
+            rows = ba._rows.get(name)
+            if rows is None:
+                rows = ba._rows[name] = [
+                    (list(p.terms.items()), [(m, -c) for m, c in p.terms.items()]) if p else None
+                    for p in ba.images[name]
+                ]
+            for rank, row in zip(ranks, rows):
+                if row is not None:
                     if name in key:
                         duals.append((rank, *row))
                     else:

@@ -447,9 +447,9 @@ def mul_matrix(gb: GroebnerBasis, qb: QuotientBasis, j: int) -> tuple:
         shifted = mono_mul(m, ((g, 1),))
         if shifted in index:
             # a staircase monomial is its own normal form: a unit column
-            cols.append({index[shifted]: Fraction(1)})
+            cols.append({index[shifted]: 1})
             continue
-        nf, _ = reduce_with_cofactors(Poly(reg, {shifted: Fraction(1)}), gb)
+        nf, _ = reduce_with_cofactors(Poly(reg, {shifted: 1}), gb)
         cols.append({index[mono]: c for mono, c in nf.terms.items()})
     return tuple(cols)
 

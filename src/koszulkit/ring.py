@@ -17,7 +17,8 @@ products share their keys instead of holding equal copies.  One coefficient
 rule holds where coefficients enter (``Poly.const``, and through it the
 parser, ``as_poly`` and every constant; ``Poly.variable``): a coefficient is an
 ``int`` when it is integral and a :class:`fractions.Fraction` otherwise, never
-a float or a bool.  Sums and products of ``int`` coefficients then stay
+a float or a bool.  ``rational`` applies it, there and on the dual side's
+values.  Sums and products of ``int`` coefficients then stay
 ``int``, so integral inputs never pay for ``Fraction`` arithmetic.  All
 arithmetic is exact; nothing in this module (or the package) touches floating
 point.
@@ -206,6 +207,16 @@ def accumulate(acc: dict, key, value) -> None:
             del acc[key]
 
 
+def rational(c) -> int | Fraction:
+    """``c`` by the coefficient rule: an ``int`` when integral, else a
+    Fraction; anything ``Fraction`` accepts goes in."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def ratio(n: int, den: int) -> int | Fraction:
     """n / den by the coefficient rule: an ``int`` when den divides n, else a
     Fraction."""
@@ -331,10 +342,7 @@ class Poly:
     @classmethod
     def const(cls, reg: FamilyRegistry, c) -> "Poly":
         if type(c) is not int:  # the coefficient rule: int when integral
-            if type(c) is not Fraction:  # a Fraction is kept as it is
-                c = Fraction(c)
-            if c.denominator == 1:
-                c = c.numerator
+            c = rational(c)
         return cls._wrap(reg, {MONO_ONE: c} if c else {})
 
     @classmethod

@@ -2,12 +2,15 @@
 
 Coefficients enter a polynomial through ``Poly.const`` (and through it the
 parser, ``as_poly`` and the suites' random draws) and ``Poly.variable``, so
-integral coefficients stay plain ``int`` through sums and products.  Two
+integral coefficients stay plain ``int`` through sums and products.  Three
 checks hold the rule:
 
 - a tripwire: no Poly built by the main commands holds a float, a bool or
   anything else but ``int`` and ``Fraction``.  A float would come from an
   ``int / int`` anywhere a coefficient is divided;
+- a second tripwire: no value the dual side keeps (functional memos and
+  power rows, staircase coordinates, Gram rows, tau) is a Fraction with
+  denominator 1;
 - an oracle: the same polynomials and elements built from Fraction-valued
   dicts and built through ``Poly.const`` and the parser compare equal and
   render identically, after sums, products and the exterior kernels.
@@ -24,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulkit import cli
-from koszulkit.dual_element import dual_element
+from koszulkit.dual_element import StaircaseFunctional, dual_element, verify_theorem4
 from koszulkit.grassmann import Element, bordered_det, render_element, transgression_det
 from koszulkit.koszul import BoundaryAssignment, boundary
 from koszulkit.ring import FamilyRegistry, Poly, parse_poly, render_poly
@@ -97,6 +100,35 @@ def test_pinned_system_builds_no_stray_coefficient(stray_coefficients):
     oracle, _ = det_g_dual_element(f)
     assert e.cocycle is True and oracle.cocycle is True
     assert not stray_coefficients
+
+
+def _ruled(v) -> bool:
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+@pytest.mark.parametrize("system", ZERO_DIMENSIONAL + ["surplus27"])
+def test_dual_side_values_follow_the_rule(system):
+    """After the cocycle test and the pairing, no value the dual side keeps
+    is a Fraction with denominator 1: each functional's recurrence, initial
+    values, memo and power rows; for a square system also the staircase's
+    coordinates and reduced powers, the Gram rows and tau, their first row."""
+    f = cli.parse_system_file((GOLDEN / f"{system}.txt").read_text()).f
+    reports, e, cert = verify_theorem4(f)
+    assert all(r.ok for r in reports)
+    kept = []
+    for func in cert["functional"].funcs:
+        kept += [*func.rec, *func.initials, *func._memo]
+        kept += [c for row in func._powers for c in row]
+    if isinstance(e.functional, StaircaseFunctional):
+        algebra = e.functional.algebra
+        assert algebra._memo and e.functional.rows
+        kept += [c for vec in algebra._memo.values() for c in vec.values()]
+        kept += [c for rem in algebra._remainders.values() for c in rem]
+        kept += [c for row in e.functional.rows for c in row]
+    else:
+        assert any(func._memo for func in cert["functional"].funcs)
+    stray = [v for v in kept if not _ruled(v)]
+    assert not stray, stray[:5]
 
 
 # ---------------------------------------------------------------------------

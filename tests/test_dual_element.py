@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from koszulkit import cli
 from koszulkit.ring import FamilyRegistry, Poly, accumulate, divided_diff
 from koszulkit.grassmann import Element, render_element, top_contract
-from koszulkit.koszul import BoundaryAssignment, UnassignedFamilyError, boundary, lift
+from koszulkit.koszul import (
+    BoundaryAssignment,
+    UnassignedFamilyError,
+    boundary,
+    lift,
+    transport,
+)
 from koszulkit.quotient import NotZeroDimensional
 from koszulkit.dual_element import (
     Functional1D,
@@ -306,22 +312,45 @@ def _ladder(seed):
         yield [subst(p, images) for p in sf.f] if seed is not None else sf.f
 
 
+def _moved_to_y(e: FunctionalElement) -> FunctionalElement:
+    """e on the y side: multipliers rebuilt over y, dual words renamed from
+    fx to fy, the functional moved by ``on_family``."""
+    reg = e.reg
+    xfam, yfam = reg.comm_family("x"), reg.comm_family("y")
+    fx, fy = reg.odd_family("fx"), reg.odd_family("fy")
+    gmap = {xfam.base + k: yfam.base + k for k in range(xfam.arity)}
+    rename = {
+        reg.odd_rank(fx, i, dual=True): reg.odd_rank(fy, i, dual=True)
+        for i in range(1, fx.arity + 1)
+    }
+    comps = {tuple(rename[r] for r in w): transport(m, reg, gmap) for w, m in e.comps.items()}
+    return FunctionalElement(e.functional.on_family("y"), "fy", comps)
+
+
 def _pairing_arguments(monkeypatch, f):
-    """The (functional element, transgression determinant) pair that
-    ``transgression_pairing`` hands to ``functional_eval`` for f, with e
-    built by the det G route."""
+    """The functional element e, built by the det G route, and the pair
+    (e moved to y, the transgression determinant of f) whose
+    ``functional_eval`` is the pairing.  ``transgression_pairing`` reads e's
+    multipliers without moving them; it must give the same element, term
+    for term."""
     e, _ = det_g_dual_element(f)
     seen = []
+    pair_reads = dual_module._pair_reads
 
-    def spy(F, tdet):
-        seen.append((F, tdet))
-        return functional_eval(F, tdet)
+    def spy(tdet, *args):
+        seen.append(tdet)
+        return pair_reads(tdet, *args)
 
-    monkeypatch.setattr(dual_module, "functional_eval", spy)
-    transgression_pairing(f, e)
+    monkeypatch.setattr(dual_module, "_pair_reads", spy)
+    P = transgression_pairing(f, e)
     monkeypatch.undo()
-    [args] = seen
-    return e, args
+    [tdet] = seen
+    F = _moved_to_y(e)
+    moved = functional_eval(F, tdet)
+    assert [(w, list(c.terms.items())) for w, c in P.terms.items()] == [
+        (w, list(c.terms.items())) for w, c in moved.terms.items()
+    ]
+    return e, (F, tdet)
 
 
 def _random_functional(draw, fam, initials):
@@ -489,7 +518,7 @@ def _parity_boundary(e: FunctionalElement, ba: BoundaryAssignment) -> dict:
             if rank in w:
                 continue
             pos = sum(1 for r in w if r < rank)
-            piece = ba.image(fam.name, i) * m
+            piece = ba.images[fam.name][i - 1] * m
             if piece:
                 accumulate(out, tuple(sorted(w + (rank,))), piece if pos & 1 else -piece)
     return out

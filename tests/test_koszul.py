@@ -122,7 +122,7 @@ def _per_position_boundary(ba, elem, dual_families) -> Element:
             fname, idx, pol = reg.rank_info(rank)
             if pol != PRIMAL or fname in dual_families:
                 continue
-            piece = c * ba.image(fname, idx)
+            piece = c * ba.images[fname][idx - 1]
             if pos & 1:
                 piece = -piece
             if piece.is_zero:
@@ -136,7 +136,7 @@ def _per_position_boundary(ba, elem, dual_families) -> Element:
         fam = reg.odd_family(name)
         for i in range(1, fam.arity + 1):
             dual = Element.generator(reg, reg.odd_rank(fam, i, dual=True))
-            m = m + dual * ba.image(name, i)
+            m = m + dual * ba.images[name][i - 1]
     return derivation - m * elem
 
 
@@ -152,7 +152,7 @@ def _product_boundary(ba, elem, dual_families) -> Element:
             name, i, pol = reg.rank_info(rank)
             if pol != PRIMAL or name in dual_families:
                 continue
-            img = ba.image(name, i)
+            img = ba.images[name][i - 1]
             if img:
                 piece = c * img
                 accumulate(acc, word[:pos] + word[pos + 1 :], -piece if pos & 1 else piece)
@@ -163,7 +163,7 @@ def _product_boundary(ba, elem, dual_families) -> Element:
     for name in sorted(dual_families):
         fam = reg.odd_family(name)
         for i in range(1, fam.arity + 1):
-            m = m + Element.generator(reg, reg.odd_rank(fam, i, dual=True)) * ba.image(name, i)
+            m = m + Element.generator(reg, reg.odd_rank(fam, i, dual=True)) * ba.images[name][i - 1]
     return derivation + (-m) * elem
 
 
@@ -239,6 +239,26 @@ class TestBoundary:
             assert boundary(ba, e) == boundary(BoundaryAssignment(reg, ba.images), e)
         assert ba == fresh
         assert repr(ba) == repr(fresh)
+
+    def test_restricted_assignment_shares_image_rows(self):
+        """A restricted assignment equals a fresh one over the same images,
+        gives the same boundaries, and reads each image's terms from the
+        rows its parent built."""
+        reg, ba = simple_setup()
+        e = Element.generator(reg, reg.odd_rank("a", 1)) * Element.generator(
+            reg, reg.odd_rank("a", 2)
+        )
+        boundary(ba, e)
+        rows = ba._rows["a"]
+        only_a = ba.restricted(("a",))
+        fresh = BoundaryAssignment(reg, {"a": ba.images["a"]})
+        assert only_a == fresh and repr(only_a) == repr(fresh)
+        a2 = Element.generator(reg, reg.odd_rank("a", 2, dual=True))
+        for elem in (e, ComplexElement(a2, frozenset({"a"}))):
+            assert boundary(only_a, elem) == boundary(fresh, elem)
+        assert only_a._rows["a"] is rows and "b" not in only_a.images
+        with pytest.raises(UnassignedFamilyError):
+            boundary(only_a, Element.generator(reg, reg.odd_rank("b", 1)))
 
     def test_unassigned_family_rejected(self):
         reg, _ = simple_setup()
