@@ -504,6 +504,17 @@ class TestZeroTestFamily:
         with pytest.raises(ValueError, match="monomial leaves the paired family"):
             check(e)
 
+    def test_foreign_generator_rejected_by_the_pairing(self):
+        # the pairing reads e's multipliers over x, where they must live
+        reg = dual_module._pipeline_registry(1, 1)
+        y = Poly.variable(reg, reg.comm_gen("y", 1))
+        l = ProductFunctional(reg, "x", (Functional1D(reg.comm_gen("x", 1), (0,), (1,)),))
+        e = FunctionalElement(l, "fx", {(): y - Poly.const(reg, 1)})
+        src = FamilyRegistry()
+        src.commuting("x", 1)
+        with pytest.raises(ValueError, match="monomial leaves the paired family"):
+            transgression_pairing([Poly.variable(src, 0)], e)
+
 
 def _parity_boundary(e: FunctionalElement, ba: BoundaryAssignment) -> dict:
     """Oracle: the dual-side boundary as written before it went through
