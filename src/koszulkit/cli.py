@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import decimal
 import functools
-import hashlib
 import json
 import os
 import random
@@ -23,10 +22,21 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
+# sha256 from the interpreter's own module, as ``random`` takes sha512:
+# ``hashlib`` would map OpenSSL's libcrypto, about 3.6 MB, for one digest
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 from . import __version__
 from .ring import FamilyRegistry, Poly, accumulate, parse_poly
 from .koszul import (
     NotCocycleError,
+    below,
     lift,
     verify_lemma1,
     verify_lemma2,
@@ -172,8 +182,12 @@ def parse_system_file(text: str) -> SystemFile:
 # randomized instance generators (all draws from one seeded stream)
 
 
+# the 76 values of Fraction(randint(-9, 9), randint(1, 4)), p/q at [p + 9][q - 1]
+_FRACTIONS = [[Fraction(p, q) for q in range(1, 5)] for p in range(-9, 10)]
+
+
 def _rand_fraction(rng) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return _FRACTIONS[below(rng, 19)][below(rng, 4)]
 
 
 def _rand_matrix(rng, rows, cols):
@@ -185,9 +199,9 @@ def _rand_system(rng, reg, n, count, deg, terms=3):
     for _ in range(count):
         acc: dict = {}
         for _ in range(terms):
-            c = rng.randint(-3, 3)
+            c = below(rng, 7) - 3
             # every exponent is drawn, zero or not
-            mono = tuple((g, e) for g in range(n) if (e := rng.randint(0, deg)))
+            mono = tuple((g, e) for g in range(n) if (e := below(rng, deg + 1)))
             accumulate(acc, mono, c)
         out.append(Poly._wrap(reg, acc))
     return out
@@ -529,7 +543,7 @@ def _emit(data, out_path=None) -> None:
 
 
 def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return _sha256(data).hexdigest()
 
 
 def _read_system(path):

@@ -481,7 +481,41 @@ def verify_lemma3(f, instance: str = "") -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# theorem 1: kernel closure and chain-map commutation
+# the suites' random draws
+
+
+def below(rng, n: int) -> int:
+    """A draw from [0, n), taken from ``rng``'s stream exactly as
+    ``random.Random`` takes one for ``randrange(n)``, ``choice`` of n items
+    or ``randint(a, a + n - 1) - a``: n.bit_length() bits from the public
+    ``getrandbits``, drawn again while they read n or more.  The value and
+    the generator state after it are the same; the suites' instances, and so
+    the digests that pin them, are defined on this stream."""
+    if n <= 0:
+        # a rejection loop would never end
+        raise ValueError(f"empty range [0, {n})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _sample(rng, population, k) -> list:
+    """``rng.sample(population, k)``.  On a population of at most 21 the
+    stdlib keeps the unpicked items in a pool, whatever k; this repeats it
+    draw for draw through ``below``, and calls the stdlib on larger ones
+    and to refuse a k outside [0, n]."""
+    n = len(population)
+    if n > 21 or not 0 <= k <= n:
+        return rng.sample(population, k)
+    pool = list(population)
+    out = []
+    for i in range(k):
+        j = below(rng, n - i)
+        out.append(pool[j])
+        pool[j] = pool[n - i - 1]
+    return out
 
 
 def _random_words(rng, reg, ranks, gens, terms=3, deg=2) -> Element:
@@ -489,16 +523,20 @@ def _random_words(rng, reg, ranks, gens, terms=3, deg=2) -> Element:
     coefficient in [-3, 3] times 0 to ``deg`` random ``gens``, summed in one
     map."""
     acc: dict = {}
-    for _ in range(rng.randrange(1, terms + 1)):
-        k = rng.randrange(min(len(ranks), 3) + 1)
-        sign, word = sort_word(rng.sample(ranks, k))
-        c = sign * rng.randint(-3, 3)
+    for _ in range(1 + below(rng, terms)):
+        sign, word = sort_word(_sample(rng, ranks, below(rng, min(len(ranks), 3) + 1)))
+        c = sign * (below(rng, 7) - 3)
         exps: dict = {}
-        for _ in range(rng.randrange(deg + 1)):
-            g = rng.choice(gens)
+        for _ in range(below(rng, deg + 1)):
+            g = gens[below(rng, len(gens))]
             exps[g] = exps.get(g, 0) + 1
-        accumulate(acc, word, Poly(reg, {tuple(sorted(exps.items())): c}))
+        if c:
+            accumulate(acc, word, Poly._wrap(reg, {tuple(sorted(exps.items())): c}))
     return Element._wrap(reg, acc)
+
+
+# ---------------------------------------------------------------------------
+# theorem 1: kernel closure and chain-map commutation
 
 
 def verify_theorem1(f, F, rng, samples: int = 50, instance: str = "") -> list:

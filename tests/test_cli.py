@@ -5,7 +5,9 @@ import decimal
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -497,7 +499,7 @@ def hostile_runs(draw):
         if k > 12:
             # v^a - c v^b with c in {-1, 0, 1} has only 0 and roots of unity
             # as roots, so l(x^k) stays small; a root of another modulus
-            # gives an exact value of about k digits, which nothing can print
+            # gives an exact value of about k digits (``large_root_pairs``)
             polys = []
             for v in names:
                 a = draw(st.integers(1, top))
@@ -510,6 +512,37 @@ def hostile_runs(draw):
     return [command], text
 
 
+@st.composite
+def large_root_pairs(draw):
+    """(arguments before the file, system file text) for ``pair --poly
+    v^k + d`` against v^a - c, 2 <= |c| <= 3, for each variable v: every
+    root has modulus |c|^(1/a) > 1, so l(v^k) has on the order of k/a
+    digits.  k has 2 to 11 digits, as many draws of each length, so the
+    values fall on both sides of the 20,000-digit cap and far past it."""
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    polys = []
+    for v in names:
+        a, c = draw(st.integers(1, 4)), draw(st.sampled_from((-3, -2, 2, 3)))
+        polys.append(f"{v}^{a} - {c}")
+    length = draw(st.integers(2, 11))
+    k = draw(st.integers(10 ** (length - 1), 10**length - 1))
+    text = f"vars: {' '.join(names)}\nf: {', '.join(polys)}\n"
+    return ["pair", "--poly", f"{names[-1]}^{k} + {draw(st.integers(-2, 2))}"], text
+
+
+def _run_on_file(argv, text):
+    """(exit code, stdout, stderr) of ``main(argv + [file])``, the file
+    holding ``text``."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/sys.txt"
+        with open(path, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [path])
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestHostileInput:
     """The exit-code contract on generated system files: 0, 2 or 3; 1 only
     with a failed report; never 4."""
@@ -517,17 +550,20 @@ class TestHostileInput:
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(hostile_runs())
     def test_exit_codes(self, run_args):
-        argv, text = run_args
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = f"{tmp}/sys.txt"
-            with open(path, "w") as fh:
-                fh.write(text)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv + [path])
-        assert code in (0, 1, 2, 3), err.getvalue()
+        code, out, err = _run_on_file(*run_args)
+        assert code in (0, 1, 2, 3), err
         if code == 1:
-            assert json.loads(out.getvalue())["summary"]["failed"] > 0, out.getvalue()
+            assert json.loads(out)["summary"]["failed"] > 0, out
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(large_root_pairs())
+    def test_huge_powers_of_large_roots_exit_0_or_2(self, run_args):
+        """A zero-dimensional system and a valid polynomial: the value is
+        printed (0) or refused by the digit cap (2), never exit 4."""
+        code, out, err = _run_on_file(*run_args)
+        assert code in (0, 2), err
+        if code == 2:
+            assert "needs more than" in err and out == "", err
 
     @pytest.mark.parametrize("flag", [False, True])
     def test_witness_search_past_the_column_limit_exits_2(
@@ -634,3 +670,23 @@ class TestDecimalRendering:
                 x = Fraction(num, abs(den))
                 assert cli._frac_str(x) == str(x)
             assert cli._frac_str(3) == "3"
+
+
+class TestInputDigest:
+    """``cli._digest`` is sha256 from the interpreter's own module, so the
+    CLI never maps OpenSSL's libcrypto."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.binary(max_size=300))
+    def test_equals_hashlib_sha256(self, data):
+        assert cli._digest(data) == hashlib.sha256(data).hexdigest()
+
+    def test_import_leaves_hashlib_out(self):
+        src = Path(cli.__file__).parents[1]
+        probe = "import sys, koszulkit.cli; print(sorted({'_hashlib', 'hashlib'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
