@@ -182,7 +182,7 @@ def parse_system_file(text: str) -> SystemFile:
 # randomized instance generators (all draws from one seeded stream)
 
 
-# the 76 values of Fraction(randint(-9, 9), randint(1, 4)), p/q at [p + 9][q - 1]
+# the 19 x 4 outcomes of Fraction(randint(-9, 9), randint(1, 4)), p/q at [p + 9][q - 1]
 _FRACTIONS = [[Fraction(p, q) for q in range(1, 5)] for p in range(-9, 10)]
 
 
