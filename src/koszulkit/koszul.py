@@ -489,8 +489,8 @@ def below(rng, n: int) -> int:
     ``random.Random`` takes one for ``randrange(n)``, ``choice`` of n items
     or ``randint(a, a + n - 1) - a``: n.bit_length() bits from the public
     ``getrandbits``, drawn again while they read n or more.  The value and
-    the generator state after it are the same; the suites' instances, and so
-    the digests that pin them, are defined on this stream."""
+    the generator state after it are the same, and the suites' instances
+    are defined on this stream."""
     if n <= 0:
         # a rejection loop would never end
         raise ValueError(f"empty range [0, {n})")
