@@ -37,7 +37,10 @@ from pathlib import Path
 
 import pytest
 
+from koszulkit import cli
 from koszulkit.cli import main
+from koszulkit.grassmann import Element, bordered_det, render_element
+from koszulkit.ring import FamilyRegistry
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -238,3 +241,56 @@ def test_verify_thm3_file_matches_recording(capsys):
     assert main(["verify", "thm3", "--file", str(GOLDEN / "thm3_b18.txt")]) == 0
     expected = (GOLDEN / "thm3_b18.verify-thm3.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+# sha256 of every instance lemma 1 and lemma 2 draw at seed 201 (the
+# benchmark's shapes), each with the bordered determinant's rendered value
+LEMMA_VALUES_SHA256 = {
+    "lemma1": "41691620b4fc11a40e3d4fc4ee6a405e0f727345ba3acd1f0c86b6f1ca0a8f57",
+    "lemma2": "d41f8ae2173ad743ac56d15146e1c128a4439509ff053fb21f4bf26b2a9ea809",
+}
+
+
+def _bordered_value(a, b):
+    """``render_element`` of ``bordered_det`` on lemma 1's arguments, the
+    odd row's columns over g as ``verify_lemma1`` builds them."""
+    s, t, n = len(a), len(b), len(a[0])
+    reg = FamilyRegistry()
+    f = reg.odd("f", s)
+    g = reg.odd("g", t)
+    oddrow = [
+        sum(
+            (Element.generator(reg, reg.odd_rank(g, j + 1)) * row[k] for j, row in enumerate(b)),
+            Element.zero(reg),
+        )
+        for k in range(n)
+    ]
+    return render_element(bordered_det(a, oddrow, f, reg))
+
+
+@pytest.mark.parametrize("suite", sorted(LEMMA_VALUES_SHA256))
+def test_lemma_values_digest(monkeypatch, suite):
+    """The reports name only their instances, and ``input_digest`` hashes
+    only the argument line, so this pins what lemma 1 and lemma 2 draw and
+    compute: each drawn matrix with the bordered determinant of the
+    instance.  Lemma 2's value is lemma 1's with a the identity and the odd
+    row the negated columns of b (its contracted product)."""
+    h = hashlib.sha256()
+    real1, real2 = cli.verify_lemma1, cli.verify_lemma2
+
+    def lemma1(a, b, instance=""):
+        h.update(f"{instance}: {a!r} {b!r} -> {_bordered_value(a, b)}\n".encode())
+        return real1(a, b, instance)
+
+    def lemma2(b, instance=""):
+        s = len(b[0])
+        ident = [[int(i == k) for k in range(s)] for i in range(s)]
+        neg = [[-x for x in row] for row in b]
+        h.update(f"{instance}: {b!r} -> {_bordered_value(ident, neg)}\n".encode())
+        return real2(b, instance)
+
+    monkeypatch.setattr(cli, "verify_lemma1", lemma1)
+    monkeypatch.setattr(cli, "verify_lemma2", lemma2)
+    reports = getattr(cli, f"suite_{suite}")(seed=201)
+    assert reports and all(r.status == "equal" for r in reports)
+    assert h.hexdigest() == LEMMA_VALUES_SHA256[suite]
