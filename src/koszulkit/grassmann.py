@@ -626,24 +626,40 @@ def bordered_det(a, oddrow, rowfam, reg=None) -> Element:
     the Laplace expansion, ``bordered_minor_expansion``'s route.
     """
     reg, rowfam, odd = _bordered_args(a, oddrow, rowfam, reg, "bordered_det")
-    n = len(odd)
     scalars = _integer_scalars(reg, a, odd)
     if scalars is None:
-        sizes = range(min(rowfam.arity, n) + 1)
-        return _minor_expansion(reg, a, odd, rowfam.dual_ranks(), sizes)
-    # column k is oddrow[k] + sum_i rowfam_i a[i][k], every coefficient over
-    # the one denominator d
+        sizes = range(min(rowfam.arity, len(odd)) + 1)
+        return _minor_expansion(reg, a, odd, rowfam.dual_ranks(), sizes, None)
+    den, nums = _contracted_numerators(rowfam, scalars)
+    return Element.from_numerators(reg, nums, den)
+
+
+def _contracted_numerators(rowfam, scalars) -> tuple[int, dict]:
+    """``bordered_det`` on the integer scalars ``(d, entries, odd)`` of
+    ``_integer_scalars``, rows labelled by ``rowfam``: ``(d^n, {word: m})``,
+    n the number of columns and each coefficient m / d^n."""
+    # column k is odd[k] + sum_i rowfam_i entries[i][k], every coefficient
+    # over the one denominator d
     d, entries, odd = scalars
     rowranks = rowfam.primal_ranks()
     chain = [(1, [(tuple(rowfam.dual_ranks()), 1)])]
-    for k in range(n):
-        col = dict(odd[k])
+    for k, t in enumerate(odd):
+        col = dict(t)
         for rank, row in zip(rowranks, entries):
             if row[k]:
                 accumulate(col, (rank,), row[k])
         chain.append((d, list(col.items())))
     den, acc = _integer_chain(chain)
-    return Element.from_numerators(reg, _bot_contract_terms(rowfam, acc), den)
+    return den, _bot_contract_terms(rowfam, acc)
+
+
+def _expanded_numerators(rowfam, scalars) -> dict:
+    """``bordered_minor_expansion`` on the same scalars as
+    ``_contracted_numerators``: {word: m}, each coefficient m / d^n, over the
+    denominator that function gives."""
+    _, entries, odd = scalars
+    sizes = range(min(rowfam.arity, len(odd)) + 1)
+    return _minor_parts(entries, odd, rowfam.dual_ranks(), sizes, 1)
 
 
 def _constant(p: Poly):
@@ -731,9 +747,29 @@ def _column_plan(n: int, c: int) -> tuple:
     )
 
 
-def _minor_expansion(reg: FamilyRegistry, a, odd, duals, sizes) -> Element:
+def _minor_expansion(reg: FamilyRegistry, a, odd, duals, sizes, scalars) -> Element:
     """The Laplace parts of a bordered determinant whose column sets have a
-    size in ``sizes``.
+    size in ``sizes`` (``_minor_parts``), as an element.
+
+    ``scalars`` is the caller's ``_integer_scalars(reg, a, odd)``.  When it
+    is not None, every entry of ``a`` and every coefficient of the odd row
+    is a constant, and the expansion runs on the integers d * x, d the lcm
+    of all their denominators.  A c-minor then carries d^c and a wedge of q
+    odd entries d^q, so every part carries d^n, and each coefficient is
+    built once at the end as its sum over d^n.  Otherwise it runs on the
+    polynomials themselves.
+    """
+    if scalars is None:
+        # raw odd-row scalars only ever multiply Poly minors here
+        entries = [[as_poly(reg, x) for x in row] for row in a]
+        return Element(reg, _minor_parts(entries, odd, duals, sizes, Poly(reg, {MONO_ONE: 1})))
+    den, entries, odd = scalars
+    return Element.from_numerators(reg, _minor_parts(entries, odd, duals, sizes, 1), den ** len(odd))
+
+
+def _minor_parts(a, odd, duals, sizes, one) -> dict:
+    """The {word: coefficient} map of the Laplace parts of a bordered
+    determinant whose column sets have a size in ``sizes``.
 
     ``a`` has s rows and n columns, ``odd`` the {word: coefficient} maps of
     n odd-row entries of wedge degree at most 1, and ``duals`` the dual
@@ -756,23 +792,10 @@ def _minor_expansion(reg: FamilyRegistry, a, odd, duals, sizes) -> Element:
     the (c-1)-minors; the wedge of each leftover set is built once, on the
     wedge of its prefix; every part is summed into one map.
 
-    The scalars are chosen once: when every entry of ``a`` and every
-    coefficient of the odd row is a constant, the expansion runs on the
-    integers d * x, d the lcm of all their denominators.  A c-minor then
-    carries d^c and a wedge of q odd entries d^q, so every part carries d^n,
-    and each coefficient is built once at the end as its sum over d^n.
-    Otherwise it runs on the polynomials themselves.  No contraction
-    machinery is involved.
+    The entries of ``a`` are all Polys or all integers, and ``one`` is the
+    unit of their kind.  No contraction machinery is involved.
     """
     s, n = len(a), len(odd)
-    scalars = _integer_scalars(reg, a, odd)
-    if scalars is None:
-        # raw odd-row scalars only ever multiply Poly minors here
-        entries = [[as_poly(reg, x) for x in row] for row in a]
-        one = Poly(reg, {MONO_ONE: 1})
-    else:
-        den, entries, odd = scalars
-        one = 1
     minors = {((), ()): one}
     # the empty wedge is the unit; it only ever marks the all-chosen part
     wedges = {(): {(): 1}}
@@ -784,7 +807,7 @@ def _minor_expansion(reg: FamilyRegistry, a, odd, duals, sizes) -> Element:
             m = 0
             last, sub = cols[-1], cols[:-1]
             for j, r in enumerate(rows):
-                term = entries[r][last]
+                term = a[r][last]
                 if term and sub:
                     sm = minor(rows[:j] + rows[j + 1 :], sub)
                     term = term * sm if sm else 0
@@ -839,9 +862,10 @@ def _minor_expansion(reg: FamilyRegistry, a, odd, duals, sizes) -> Element:
                     accumulate(acc, word, c * m)
             else:
                 _wedge_into(acc, left, bracket)
-    if scalars is None:
-        return Element(reg, acc)
-    return Element.from_numerators(reg, acc, den**n)
+    # minor and wedge call themselves through their own cells: clearing the
+    # cells frees the memo tables now, not at the next cyclic collection
+    minor = wedge = None
+    return acc
 
 
 def bordered_minor_expansion(a, oddrow, rowfam, reg=None) -> Element:
@@ -855,7 +879,8 @@ def bordered_minor_expansion(a, oddrow, rowfam, reg=None) -> Element:
     """
     reg, rowfam, odd = _bordered_args(a, oddrow, rowfam, reg, "bordered_minor_expansion")
     sizes = range(min(rowfam.arity, len(odd)) + 1)
-    return _minor_expansion(reg, a, odd, rowfam.dual_ranks(), sizes)
+    scalars = _integer_scalars(reg, a, odd)
+    return _minor_expansion(reg, a, odd, rowfam.dual_ranks(), sizes, scalars)
 
 
 def transgression_det(blocks, ufam) -> Element:
@@ -898,4 +923,4 @@ def transgression_det(blocks, ufam) -> Element:
         for j in range(t):
             _validate_linear(oddrow[j].terms, f"transgression_det odd entry {j}")
         odd.extend(e.terms for e in oddrow)
-    return _minor_expansion(reg, rows, odd, (), (n,))
+    return _minor_expansion(reg, rows, odd, (), (n,), _integer_scalars(reg, rows, odd))

@@ -461,8 +461,16 @@ def as_poly(reg: FamilyRegistry, x) -> Poly:
 
 
 def _grlex_key(item):
-    m, _ = item
-    return (mono_degree(m), tuple((-g, e) for g, e in m))
+    """(degree, -g1, e1, -g2, e2, ...) of a term's monomial: one flat tuple,
+    which sorts as (degree, ((-g1, e1), (-g2, e2), ...)) does, since every
+    pair has two entries."""
+    key = [0]
+    d = 0
+    for g, e in item[0]:
+        key += (-g, e)
+        d += e
+    key[0] = d
+    return tuple(key)
 
 
 def render_mono(reg: FamilyRegistry, m: Mono) -> str:

@@ -462,15 +462,20 @@ class TestDegenerateInput:
 # Malformed fragments spliced into otherwise valid system files.
 JUNK = ("$", "^", "x^", "((", ")", "1/0", ",", "*", "2^-1", "9" * 5000, "x y", "é", "/")
 
+# the commands and the kinds of system file ``hostile_runs`` draws
+HOSTILE_COMMANDS = ("dual-element", "pair", "groebner", "thm4")
+HOSTILE_KINDS = ("valid", "malformed", "constant", "nested")
+
 
 @st.composite
-def hostile_runs(draw):
+def hostile_runs(draw, command=None, kind=None, exponent=None):
     """(arguments before the file, system file text) for one command on a
     generated system: valid, malformed, unit ideal, zero polynomial,
     s != n, positive dimensional, nested past the parser's cap, or paired
     against a huge exponent.  Exponents in f stay at 4 or below, and at 3
     or below with three variables: the quotient's matrices are dense in its
-    dimension."""
+    dimension.  The command, the kind of file and ``pair``'s exponent are
+    drawn unless given."""
     names = ("x", "y", "z")[: draw(st.integers(1, 3))]
     top = 4 if len(names) < 3 else 3
 
@@ -481,21 +486,29 @@ def hostile_runs(draw):
             terms.append(f"{draw(st.integers(-3, 3))}*{mono}")
         return " + ".join(terms)
 
+    def system(polys):
+        """The file of ``polys``, spoilt as ``kind`` says."""
+        if kind == "malformed":
+            k = draw(st.integers(0, len(polys) - 1))
+            cut = draw(st.integers(0, len(polys[k])))
+            polys[k] = polys[k][:cut] + draw(st.sampled_from(JUNK)) + polys[k][cut:]
+        elif kind == "constant":
+            polys[draw(st.integers(0, len(polys) - 1))] = draw(st.sampled_from(("0", "1", "-2/3")))
+        elif kind == "nested":
+            depth = draw(st.sampled_from((99, 100, 101, 150)))
+            polys[0] = "(" * depth + polys[0] + ")" * depth
+        return f"vars: {' '.join(names)}\nf: {', '.join(polys)}\n"
+
     polys = [poly() for _ in range(draw(st.integers(1, 3)))]
-    kind = draw(st.sampled_from(("valid", "malformed", "constant", "nested")))
-    if kind == "malformed":
-        k = draw(st.integers(0, len(polys) - 1))
-        cut = draw(st.integers(0, len(polys[k])))
-        polys[k] = polys[k][:cut] + draw(st.sampled_from(JUNK)) + polys[k][cut:]
-    elif kind == "constant":
-        polys[draw(st.integers(0, len(polys) - 1))] = draw(st.sampled_from(("0", "1", "-2/3")))
-    elif kind == "nested":
-        depth = draw(st.sampled_from((99, 100, 101, 150)))
-        polys[0] = "(" * depth + polys[0] + ")" * depth
-    text = f"vars: {' '.join(names)}\nf: {', '.join(polys)}\n"
-    command = draw(st.sampled_from(("dual-element", "pair", "groebner", "thm4")))
+    if kind is None:
+        kind = draw(st.sampled_from(HOSTILE_KINDS))
+    text = system(polys)
+    if command is None:
+        command = draw(st.sampled_from(HOSTILE_COMMANDS))
     if command == "pair":
-        k = draw(st.one_of(st.integers(0, 12), st.integers(0, 10**11)))
+        k = exponent
+        if k is None:
+            k = draw(st.one_of(st.integers(0, 12), st.integers(0, 10**11)))
         if k > 12:
             # v^a - c v^b with c in {-1, 0, 1} has only 0 and roots of unity
             # as roots, so l(x^k) stays small; a root of another modulus
@@ -505,7 +518,7 @@ def hostile_runs(draw):
                 a = draw(st.integers(1, top))
                 c, b = draw(st.integers(-1, 1)), draw(st.integers(0, a - 1))
                 polys.append(f"{v}^{a} - {c}*{v}^{b}")
-            text = f"vars: {' '.join(names)}\nf: {', '.join(polys)}\n"
+            text = system(polys)
         return ["pair", "--poly", f"{names[-1]}^{k} + {draw(st.integers(-2, 2))}"], text
     if command == "thm4":
         return ["verify", "thm4", "--file"], text
@@ -530,6 +543,13 @@ def large_root_pairs(draw):
     return ["pair", "--poly", f"{names[-1]}^{k} + {draw(st.integers(-2, 2))}"], text
 
 
+def _assert_exit_contract(code, out, err):
+    """0, 2 or 3; 1 only with a failed report; never 4."""
+    assert code in (0, 1, 2, 3), err
+    if code == 1:
+        assert json.loads(out)["summary"]["failed"] > 0, out
+
+
 def _run_on_file(argv, text):
     """(exit code, stdout, stderr) of ``main(argv + [file])``, the file
     holding ``text``."""
@@ -550,10 +570,27 @@ class TestHostileInput:
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(hostile_runs())
     def test_exit_codes(self, run_args):
-        code, out, err = _run_on_file(*run_args)
-        assert code in (0, 1, 2, 3), err
-        if code == 1:
-            assert json.loads(out)["summary"]["failed"] > 0, out
+        _assert_exit_contract(*_run_on_file(*run_args))
+
+    @pytest.mark.parametrize("kind", HOSTILE_KINDS)
+    @pytest.mark.parametrize("command", HOSTILE_COMMANDS)
+    @settings(max_examples=5, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes_in_every_cell(self, command, kind, data):
+        """Each command on each kind of file, so no cell of the contract
+        rests on the draws of ``test_exit_codes``."""
+        _assert_exit_contract(*_run_on_file(*data.draw(hostile_runs(command, kind))))
+
+    @pytest.mark.parametrize("kind", HOSTILE_KINDS)
+    @pytest.mark.parametrize("exponent", [10**3, 10**6, 10**9, 10**11])
+    @settings(max_examples=3, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_pair_exit_codes_at_huge_exponents(self, exponent, kind, data):
+        """``pair`` at exponents of 4 to 12 digits against roots that are 0
+        or roots of unity, on each kind of file."""
+        argv, text = data.draw(hostile_runs("pair", kind, exponent))
+        assert f"^{exponent} + " in argv[2]
+        _assert_exit_contract(*_run_on_file(argv, text))
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(large_root_pairs())

@@ -41,6 +41,7 @@ from koszulkit.grassmann import (
     bordered_minor_expansion,
     dual_full_product,
     grassmann_exp,
+    render_element,
 )
 from koszulkit.koszul import (
     BoundaryAssignment,
@@ -676,6 +677,22 @@ class TestMinorExpansionOracle:
             bordered_minor_expansion([[], []], [], f)
 
 
+def _lemma1_bordered_det(a, b):
+    """``bordered_det`` of lemma 1's instance (a, b), the odd row built from
+    generators of g over the registry ``verify_lemma1`` lays out."""
+    reg = FamilyRegistry()
+    f = reg.odd("f", len(a))
+    g = reg.odd("g", len(b))
+    oddrow = [
+        sum(
+            (Element.generator(reg, reg.odd_rank(g, j + 1)) * row[k] for j, row in enumerate(b)),
+            Element.zero(reg),
+        )
+        for k in range(len(a[0]))
+    ]
+    return grassmann.bordered_det(a, oddrow, f, reg)
+
+
 class TestLemmaVerifiers:
     def test_lemma1_pinned_small(self):
         from fractions import Fraction
@@ -696,9 +713,47 @@ class TestLemmaVerifiers:
 
     @pytest.mark.parametrize("route", ["bordered_det", "bordered_minor_expansion"])
     def test_lemma1_fails_on_a_fault_in_either_route(self, route, monkeypatch):
+        """On constant entries each route is a numerator map over d^n: a
+        negated map fails, and the detail renders the two elements the
+        public functions would give, the faulty one negated."""
+        a, b = [[2, Fraction(1, 3)]], [[Fraction(3, 2), -1]]
+        value = render_element(_lemma1_bordered_det(a, b))
+        negated = render_element(-_lemma1_bordered_det(a, b))
+        if route == "bordered_det":
+            honest = koszul._contracted_numerators
+
+            def faulty(*args):
+                den, nums = honest(*args)
+                return den, {w: -m for w, m in nums.items()}
+
+            monkeypatch.setattr(koszul, "_contracted_numerators", faulty)
+            want = f"contraction {negated}; expansion {value}"
+        else:
+            honest = koszul._expanded_numerators
+            monkeypatch.setattr(
+                koszul, "_expanded_numerators", lambda *args: {w: -m for w, m in honest(*args).items()}
+            )
+            want = f"contraction {value}; expansion {negated}"
+        r = verify_lemma1(a, b)
+        assert r.status == "failed"
+        assert r.detail == want
+
+    @pytest.mark.parametrize("route", ["bordered_det", "bordered_minor_expansion"])
+    def test_lemma1_on_poly_entries_fails_on_a_fault_in_either_public_route(self, route, monkeypatch):
+        """A polynomial entry keeps lemma 1 on the public functions, and a
+        fault in either one fails it."""
+        reg = FamilyRegistry()
+        reg.commuting("x", 2)
+        names = reg.comm_label_map()
+        a = [
+            [parse_poly(reg, "x1", names), parse_poly(reg, "2", names)],
+            [parse_poly(reg, "x2^2 - 1", names), parse_poly(reg, "3*x1*x2", names)],
+        ]
+        b = [[Fraction(3, 2), -1]]
+        assert verify_lemma1(a, b).status == "equal"
         honest = getattr(koszul, route)
         monkeypatch.setattr(koszul, route, lambda *args: -honest(*args))
-        r = verify_lemma1([[2, 1]], [[Fraction(3, 2), -1]])
+        r = verify_lemma1(a, b)
         assert r.status == "failed"
         assert r.detail.startswith("contraction ") and "; expansion " in r.detail
 

@@ -3,13 +3,17 @@
 The arithmetic oracle is evaluation: a polynomial identity that holds at
 enough random rational points (and structurally) is checked both ways.  The
 evaluator below reads the raw term dictionary directly so it shares no code
-with Poly arithmetic.
+with Poly arithmetic.  Rendering sorts terms by a flat graded-lexicographic
+key; ``_nested_grlex_key``, the earlier key with one tuple per generator, is
+kept here as the oracle of its order.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulkit.ring import (
     CommFamily,
@@ -20,6 +24,7 @@ from koszulkit.ring import (
     accumulate,
     divided_diff,
     mono_divide,
+    mono_degree,
     mono_lcm,
     mono_mul,
     parse_poly,
@@ -333,3 +338,34 @@ class TestMonomials:
         assert mono_mul(m2, m1) is prod
         assert mono_mul(((0, 1),), ((0, 1), (1, 3))) is prod
         assert mono_divide(prod, m2) is mono_divide(mono_mul(m1, ((2, 1),)), ((2, 1),))
+
+
+def _nested_grlex_key(item):
+    """The earlier sort key of ``Poly.sorted_terms``: (degree, ((-g1, e1),
+    (-g2, e2), ...)), one tuple per generator."""
+    m, _ = item
+    return (mono_degree(m), tuple((-g, e) for g, e in m))
+
+
+@st.composite
+def grlex_polys(draw):
+    """A polynomial over one to three commuting families of arity one to
+    four, with up to 40 monomials of every length up to the generator count."""
+    reg = FamilyRegistry()
+    for i, arity in enumerate(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))):
+        reg.commuting(f"v{i}", arity)
+    n = reg.num_comm
+    mono = st.dictionaries(st.integers(0, n - 1), st.integers(1, 12), max_size=n).map(
+        lambda exps: tuple(sorted(exps.items()))
+    )
+    monos = draw(st.lists(mono, unique=True, max_size=40))
+    coeffs = st.integers(-5, 5).filter(bool)
+    return Poly(reg, {m: draw(coeffs) for m in monos})
+
+
+class TestGrlexKey:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(grlex_polys())
+    def test_flat_key_sorts_as_the_nested_key(self, p):
+        want = sorted(p.terms.items(), key=_nested_grlex_key, reverse=True)
+        assert p.sorted_terms() == want
