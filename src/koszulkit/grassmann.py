@@ -862,9 +862,6 @@ def _minor_parts(a, odd, duals, sizes, one) -> dict:
                     accumulate(acc, word, c * m)
             else:
                 _wedge_into(acc, left, bracket)
-    # minor and wedge call themselves through their own cells: clearing the
-    # cells frees the memo tables now, not at the next cyclic collection
-    minor = wedge = None
     return acc
 
 
