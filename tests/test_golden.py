@@ -26,7 +26,9 @@ runs), and the ``dual-element`` stdout of ``surplus27.txt``: d = 27 with
 four equations in three variables, whose cocycle test takes the boundary
 of nonempty dual words against large multipliers, of ``triple_x.txt``
 (f = x, x, x: s - n = 2, where the dual element's orientation flips) and
-of ``tower_s5.txt`` (five equations in two variables, s - n = 3).  Each digest is pinned
+of ``tower_s5.txt`` (five equations in two variables, s - n = 3).  The
+instances lemma 1 and lemma 2 draw at seed 201 are pinned with their
+bordered determinants, one sha256 per suite.  Each stdout digest is pinned
 twice: as today's stdout and, with the ``"elapsed": null,`` line every
 report used to carry put back, as the stdout of the earlier release.
 """
