@@ -626,40 +626,24 @@ def bordered_det(a, oddrow, rowfam, reg=None) -> Element:
     the Laplace expansion, ``bordered_minor_expansion``'s route.
     """
     reg, rowfam, odd = _bordered_args(a, oddrow, rowfam, reg, "bordered_det")
+    n = len(odd)
     scalars = _integer_scalars(reg, a, odd)
     if scalars is None:
-        sizes = range(min(rowfam.arity, len(odd)) + 1)
+        sizes = range(min(rowfam.arity, n) + 1)
         return _minor_expansion(reg, a, odd, rowfam.dual_ranks(), sizes, None)
-    den, nums = _contracted_numerators(rowfam, scalars)
-    return Element.from_numerators(reg, nums, den)
-
-
-def _contracted_numerators(rowfam, scalars) -> tuple[int, dict]:
-    """``bordered_det`` on the integer scalars ``(d, entries, odd)`` of
-    ``_integer_scalars``, rows labelled by ``rowfam``: ``(d^n, {word: m})``,
-    n the number of columns and each coefficient m / d^n."""
-    # column k is odd[k] + sum_i rowfam_i entries[i][k], every coefficient
-    # over the one denominator d
+    # column k is oddrow[k] + sum_i rowfam_i a[i][k], every coefficient over
+    # the one denominator d
     d, entries, odd = scalars
     rowranks = rowfam.primal_ranks()
     chain = [(1, [(tuple(rowfam.dual_ranks()), 1)])]
-    for k, t in enumerate(odd):
-        col = dict(t)
+    for k in range(n):
+        col = dict(odd[k])
         for rank, row in zip(rowranks, entries):
             if row[k]:
                 accumulate(col, (rank,), row[k])
         chain.append((d, list(col.items())))
     den, acc = _integer_chain(chain)
-    return den, _bot_contract_terms(rowfam, acc)
-
-
-def _expanded_numerators(rowfam, scalars) -> dict:
-    """``bordered_minor_expansion`` on the same scalars as
-    ``_contracted_numerators``: {word: m}, each coefficient m / d^n, over the
-    denominator that function gives."""
-    _, entries, odd = scalars
-    sizes = range(min(rowfam.arity, len(odd)) + 1)
-    return _minor_parts(entries, odd, rowfam.dual_ranks(), sizes, 1)
+    return Element.from_numerators(reg, _bot_contract_terms(rowfam, acc), den)
 
 
 def _constant(p: Poly):
@@ -675,7 +659,13 @@ def _integer_scalars(reg: FamilyRegistry, entries, odd) -> tuple | None:
     coefficient x replaced by the integer d * x, d the lcm of all their
     denominators; None unless every one of them is a constant.  An ``int``
     or Fraction entry or coefficient is read as it is, with no Poly built
-    for it."""
+    for it, and its numerator and denominator are read once; when every
+    one is an ``int``, d is 1 and ``entries`` and ``odd`` are returned as
+    they are."""
+    if all(type(x) is int for row in entries for x in row) and all(
+        type(c) is int for t in odd for c in t.values()
+    ):
+        return 1, entries, odd
     d = 1
     vals = []
     for row in entries:
@@ -684,30 +674,42 @@ def _integer_scalars(reg: FamilyRegistry, entries, odd) -> tuple | None:
             v = x if type(x) is int or type(x) is Fraction else _constant(as_poly(reg, x))
             if v is None:
                 return None
-            if d % v.denominator:
-                d = lcm(d, v.denominator)
+            v = v.as_integer_ratio()
+            if d % v[1]:
+                d = lcm(d, v[1])
             vrow.append(v)
         vals.append(vrow)
     oddvals = []
     for t in odd:
-        vt = {}
+        vt = []
         for w, c in t.items():
             v = c if type(c) is int or type(c) is Fraction else _constant(c)
             if v is None:
                 return None
-            if d % v.denominator:
-                d = lcm(d, v.denominator)
-            vt[w] = v
+            v = v.as_integer_ratio()
+            if d % v[1]:
+                d = lcm(d, v[1])
+            vt.append((w, v))
         oddvals.append(vt)
-
-    def scale(v):
-        return v.numerator * (d // v.denominator)
-
     return (
         d,
-        [[scale(v) for v in row] for row in vals],
-        [{w: scale(v) for w, v in t.items()} for t in oddvals],
+        [[p * (d // q) for p, q in row] for row in vals],
+        [{w: p * (d // q) for w, (p, q) in t} for t in oddvals],
     )
+
+
+def scaled_to_integers(reg: FamilyRegistry, a, oddrow) -> tuple | None:
+    """A bordered determinant's matrix and odd row with every matrix entry
+    and odd-row coefficient x replaced by the integer d * x, d the lcm of
+    all their denominators: ``(int matrix, [{word: int}, ...])``, the odd
+    row as raw maps; None unless every one of them is a constant.
+
+    ``bordered_det`` and ``bordered_minor_expansion`` are homogeneous of
+    degree n in the n columns, so on these arguments each gives d^n times
+    its value on the given ones, with integer coefficients.
+    """
+    scalars = _integer_scalars(reg, a, [e if type(e) is dict else e.terms for e in oddrow])
+    return None if scalars is None else scalars[1:]
 
 
 def _wedge_into(acc: dict, left: dict, right: dict) -> None:
@@ -749,27 +751,7 @@ def _column_plan(n: int, c: int) -> tuple:
 
 def _minor_expansion(reg: FamilyRegistry, a, odd, duals, sizes, scalars) -> Element:
     """The Laplace parts of a bordered determinant whose column sets have a
-    size in ``sizes`` (``_minor_parts``), as an element.
-
-    ``scalars`` is the caller's ``_integer_scalars(reg, a, odd)``.  When it
-    is not None, every entry of ``a`` and every coefficient of the odd row
-    is a constant, and the expansion runs on the integers d * x, d the lcm
-    of all their denominators.  A c-minor then carries d^c and a wedge of q
-    odd entries d^q, so every part carries d^n, and each coefficient is
-    built once at the end as its sum over d^n.  Otherwise it runs on the
-    polynomials themselves.
-    """
-    if scalars is None:
-        # raw odd-row scalars only ever multiply Poly minors here
-        entries = [[as_poly(reg, x) for x in row] for row in a]
-        return Element(reg, _minor_parts(entries, odd, duals, sizes, Poly(reg, {MONO_ONE: 1})))
-    den, entries, odd = scalars
-    return Element.from_numerators(reg, _minor_parts(entries, odd, duals, sizes, 1), den ** len(odd))
-
-
-def _minor_parts(a, odd, duals, sizes, one) -> dict:
-    """The {word: coefficient} map of the Laplace parts of a bordered
-    determinant whose column sets have a size in ``sizes``.
+    size in ``sizes``.
 
     ``a`` has s rows and n columns, ``odd`` the {word: coefficient} maps of
     n odd-row entries of wedge degree at most 1, and ``duals`` the dual
@@ -792,10 +774,22 @@ def _minor_parts(a, odd, duals, sizes, one) -> dict:
     the (c-1)-minors; the wedge of each leftover set is built once, on the
     wedge of its prefix; every part is summed into one map.
 
-    The entries of ``a`` are all Polys or all integers, and ``one`` is the
-    unit of their kind.  No contraction machinery is involved.
+    ``scalars`` is the caller's ``_integer_scalars(reg, a, odd)``.  When it
+    is not None, every entry of ``a`` and every coefficient of the odd row
+    is a constant, and the expansion runs on the integers d * x, d the lcm
+    of all their denominators.  A c-minor then carries d^c and a wedge of q
+    odd entries d^q, so every part carries d^n, and each coefficient is
+    built once at the end as its sum over d^n.  Otherwise it runs on the
+    polynomials themselves.  No contraction machinery is involved.
     """
     s, n = len(a), len(odd)
+    if scalars is None:
+        # raw odd-row scalars only ever multiply Poly minors here
+        entries = [[as_poly(reg, x) for x in row] for row in a]
+        one = Poly(reg, {MONO_ONE: 1})
+    else:
+        den, entries, odd = scalars
+        one = 1
     minors = {((), ()): one}
     # the empty wedge is the unit; it only ever marks the all-chosen part
     wedges = {(): {(): 1}}
@@ -807,7 +801,7 @@ def _minor_parts(a, odd, duals, sizes, one) -> dict:
             m = 0
             last, sub = cols[-1], cols[:-1]
             for j, r in enumerate(rows):
-                term = a[r][last]
+                term = entries[r][last]
                 if term and sub:
                     sm = minor(rows[:j] + rows[j + 1 :], sub)
                     term = term * sm if sm else 0
@@ -862,7 +856,12 @@ def _minor_parts(a, odd, duals, sizes, one) -> dict:
                     accumulate(acc, word, c * m)
             else:
                 _wedge_into(acc, left, bracket)
-    return acc
+    # minor and wedge call themselves through their own cells: clearing the
+    # cells frees the memo tables now, not at the next cyclic collection
+    minor = wedge = None
+    if scalars is None:
+        return Element(reg, acc)
+    return Element.from_numerators(reg, acc, den**n)
 
 
 def bordered_minor_expansion(a, oddrow, rowfam, reg=None) -> Element:

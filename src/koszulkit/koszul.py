@@ -26,10 +26,6 @@ from dataclasses import dataclass, field
 from ._linalg import solve
 from .grassmann import (
     Element,
-    _bordered_args,
-    _contracted_numerators,
-    _expanded_numerators,
-    _integer_scalars,
     bordered_det,
     bordered_minor_expansion,
     bot_contract,
@@ -40,6 +36,7 @@ from .grassmann import (
     odd_differences,
     odd_gen,
     render_element,
+    scaled_to_integers,
     sort_word,
     top_contract,
     transgression_det,
@@ -411,11 +408,12 @@ def verify_lemma1(a, b, instance: str = "") -> IdentityReport:
 
     The bordered determinant wedges the full dual word against the column
     product and partially contracts; the minor expansion recomputes the value
-    with no contractions at all.  The arguments are checked and scaled to
-    integers once; on constant entries the two routes then run on those
-    integers, and their numerator maps, each over d^n with d the scalars'
-    common denominator and n the number of columns, must be equal.  The
-    elements are built only to render a failure.
+    with no contractions at all.  With constant entries throughout, the
+    entries are scaled to integers once (``scaled_to_integers``) and both
+    routes run on those integers: each gives d^n times its value, so they
+    agree exactly when they agree on the given entries, and their
+    coefficients are integers.  A failure renders both routes' values on
+    the given entries.
     """
     s, t = len(a), len(b)
     n = len(a[0]) if s else len(b[0])
@@ -424,21 +422,17 @@ def verify_lemma1(a, b, instance: str = "") -> IdentityReport:
     granks = reg.odd("g", t).primal_ranks() if t else []
     # column k of b against the g primals, its scalars read as they are
     oddrow = [{(r,): row[k] for r, row in zip(granks, b) if row[k]} for k in range(n)]
-    # bordered_det's argument checks, made once for both routes
-    _bordered_args(a, oddrow, f, reg, "bordered_det")
-    scalars = _integer_scalars(reg, a, oddrow)
-    if scalars is None:
-        routes = bordered_det(a, oddrow, f, reg), bordered_minor_expansion(a, oddrow, f, reg)
-    else:
-        den, contracted = _contracted_numerators(f, scalars)
-        routes = contracted, _expanded_numerators(f, scalars)
-
-    def detail():
-        sides = routes if scalars is None else [Element.from_numerators(reg, m, den) for m in routes]
-        contraction, expansion = map(render_element, sides)
-        return f"contraction {contraction}; expansion {expansion}"
-
-    return verdict("lemma1", instance, routes[0] == routes[1], detail)
+    scaled = scaled_to_integers(reg, a, oddrow)
+    args = (a, oddrow) if scaled is None else scaled
+    contraction = bordered_det(*args, f, reg)
+    expansion = bordered_minor_expansion(*args, f, reg)
+    return verdict(
+        "lemma1",
+        instance,
+        contraction == expansion,
+        lambda: f"contraction {render_element(bordered_det(a, oddrow, f, reg))}; "
+        f"expansion {render_element(bordered_minor_expansion(a, oddrow, f, reg))}",
+    )
 
 
 def verify_lemma2(b, instance: str = "") -> tuple[IdentityReport, IdentityReport]:

@@ -24,6 +24,7 @@ cocycle test of a dual element with more equations than variables.
 import collections
 import importlib
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +43,7 @@ from koszulkit.grassmann import (
     dual_full_product,
     grassmann_exp,
     render_element,
+    scaled_to_integers,
 )
 from koszulkit.koszul import (
     BoundaryAssignment,
@@ -656,6 +658,32 @@ class TestMinorExpansionOracle:
             assert got == _permutation_minor_expansion(a, oddrow, f)
         assert domains == [False, True]
 
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(constant_expansion_cases())
+    def test_scaled_to_integers_scales_both_routes_by_d_to_the_n(self, case):
+        """The integer arguments are d times the given ones, d the lcm of
+        every denominator, and each route takes d^n times its value on
+        them, with ``int`` coefficients."""
+        a, oddrow, f = case
+        reg = oddrow[0].reg
+        entries = [[as_poly(reg, x).terms.get((), 0) for x in row] for row in a]
+        odd = [{w: c.terms[()] for w, c in e.terms.items()} for e in oddrow]
+        values = [v for row in entries for v in row] + [v for t in odd for v in t.values()]
+        d = math.lcm(*(Fraction(v).denominator for v in values))
+        ints, iodd = scaled_to_integers(reg, a, oddrow)
+        assert ints == [[v * d for v in row] for row in entries]
+        assert iodd == [{w: v * d for w, v in t.items()} for t in odd]
+        assert all(type(v) is int for row in ints for v in row)
+        assert all(type(v) is int for t in iodd for v in t.values())
+        for route in (grassmann.bordered_det, bordered_minor_expansion):
+            got = route(ints, iodd, f, reg)
+            assert got == route(a, oddrow, f) * d ** len(oddrow)
+            assert all(type(c.terms[()]) is int for c in got.terms.values())
+
+    def test_scaled_to_integers_refuses_a_polynomial_entry(self):
+        a, oddrow, f = _expansion_inputs(random.Random(4117), 2, 2, 1, True)
+        assert scaled_to_integers(oddrow[0].reg, a, oddrow) is None
+
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(constant_expansion_cases())
     def test_integer_scalars_match_permutation_expansion(self, case):
@@ -713,30 +741,40 @@ class TestLemmaVerifiers:
 
     @pytest.mark.parametrize("route", ["bordered_det", "bordered_minor_expansion"])
     def test_lemma1_fails_on_a_fault_in_either_route(self, route, monkeypatch):
-        """On constant entries each route is a numerator map over d^n: a
-        negated map fails, and the detail renders the two elements the
-        public functions would give, the faulty one negated."""
+        """On constant entries a negated route fails, and the detail renders
+        the two routes' values on the given entries, the faulty one
+        negated."""
         a, b = [[2, Fraction(1, 3)]], [[Fraction(3, 2), -1]]
         value = render_element(_lemma1_bordered_det(a, b))
         negated = render_element(-_lemma1_bordered_det(a, b))
-        if route == "bordered_det":
-            honest = koszul._contracted_numerators
-
-            def faulty(*args):
-                den, nums = honest(*args)
-                return den, {w: -m for w, m in nums.items()}
-
-            monkeypatch.setattr(koszul, "_contracted_numerators", faulty)
-            want = f"contraction {negated}; expansion {value}"
-        else:
-            honest = koszul._expanded_numerators
-            monkeypatch.setattr(
-                koszul, "_expanded_numerators", lambda *args: {w: -m for w, m in honest(*args).items()}
-            )
-            want = f"contraction {value}; expansion {negated}"
+        honest = getattr(koszul, route)
+        monkeypatch.setattr(koszul, route, lambda *args: -honest(*args))
         r = verify_lemma1(a, b)
         assert r.status == "failed"
-        assert r.detail == want
+        if route == "bordered_det":
+            assert r.detail == f"contraction {negated}; expansion {value}"
+        else:
+            assert r.detail == f"contraction {value}; expansion {negated}"
+
+    def test_lemma1_runs_both_routes_on_one_integer_scaling(self, monkeypatch):
+        """Constant entries are scaled once, by d = the lcm of their
+        denominators, and both routes get the same integer arguments."""
+        a, b = [[2, Fraction(1, 3)], [Fraction(-1, 2), 0]], [[Fraction(3, 4), -1]]
+        seen = []
+        for route in ("bordered_det", "bordered_minor_expansion"):
+            honest = getattr(koszul, route)
+
+            def recorded(*args, honest=honest):
+                seen.append(args[:2])
+                return honest(*args)
+
+            monkeypatch.setattr(koszul, route, recorded)
+        assert verify_lemma1(a, b).status == "equal"
+        assert len(seen) == 2 and seen[0][0] is seen[1][0] and seen[0][1] is seen[1][1]
+        ints, odd = seen[0]
+        assert ints == [[24, 4], [-6, 0]]
+        assert [sorted(t.values()) for t in odd] == [[9], [-12]]
+        assert all(type(x) is int for row in ints for x in row)
 
     @pytest.mark.parametrize("route", ["bordered_det", "bordered_minor_expansion"])
     def test_lemma1_on_poly_entries_fails_on_a_fault_in_either_public_route(self, route, monkeypatch):
