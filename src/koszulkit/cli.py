@@ -46,6 +46,7 @@ from .koszul import (
 )
 from .quotient import NotZeroDimensional, groebner, quotient_basis
 from .dual_element import (
+    FunctionalElement,
     HypothesisError,
     StaircaseFunctional,
     dual_element,
@@ -652,11 +653,12 @@ def cmd_pair(args) -> int:
     with _any_digits():
         e, cert = dual_element(system.f)
         pX = lift([p], e.reg, "x")[0]
+        l_elem = FunctionalElement(cert["functional"], "fx", {(): Poly.const(e.reg, 1)})
         data = {
             **_header("pair", digest),
             "poly": str(p),
             "pair_with_e": _frac_str(e.pair_poly(pX)),
-            "pair_with_l": _frac_str(cert["functional"].eval_poly(pX)),
+            "pair_with_l": _frac_str(l_elem.pair_poly(pX)),
         }
         _emit(data)
     return 0

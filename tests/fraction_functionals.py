@@ -32,7 +32,6 @@ class FractionFunctional1D:
     initial values.
     """
 
-    gidx: int
     rec: tuple
     initials: tuple
     _memo: list = field(default_factory=list, init=False, compare=False, repr=False)

@@ -472,10 +472,14 @@ def hostile_runs(draw, command=None, kind=None, exponent=None):
     """(arguments before the file, system file text) for one command on a
     generated system: valid, malformed, unit ideal, zero polynomial,
     s != n, positive dimensional, nested past the parser's cap, or paired
-    against a huge exponent.  Exponents in f stay at 4 or below, and at 3
-    or below with three variables: the quotient's matrices are dense in its
-    dimension.  The command, the kind of file and ``pair``'s exponent are
-    drawn unless given."""
+    against a huge exponent.  A valid system is zero-dimensional: each
+    variable v has a polynomial v^a plus terms of lower degree, so the
+    quotient's dimension is at most the product of the a, and up to two
+    further polynomials make s != n (the unit ideal included).  Exponents in
+    f stay at 4 or below, and at 3 or below with three variables, so that
+    dimension is at most 27: the quotient's matrices are dense in it.
+    Positive-dimensional systems come from a zero polynomial.  The command,
+    the kind of file and ``pair``'s exponent are drawn unless given."""
     names = ("x", "y", "z")[: draw(st.integers(1, 3))]
     top = 4 if len(names) < 3 else 3
 
@@ -483,6 +487,20 @@ def hostile_runs(draw, command=None, kind=None, exponent=None):
         terms = []
         for _ in range(draw(st.integers(1, 3))):
             mono = "*".join(f"{v}^{draw(st.integers(0, top))}" for v in names)
+            terms.append(f"{draw(st.integers(-3, 3))}*{mono}")
+        return " + ".join(terms)
+
+    def led(v):
+        """v^a plus up to two terms of total degree below a."""
+        a = draw(st.integers(1, top))
+        terms = [f"{v}^{a}"]
+        for _ in range(draw(st.integers(0, 2))):
+            left = draw(st.integers(0, a - 1))
+            exps = []
+            for _ in names:
+                exps.append(draw(st.integers(0, left)))
+                left -= exps[-1]
+            mono = "*".join(f"{w}^{e}" for w, e in zip(names, exps))
             terms.append(f"{draw(st.integers(-3, 3))}*{mono}")
         return " + ".join(terms)
 
@@ -499,7 +517,7 @@ def hostile_runs(draw, command=None, kind=None, exponent=None):
             polys[0] = "(" * depth + polys[0] + ")" * depth
         return f"vars: {' '.join(names)}\nf: {', '.join(polys)}\n"
 
-    polys = [poly() for _ in range(draw(st.integers(1, 3)))]
+    polys = [led(v) for v in names] + [poly() for _ in range(draw(st.integers(0, 2)))]
     if kind is None:
         kind = draw(st.sampled_from(HOSTILE_KINDS))
     text = system(polys)
@@ -580,6 +598,23 @@ class TestHostileInput:
         """Each command on each kind of file, so no cell of the contract
         rests on the draws of ``test_exit_codes``."""
         _assert_exit_contract(*_run_on_file(*data.draw(hostile_runs(command, kind))))
+
+    @pytest.mark.parametrize("command", ["dual-element", "thm4", "pair"])
+    def test_valid_files_reach_exit_0(self, command):
+        """The valid cell is zero-dimensional by construction, so each
+        command that needs a zero-dimensional system gets past the quotient
+        and exits 0 on some of its draws."""
+        codes = []
+
+        @settings(max_examples=5, derandomize=True, database=None, deadline=None)
+        @given(hostile_runs(command, "valid"))
+        def run(run_args):
+            code, out, err = _run_on_file(*run_args)
+            _assert_exit_contract(code, out, err)
+            codes.append(code)
+
+        run()
+        assert 0 in codes, codes
 
     @pytest.mark.parametrize("kind", HOSTILE_KINDS)
     @pytest.mark.parametrize("exponent", [10**3, 10**6, 10**9, 10**11])

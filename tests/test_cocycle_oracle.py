@@ -30,19 +30,19 @@ from test_dual_element import det_g_dual_element
 
 
 def _box_is_zero(F):
-    fam = F.reg.comm_family(F.functional.family)
+    gens = F.reg.comm_family(F.functional.family).gens()
     for m in F.comps.values():
         ranges = []
-        for func in F.functional.funcs:
-            deg = max((mono_exponent(mono, func.gidx) for mono in m.terms), default=-1)
+        for g, func in zip(gens, F.functional.funcs):
+            deg = max((mono_exponent(mono, g) for mono in m.terms), default=-1)
             ranges.append(range(func.degree + deg + 1))
         for alpha in itertools.product(*ranges):
             val = Fraction(0)
             for mono, c in m.terms.items():
                 exps = dict(mono)
                 term = c
-                for func, a in zip(F.functional.funcs, alpha):
-                    term *= func.eval(exps.get(func.gidx, 0) + a)
+                for g, func, a in zip(gens, F.functional.funcs, alpha):
+                    term *= func.eval(exps.get(g, 0) + a)
                 val += term
             if val:
                 return False
@@ -65,7 +65,7 @@ roots_or_coeffs = st.lists(small, min_size=1, max_size=3)
 
 
 @st.composite
-def functionals(draw, gidx):
+def functionals(draw):
     # one in ten annihilators is T = 1, half come from roots (repeated roots
     # are likely), the rest have random coefficients; one in ten functionals
     # has all-zero initials
@@ -81,7 +81,7 @@ def functionals(draw, gidx):
         initials = (0,) * d
     else:
         initials = tuple(draw(st.lists(small, min_size=d, max_size=d).filter(any)))
-    return Functional1D(gidx, rec, initials)
+    return Functional1D(rec, initials)
 
 
 @st.composite
@@ -91,7 +91,7 @@ def elements(draw):
     reg.commuting("x", n)
     reg.odd("fx", 2)
     gens = [reg.comm_gen("x", j) for j in range(1, n + 1)]
-    funcs = [draw(functionals(g)) for g in gens]
+    funcs = [draw(functionals()) for _ in gens]
     l = ProductFunctional(reg, "x", funcs)
 
     monos = st.lists(st.tuples(st.sampled_from(gens), st.integers(1, 4)), max_size=n).map(
@@ -121,7 +121,7 @@ def one_var_element(rec, initials, multiplier):
     reg = FamilyRegistry()
     reg.commuting("x", 1)
     reg.odd("fx", 1)
-    l = ProductFunctional(reg, "x", (Functional1D(reg.comm_gen("x", 1), rec, initials),))
+    l = ProductFunctional(reg, "x", (Functional1D(rec, initials),))
     x = Poly.variable(reg, reg.comm_gen("x", 1))
     return FunctionalElement(l, "fx", {(): multiplier(reg, x)})
 
@@ -179,7 +179,7 @@ def test_pipeline_boundary_agrees_with_box(rung, variables, system, box_when_zer
     # one extra term on the staircase: x^alpha with alpha_j = d_j - 1 pairs
     # to 1 against the canonical initials, so the element is no longer zero
     word, m = next(iter(de.comps.items()))
-    x = [Poly.variable(e.reg, func.gidx) for func in e.functional.funcs]
+    x = [Poly.variable(e.reg, g) for g in e.reg.comm_family("x").gens()]
     corner = Poly.const(e.reg, 1)
     for xj, func in zip(x, e.functional.funcs):
         corner = corner * xj ** (func.degree - 1)

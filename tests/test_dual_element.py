@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from koszulkit.dual_element import (
     verify_theorem4,
 )
 
+from product_evaluation import eval_mono, eval_poly
 from substitution import subst
 
 # the package re-exports the function dual_element under the module's name
@@ -45,10 +47,19 @@ def det_g_dual_element(f):
     ``dual_element`` takes only when s != n; for a square system it is the
     oracle of the residue route."""
     _, cert = dual_element(f)
-    l = cert["functional"]
-    e = dual_module._det_g_element(cert["cofactors"], l)
-    e.cocycle = e.boundary(BoundaryAssignment(l.reg, {"fx": lift(f, l.reg, "x")})).is_zero()
-    return e, cert
+    return dual_module._det_g_element(cert["cofactors"], cert["functional"]), cert
+
+
+def is_cocycle(e, f) -> bool:
+    """Whether the boundary of e under the system f vanishes: the test
+    ``verify_theorem4`` reports as ``theorem4.cocycle``."""
+    return e.boundary(BoundaryAssignment(e.reg, {"fx": lift(f, e.reg, "x")})).is_zero()
+
+
+def l_value(l, p):
+    """l(p) as ``pair`` prints it for ``pair_with_l``: the pairing of the
+    word-free element with multiplier 1 over l."""
+    return FunctionalElement(l, "fx", {(): Poly.const(l.reg, 1)}).pair_poly(p)
 
 
 def one_var():
@@ -84,16 +95,18 @@ class TestRecurrentFunctional:
         assert [l.eval(k) for k in range(8)] == [0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_squaring_matches_recurrence_below_500(self):
-        """Both evaluation paths agree for every k < 500 on random T,
-        repeated and zero roots included."""
+        """The recurrence and square-and-multiply (x^k mod T paired with the
+        initial values) agree for every k < 500 on random T, repeated and
+        zero roots included."""
         rng = random.Random(30001)
         for _ in range(12):
             d = rng.randint(1, 4)
             rec = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d))
             initials = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d))
-            l = Functional1D(0, rec, initials)
+            l = Functional1D(rec, initials)
             for k in range(500):
-                assert l.eval_by_squaring(k) == l.eval(k), (rec, initials, k)
+                r = l.reduced_power(k)
+                assert sum(c * v for c, v in zip(r, initials)) == l.eval(k), (rec, initials, k)
 
     def test_huge_index_is_not_memoized(self):
         reg, x = one_var()
@@ -139,7 +152,7 @@ class TestRecurrentFunctional:
             initials = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d))
             l = ProductFunctional(reg, "x", (recurrent_functional(T, initials),))
             for k in range(6):
-                assert l.eval_poly(T * x**k) == 0
+                assert l_value(l, T * x**k) == 0
 
 
 class TestProductFunctional:
@@ -161,10 +174,10 @@ class TestProductFunctional:
 
     def test_values_multiply_coordinatewise(self):
         l = self.canonical(2, 3)
-        assert l.eval_poly(self.x1 * self.x2**2) == 1
-        assert l.eval_poly(self.x1) == 0
-        assert l.eval_poly(Poly.const(self.reg, 1)) == 0
-        assert l.eval_poly(self.x1 * self.x2**2 + 5 * self.x1) == 1
+        assert l_value(l, self.x1 * self.x2**2) == 1
+        assert l_value(l, self.x1) == 0
+        assert l_value(l, Poly.const(self.reg, 1)) == 0
+        assert l_value(l, self.x1 * self.x2**2 + 5 * self.x1) == 1
 
     def test_absent_variable_pairs_at_zero(self):
         l = ProductFunctional(
@@ -175,8 +188,8 @@ class TestProductFunctional:
                 recurrent_functional(self.x2**2, (0, 1)),
             ),
         )
-        assert l.eval_poly(self.x2) == 1
-        assert l.eval_poly(self.x1 * self.x2) == 0
+        assert l_value(l, self.x2) == 1
+        assert l_value(l, self.x1 * self.x2) == 0
 
     def test_foreign_generator_rejected(self):
         reg = FamilyRegistry()
@@ -185,8 +198,8 @@ class TestProductFunctional:
         x = Poly.variable(reg, 0)
         y = Poly.variable(reg, 1)
         l = ProductFunctional(reg, "x", (recurrent_functional(x, (1,)),))
-        with pytest.raises(ValueError):
-            l.eval_poly(y)
+        with pytest.raises(ValueError, match="monomial leaves the paired family"):
+            l_value(l, y)
 
 
 class TestFunctionalEval:
@@ -203,7 +216,7 @@ class TestFunctionalEval:
             T = x**d
             nabla = divided_diff(T, "x", "y")[0]
             ly = ProductFunctional(
-                reg, "y", (Functional1D(1, (Fraction(0),) * d, (0,) * (d - 1) + (1,)),)
+                reg, "y", (Functional1D((Fraction(0),) * d, (0,) * (d - 1) + (1,)),)
             )
             F = FunctionalElement(ly, "fy", {(): Poly.const(reg, 1)})
             out = functional_eval(F, Element.from_poly(nabla))
@@ -216,7 +229,7 @@ class TestFunctionalEval:
         reg.odd("fy", 1)
         x = Poly.variable(reg, 0)
         y = Poly.variable(reg, 1)
-        ly = ProductFunctional(reg, "y", (Functional1D(1, (0, 0), (0, 1)),))
+        ly = ProductFunctional(reg, "y", (Functional1D((0, 0), (0, 1)),))
         F = FunctionalElement(ly, "fy", {(): Poly.const(reg, 1)})
         out = functional_eval(F, Element.from_poly(x + y))
         assert out == Element.unit(reg)
@@ -228,7 +241,7 @@ class TestFunctionalEval:
         reg.commuting("y", 1)
         fy = reg.odd("fy", 2)
         y = Poly.variable(reg, 0)
-        ly = ProductFunctional(reg, "y", (Functional1D(0, (Fraction(0),), (1,)),))
+        ly = ProductFunctional(reg, "y", (Functional1D((Fraction(0),), (1,)),))
         word = (reg.odd_rank(fy, 2, dual=True),)
         F = FunctionalElement(ly, "fy", {word: Poly.const(reg, 1)})
         g2 = Element.generator(reg, reg.odd_rank(fy, 2))
@@ -249,8 +262,8 @@ class TestFunctionalEval:
             reg,
             "x",
             (
-                Functional1D(0, (Fraction(1), Fraction(-2)), (Fraction(3), Fraction(1))),
-                Functional1D(1, (Fraction(-1),), (Fraction(2),)),
+                Functional1D((Fraction(1), Fraction(-2)), (Fraction(3), Fraction(1))),
+                Functional1D((Fraction(-1),), (Fraction(2),)),
             ),
         )
         F = FunctionalElement(l, "fx", {(): Poly.const(reg, 1)})
@@ -281,7 +294,7 @@ def _product_functional_eval(F: FunctionalElement, e: Element) -> Element:
             for mono, c in (coeff * m).terms.items():
                 paired = tuple((g, x) for g, x in mono if g in famset)
                 rest = tuple((g, x) for g, x in mono if g not in famset)
-                val = c * F.functional.eval_mono(paired)
+                val = c * eval_mono(F.functional, paired)
                 if val:
                     accumulate(acc, rest, val)
             if acc:
@@ -366,7 +379,7 @@ def _random_functional(draw, fam, initials):
             init = (1,) + (0,) * (d - 1) if d else ()
         else:
             init = tuple(draw(st.integers(-3, 3)) for _ in range(d))
-        funcs.append(Functional1D(g, rec, init))
+        funcs.append(Functional1D(rec, init))
     return funcs
 
 
@@ -453,22 +466,22 @@ class TestMomentPairingOracle:
             with pytest.raises(ValueError, match="monomial leaves the paired family"):
                 F.pair_poly(p)
         else:
-            assert F.pair_poly(p) == F.functional.eval_poly(m * p)
+            assert F.pair_poly(p) == eval_poly(F.functional, m * p)
 
     def test_pair_poly_on_pipeline_elements(self):
         rng = random.Random(506)
         for f in _ladder(None):
             e, _ = det_g_dual_element(f)
-            gens = [func.gidx for func in e.functional.funcs]
+            gens = list(e.reg.comm_family("x").gens())
             for _ in range(5):
                 p = rand_poly(rng, e.reg, gens, 6)
-                assert e.pair_poly(p) == e.functional.eval_poly(e.comps[()] * p)
+                assert e.pair_poly(p) == eval_poly(e.functional, e.comps[()] * p)
 
 
 class TestFunctionalEquality:
     def test_cache_is_not_compared(self):
-        a = Functional1D(0, (Fraction(-1), Fraction(0)), (Fraction(1), Fraction(2)))
-        b = Functional1D(0, (Fraction(-1), Fraction(0)), (Fraction(1), Fraction(2)))
+        a = Functional1D((Fraction(-1), Fraction(0)), (Fraction(1), Fraction(2)))
+        b = Functional1D((Fraction(-1), Fraction(0)), (Fraction(1), Fraction(2)))
         a.eval(5)
         a.power(7)
         assert a == b
@@ -477,11 +490,11 @@ class TestFunctionalEquality:
 
     def test_powers_reduce_modulo_the_annihilator(self):
         # T = x^2 - x - 1: x^k = F(k) x + F(k - 1) with Fibonacci F
-        func = Functional1D(0, (Fraction(-1), Fraction(-1)), (Fraction(0), Fraction(1)))
+        func = Functional1D((Fraction(-1), Fraction(-1)), (Fraction(0), Fraction(1)))
         assert [func.power(k) for k in range(5)] == [(1, 0), (0, 1), (1, 1), (1, 2), (2, 3)]
 
     def test_unit_annihilator_has_empty_powers(self):
-        func = Functional1D(0, (), ())
+        func = Functional1D((), ())
         assert func.power(0) == func.power(3) == ()
 
 
@@ -491,7 +504,7 @@ class TestZeroTestFamily:
         self.reg.commuting("x", 1)
         self.reg.commuting("y", 1)
         self.reg.odd("fx", 1)
-        self.l = ProductFunctional(self.reg, "x", (Functional1D(0, (Fraction(0),), (1,)),))
+        self.l = ProductFunctional(self.reg, "x", (Functional1D((Fraction(0),), (1,)),))
         self.y = Poly.variable(self.reg, 1)
 
     @pytest.mark.parametrize(
@@ -508,7 +521,7 @@ class TestZeroTestFamily:
         # the pairing reads e's multipliers over x, where they must live
         reg = dual_module._pipeline_registry(1, 1)
         y = Poly.variable(reg, reg.comm_gen("y", 1))
-        l = ProductFunctional(reg, "x", (Functional1D(reg.comm_gen("x", 1), (0,), (1,)),))
+        l = ProductFunctional(reg, "x", (Functional1D((0,), (1,)),))
         e = FunctionalElement(l, "fx", {(): y - Poly.const(reg, 1)})
         src = FamilyRegistry()
         src.commuting("x", 1)
@@ -613,14 +626,14 @@ class TestDualElement:
         assert e.comps == {(): Poly.const(e.reg, 1)}
         assert cert["dimension"] == 1
         assert cert["initials"] == [[Fraction(1)]]
-        assert e.cocycle is True
+        assert is_cocycle(e, [x])
 
     def test_single_variable_square(self):
         reg, x = one_var()
         e, cert = det_g_dual_element([x * x])
         assert e.comps == {(): Poly.const(e.reg, 1)}
         assert cert["initials"] == [[Fraction(0), Fraction(1)]]
-        assert e.cocycle is True
+        assert is_cocycle(e, [x * x])
 
     def test_redundant_equation_shifts_the_word(self):
         reg, x = one_var()
@@ -630,7 +643,7 @@ class TestDualElement:
         assert e.comps == {word: Poly.const(e.reg, 1)}
         assert cert["initials"] == [[Fraction(1)]]
         assert str(cert["annihilators"][0]) == "x"
-        assert e.cocycle is True
+        assert is_cocycle(e, [x, x * x])
 
     def test_two_variable_tower(self):
         reg = FamilyRegistry()
@@ -644,7 +657,7 @@ class TestDualElement:
         y2 = Poly.variable(e.reg, 1)
         # the multiplier is exactly det of the cofactor matrix
         assert e.comps == {(): y1**2 * y2**2 + y2**3}
-        assert e.cocycle is True
+        assert is_cocycle(e, [x1 * x1 - x2, x2 * x2])
 
     def test_certificate_reexpands(self):
         reg = FamilyRegistry()
@@ -675,7 +688,7 @@ class TestDualElement:
         reg, x = one_var()
         e, cert = dual_element([x, x - Poly.const(reg, 1)])
         assert cert["dimension"] == 0
-        assert e.cocycle is True
+        assert is_cocycle(e, [x, x - Poly.const(reg, 1)])
         assert FunctionalElement(e.functional, "fx", dict(e.comps)).is_zero()
 
 
@@ -744,7 +757,7 @@ class TestPairTransgression:
         names = "x1 x2" if "x2" in system else "x"
         sf = cli.parse_system_file(f"vars: {names}\nf: {system}\n")
         e, _ = dual_element(sf.f)
-        assert e.cocycle is True
+        assert is_cocycle(e, sf.f)
         assert {len(w) for w in e.comps} == {len(sf.f) - len(sf.labels)}
         assert transgression_pairing(sf.f, e) == Element.unit(e.reg)
 
@@ -761,7 +774,7 @@ class TestPairTransgression:
                 x2 * x2 + Poly.const(reg, rng.randint(-2, 2)) * x1,
             ]
             e, cert = dual_element(f)
-            assert e.cocycle is True
+            assert is_cocycle(e, f)
             rep = pair_transgression(f, e)
             assert rep.status in ("equal", "homotopic")
             if rep.status == "homotopic":
@@ -779,6 +792,56 @@ class TestPairTransgression:
         assert [r.name for r in reports] == ["theorem4.cocycle", "theorem4.pairing"]
         assert all(r.ok for r in reports)
         assert all(r.instance == "square" for r in reports)
+
+
+TOWER = "vars: x1 x2\nf: x1^2 - x2, x2^2\n"
+
+
+def _open_dual_element(monkeypatch):
+    """Make ``dual_element`` return det G * l plus the dual word of f_1 with
+    multiplier 1: the word-free part still pairs to 1, but the boundary gains
+    f_1 * l, which does not vanish (l(f_1 x1 x2^3) = 1 on the tower)."""
+    real = dual_module.dual_element
+
+    def open_element(f):
+        e, cert = real(f)
+        l = cert["functional"]
+        d1 = e.reg.odd_rank(e.reg.odd_family("fx"), 1, dual=True)
+        comps = dual_module._det_g_element(cert["cofactors"], l).comps
+        comps[(d1,)] = Poly.const(e.reg, 1)
+        return FunctionalElement(l, "fx", comps), cert
+
+    monkeypatch.setattr(dual_module, "dual_element", open_element)
+
+
+class TestCocycleReport:
+    """``verify_theorem4`` runs the cocycle test itself, before the pairing."""
+
+    def test_open_element_fails_the_cocycle_report(self, monkeypatch):
+        _open_dual_element(monkeypatch)
+        f = cli.parse_system_file(TOWER).f
+        reports, e, _ = verify_theorem4(f, instance="tower")
+        assert not is_cocycle(e, f)
+        cocycle, pairing = reports
+        assert (cocycle.name, cocycle.instance, cocycle.status, cocycle.detail) == (
+            "theorem4.cocycle",
+            "tower",
+            "failed",
+            "boundary of e does not vanish",
+        )
+        assert (pairing.name, pairing.status) == ("theorem4.pairing", "equal")
+
+    def test_dual_element_command_exits_1(self, monkeypatch, capsys, tmp_path):
+        _open_dual_element(monkeypatch)
+        path = tmp_path / "tower.txt"
+        path.write_text(TOWER)
+        assert cli.main(["dual-element", str(path)]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert [(r["name"], r["status"], r["detail"]) for r in data["reports"]] == [
+            ("theorem4.cocycle", "failed", "boundary of e does not vanish"),
+            ("theorem4.pairing", "equal", None),
+        ]
+        assert data["summary"]["failed"] == 1
 
 
 class TestTheorem3Compare:

@@ -26,7 +26,9 @@ runs), and the ``dual-element`` stdout of ``surplus27.txt``: d = 27 with
 four equations in three variables, whose cocycle test takes the boundary
 of nonempty dual words against large multipliers, of ``triple_x.txt``
 (f = x, x, x: s - n = 2, where the dual element's orientation flips) and
-of ``tower_s5.txt`` (five equations in two variables, s - n = 3).  The
+of ``tower_s5.txt`` (five equations in two variables, s - n = 3); the
+last two are also pinned under ``pair``, against polynomials whose
+exponents pass each annihilator's degree.  The
 instances lemma 1 and lemma 2 draw at seed 201 are pinned with their
 bordered determinants, one sha256 per suite.  Each stdout digest is pinned
 twice: as today's stdout and, with the ``"elapsed": null,`` line every
@@ -182,6 +184,24 @@ CASES = [
     # carries coefficients of over 100 bits
     ("dense2_d36", ["groebner"], "dense2_d36.groebner.json"),
     ("dense2_d36", ["dual-element"], "dense2_d36.dual-element.json"),
+    # pair on systems with more equations than variables, where e has no
+    # word-free part and pairs to 0; l's exponents reach past each T_j's
+    # degree, so its values come from the recurrence
+    (
+        "surplus27",
+        [
+            "pair",
+            "--poly",
+            "a^29*b^40*c^32 + a^26*b^26*c^26 - 3*a^32*b^26*c^40 + a^40*b^26*c^26"
+            " + 2*a^25*b^40*c^40",
+        ],
+        "surplus27.pair.json",
+    ),
+    (
+        "tower_s5",
+        ["pair", "--poly", "x1^2*x2^2 - 2*x1^3*x2^2 + x1^2*x2^7 + 5*x2^2"],
+        "tower_s5.pair.json",
+    ),
 ]
 
 
@@ -201,6 +221,17 @@ def test_wall_recordings_hold_verified_reports(system):
     data = json.loads((GOLDEN / f"{system}.dual-element.json").read_text())
     assert [r["name"] for r in data["reports"]] == ["theorem4.cocycle", "theorem4.pairing"]
     assert all(r["status"] in ("equal", "homotopic") for r in data["reports"])
+
+
+@pytest.mark.parametrize("poly", ["0", "x - x"])
+@pytest.mark.parametrize("system", ["sq", "triple_x"])
+def test_pair_on_the_zero_polynomial(capsys, system, poly):
+    """The zero polynomial has no exponent vector to read: both pairings
+    are 0, on a square system and on one with s - n = 2."""
+    code = main(["pair", str(GOLDEN / f"{system}.txt"), "--poly", poly])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (data["poly"], data["pair_with_e"], data["pair_with_l"]) == ("0", "0", "0")
 
 
 def test_pair_with_undeclared_variable_prints_nothing(capsys):
